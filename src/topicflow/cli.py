@@ -37,7 +37,6 @@ from .ingest import (
     ActivityProfile,
     IngestStats,
     SnapshotGrid,
-    compute_yearly_paper_quantile,
     ingest_records,
 )
 from .metrics import (
@@ -233,11 +232,14 @@ def write_profiles(profiles: list[ActivityProfile], path) -> None:
 
 
 def load_profiles(path, table: ClassificationTable) -> list[ActivityProfile]:
+    topic_area = table.topic_area
     grouped: dict[tuple[str, int], dict[str, int]] = {}
     for lineno, parts in iter_tsv(path):
         if len(parts) != 4:
             raise MalformedLine(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
         author, snapshot_text, topic, count_text = parts
+        if topic not in topic_area:
+            raise MalformedLine(f"{path}:{lineno}: unknown topic {topic!r}")
         try:
             snapshot, count = int(snapshot_text), int(count_text)
         except ValueError:
@@ -253,7 +255,7 @@ def load_profiles(path, table: ClassificationTable) -> list[ActivityProfile]:
             author_id=author,
             snapshot=snapshot,
             topic_counts=counts,
-            area_set=frozenset(table.topic_area[t] for t in counts),
+            area_set=frozenset(topic_area[t] for t in counts),
         )
         for (author, snapshot), counts in sorted(grouped.items())
     ]
@@ -266,13 +268,12 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[Path, IngestStats]:
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
     out = _out_dir(cfg)
-    threshold = cfg.max_papers_per_year
-    if cfg.quantile is not None:
-        threshold = compute_yearly_paper_quantile(records, cfg.quantile)
-        print(f"quantile {cfg.quantile} -> max papers per year {threshold}")
     profiles, stats = ingest_records(
-        records, table, cfg.grid(), threshold, cut_scope=cfg.cut_scope
+        records, table, cfg.grid(), cfg.max_papers_per_year,
+        cut_scope=cfg.cut_scope, quantile=cfg.quantile,
     )
+    if cfg.quantile is not None:
+        print(f"quantile {cfg.quantile} -> max papers per year {stats.max_papers_per_year}")
     profiles_path = out / "profiles.tsv"
     write_profiles(profiles, profiles_path)
     stats_path = out / "ingest_stats.json"

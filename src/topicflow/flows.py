@@ -11,6 +11,7 @@ topic or area granularity.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -360,8 +361,8 @@ def load_flow_network(
             weight = parse_weight(fields[4])
         except ValueError:
             raise MalformedLine(f"{path}:{lineno}: bad weight {fields[4]!r}") from None
-        if weight <= 0:
-            raise MalformedLine(f"{path}:{lineno}: weights must be strictly positive")
+        if not math.isfinite(weight) or weight <= 0:
+            raise MalformedLine(f"{path}:{lineno}: weights must be finite and strictly positive")
         if (source, target) in weights:
             raise MalformedLine(f"{path}:{lineno}: duplicate edge {source}->{target}")
         weights[(source, target)] = weight

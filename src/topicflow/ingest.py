@@ -2,16 +2,17 @@
 
 Records are ``author<TAB>paper<TAB>journal<TAB>year`` lines (or
 newline-delimited JSON objects with the same four fields, auto-detected).
-Ingestion runs two passes: the first counts distinct papers per
-(author, year) to find authors over the disambiguation cut, the second
-accumulates topic activity per (author, snapshot) for everyone else.
+Ingestion reads the file once, grouping distinct papers by author and
+calendar year. The disambiguation cut and the ``--quantile`` threshold
+are counted from those groups; the authors under the cut are then
+deduplicated to one (year, journal) per paper and their topic activity
+accumulated per (author, snapshot).
 """
 from __future__ import annotations
 
 import json
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -88,6 +89,11 @@ class IngestStats:
     dropped_unclassified: int = 0
     dropped_year: int = 0
     authors_excluded: int = 0
+    excluded_by_cut: int = 0  # records passing both filters, of excluded authors
+    duplicates_collapsed: int = 0  # records repeating a kept (author, paper)
+    # The cut applied: the argument, or the one --quantile derived.
+    # Not a counter, so not part of as_dict().
+    max_papers_per_year: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -96,6 +102,8 @@ class IngestStats:
             "dropped_unclassified": self.dropped_unclassified,
             "dropped_year": self.dropped_year,
             "authors_excluded": self.authors_excluded,
+            "excluded_by_cut": self.excluded_by_cut,
+            "duplicates_collapsed": self.duplicates_collapsed,
         }
 
 
@@ -170,26 +178,78 @@ def read_records(path) -> Iterator[PublicationRecord]:
         yield PublicationRecord(author, paper, journal, year)
 
 
-def _over_threshold_authors(
-    records_file,
-    table: ClassificationTable,
-    grid: SnapshotGrid,
-    max_papers_per_year: int,
-    cut_scope: str,
-) -> set[str]:
-    """Authors with more than the threshold distinct papers in any single year."""
-    journals = table.journal_topics
-    papers_by_author_year: dict[tuple[str, int], set[str]] = {}
+# Journal entered for a paper seen only in records the filters drop.
+# Journal ids are non-empty tokens, so the empty string cannot collide.
+_NOT_KEPT = ""
+
+# author -> calendar year -> paper -> smallest kept journal, or _NOT_KEPT
+PaperGroups = dict[str, dict[int, dict[str, str]]]
+
+
+def _group_papers(
+    records_file, journals, years, track_dropped: bool, stats: IngestStats
+) -> tuple[PaperGroups, dict[str, int]]:
+    """Read the records file once, grouping papers by author and calendar year.
+
+    A record whose year is in ``years`` and whose journal is in
+    ``journals`` is kept: its paper maps to the smallest journal any kept
+    record gives it in that year. Other records are counted as dropped in
+    ``stats`` and, when ``track_dropped``, still enter their paper as
+    ``_NOT_KEPT``, so that every group also holds the distinct papers of
+    the dropped records. Also returns, per author, the number of kept
+    records that repeat a paper already kept in the same year.
+    """
+    groups: PaperGroups = {}
+    repeats: dict[str, int] = {}
+    read = dropped_year = dropped_unclassified = 0
     for _, author, paper, journal, year in iter_records(records_file):
-        if cut_scope == "classified":
-            if not grid.contains(year) or journal not in journals:
+        read += 1
+        if year not in years:
+            dropped_year += 1
+            if not track_dropped:
                 continue
-        papers_by_author_year.setdefault((author, year), set()).add(paper)
-    return {
-        author
-        for (author, _), papers in papers_by_author_year.items()
-        if len(papers) > max_papers_per_year
-    }
+            journal = _NOT_KEPT
+        elif journal not in journals:
+            dropped_unclassified += 1
+            if not track_dropped:
+                continue
+            journal = _NOT_KEPT
+        by_year = groups.get(author)
+        if by_year is None:
+            groups[author] = {year: {paper: journal}}
+            continue
+        papers = by_year.get(year)
+        if papers is None:
+            by_year[year] = {paper: journal}
+            continue
+        previous = papers.get(paper)
+        if previous is None:
+            papers[paper] = journal
+        elif journal:
+            if previous:
+                repeats[author] = repeats.get(author, 0) + 1
+            if not previous or journal < previous:
+                papers[paper] = journal
+    stats.records_read = read
+    stats.dropped_year = dropped_year
+    stats.dropped_unclassified = dropped_unclassified
+    return groups, repeats
+
+
+def _kept_papers(papers: dict[str, str]) -> int:
+    return sum(map(bool, papers.values()))  # every entry but _NOT_KEPT
+
+
+def _check_quantile(q: float) -> None:
+    if not 0 < q < 1:
+        raise InvalidSpec(f"quantile must be in (0, 1), got {q}")
+
+
+def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> int:
+    counts = [len(papers) for by_year in groups.values() for papers in by_year.values()]
+    if not counts:
+        raise EmptyInput(f"{records_file}: no records")
+    return quantile_cutoff(counts, q)
 
 
 def ingest_records(
@@ -199,6 +259,7 @@ def ingest_records(
     max_papers_per_year: int = 17,
     *,
     cut_scope: str = "classified",
+    quantile: float | None = None,
 ) -> tuple[list[ActivityProfile], IngestStats]:
     """Stream records into activity profiles, applying the corpus filters.
 
@@ -211,60 +272,90 @@ def ingest_records(
     the smallest (year, journal) so the result does not depend on record
     order. ``cut_scope`` controls whether the per-year paper counts that
     feed the cut see only classified in-range records (``classified``,
-    the default) or every well-formed record (``all``).
+    the default) or every well-formed record (``all``). ``quantile``
+    replaces ``max_papers_per_year`` with the smallest k such that that
+    fraction of (author, year) distinct-paper counts, over every
+    well-formed record, are <= k.
 
-    Returns profiles sorted by (author, snapshot) plus ingest statistics.
+    The file is read once, into distinct papers per (author, calendar
+    year); dropped records enter too when the cut or the quantile counts
+    them. The cut and the quantile are counted from these groups, and
+    the dedupe walks each kept author's years in ascending order, taking
+    a paper from the first year that keeps it. So the cut counts a paper
+    once in every year it appears, and the profile counts it once.
+
+    Returns profiles sorted by (author, snapshot) plus ingest statistics,
+    whose ``max_papers_per_year`` is the cut applied.
     """
-    if max_papers_per_year < 0:
+    if quantile is not None:
+        _check_quantile(quantile)
+    elif max_papers_per_year < 0:
         raise InvalidSpec(f"max_papers_per_year must be >= 0, got {max_papers_per_year}")
     if cut_scope not in ("classified", "all"):
         raise InvalidSpec(f"cut_scope must be 'classified' or 'all', got {cut_scope!r}")
 
-    excluded: set[str] = set()
-    if max_papers_per_year > 0:
-        excluded = _over_threshold_authors(
-            records_file, table, grid, max_papers_per_year, cut_scope
-        )
-
-    stats = IngestStats(authors_excluded=len(excluded))
     journals = table.journal_topics
-
-    # Canonical (year, journal) per (author, paper): min() keeps the result
-    # independent of input order when a pair appears with divergent fields.
-    contributions: dict[tuple[str, str], tuple[int, str]] = {}
-    for _, author, paper, journal, year in iter_records(records_file):
-        stats.records_read += 1
-        if not grid.contains(year):
-            stats.dropped_year += 1
-            continue
-        if journal not in journals:
-            stats.dropped_unclassified += 1
-            continue
-        if author in excluded:
-            continue
-        key = (author, paper)
-        candidate = (year, journal)
-        previous = contributions.get(key)
-        if previous is None or candidate < previous:
-            contributions[key] = candidate
-
-    counts: dict[tuple[str, int], Counter[str]] = {}
-    for (author, _), (year, journal) in contributions.items():
-        bucket = counts.setdefault((author, grid.snapshot_of(year)), Counter())
-        for topic in journals[journal]:
-            bucket[topic] += 1
-    stats.records_kept = len(contributions)
+    labels = {year: grid.snapshot_of(year) for year in range(grid.start_year, grid.end_year + 1)}
+    count_dropped = cut_scope == "all"
+    stats = IngestStats()
+    groups, repeats = _group_papers(
+        records_file,
+        journals,
+        labels,
+        quantile is not None or (count_dropped and max_papers_per_year > 0),
+        stats,
+    )
+    threshold = (
+        max_papers_per_year if quantile is None else _yearly_quantile(groups, quantile, records_file)
+    )
+    stats.max_papers_per_year = threshold
 
     topic_area = table.topic_area
-    profiles = [
-        ActivityProfile(
-            author_id=author,
-            snapshot=snapshot,
-            topic_counts=dict(topic_counts),
-            area_set=frozenset(topic_area[t] for t in topic_counts),
-        )
-        for (author, snapshot), topic_counts in sorted(counts.items())
-    ]
+    profiles: list[ActivityProfile] = []
+    kept = collapsed = excluded = excluded_records = 0
+    for author in sorted(groups):
+        by_year = groups.pop(author)
+        if threshold and any(
+            len(papers) > threshold
+            and (count_dropped or _kept_papers(papers) > threshold)
+            for papers in by_year.values()
+        ):
+            excluded += 1
+            excluded_records += repeats.get(author, 0) + sum(map(_kept_papers, by_year.values()))
+            continue
+        collapsed += repeats.get(author, 0)
+        seen: set[str] = set()
+        by_snapshot: dict[int, dict[TopicId, int]] = {}
+        for year in sorted(by_year):
+            label = labels.get(year)
+            if label is None:  # only dropped records fall outside the grid
+                continue
+            for paper, journal in by_year[year].items():
+                if not journal:
+                    continue
+                if paper in seen:
+                    collapsed += 1
+                    continue
+                seen.add(paper)
+                counts = by_snapshot.get(label)
+                if counts is None:
+                    counts = by_snapshot[label] = {}
+                for topic in journals[journal]:
+                    counts[topic] = counts.get(topic, 0) + 1
+        kept += len(seen)
+        for snapshot, counts in by_snapshot.items():
+            profiles.append(
+                ActivityProfile(
+                    author_id=author,
+                    snapshot=snapshot,
+                    topic_counts=counts,
+                    area_set=frozenset(topic_area[t] for t in counts),
+                )
+            )
+    stats.records_kept = kept
+    stats.duplicates_collapsed = collapsed
+    stats.authors_excluded = excluded
+    stats.excluded_by_cut = excluded_records
     return profiles, stats
 
 
@@ -273,15 +364,10 @@ def compute_yearly_paper_quantile(records_file, q: float) -> int:
 
     Counts distinct papers per author per calendar year over every
     well-formed record, with no classification or year filtering, so the
-    cut can be re-derived on a raw corpus.
+    cut can be re-derived on a raw corpus. ``ingest_records(quantile=q)``
+    derives the same k in its own read of the records.
     """
-    if not 0 < q < 1:
-        raise InvalidSpec(f"quantile must be in (0, 1), got {q}")
-    papers_by_author_year: dict[tuple[str, int], set[str]] = {}
-    for _, author, paper, _, year in iter_records(records_file):
-        papers_by_author_year.setdefault((author, year), set()).add(paper)
-    if not papers_by_author_year:
-        raise EmptyInput(f"{records_file}: no records")
-    return quantile_cutoff(
-        (len(papers) for papers in papers_by_author_year.values()), q
-    )
+    _check_quantile(q)
+    # With no years to keep, every record enters its paper as dropped.
+    groups, _ = _group_papers(records_file, {}, {}, True, IngestStats())
+    return _yearly_quantile(groups, q, records_file)

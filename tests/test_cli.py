@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from topicflow.cli import main
 from conftest import write_lines
 
@@ -65,6 +67,8 @@ def test_ingest_empty_records(tmp_path):
         "dropped_unclassified": 0,
         "dropped_year": 0,
         "authors_excluded": 0,
+        "excluded_by_cut": 0,
+        "duplicates_collapsed": 0,
     }
 
 
@@ -331,3 +335,37 @@ def test_synth_cli_roundtrip_matches_answers(tmp_path):
         produced = (out / "run" / name.replace("answers_", "")).read_bytes()
         expected = (out / name).read_bytes()
         assert produced == expected, name
+
+
+def _ingest_and_flows(tmp_path):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
+    out = tmp_path / "out"
+    args = base_args(tmp_path, out) + ["--start-year", "1910", "--end-year", "1919"]
+    assert main(["ingest", *args]) == 0
+    assert main(["flows", *args]) == 0
+    return out, args
+
+
+def test_profiles_unknown_topic_exits_two(tmp_path, capsys):
+    out, args = _ingest_and_flows(tmp_path)
+    profiles = out / "profiles.tsv"
+    lines = profiles.read_text().splitlines()
+    lines[1] = "x\t1910\tT9\t1"
+    write_lines(profiles, lines)
+    capsys.readouterr()
+    assert main(["flows", *args]) == 2
+    assert f"{profiles}:2: unknown topic 'T9'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight,command", [("inf", "viz"), ("nan", "metrics")])
+def test_flow_weight_not_finite_exits_two(tmp_path, capsys, weight, command):
+    out, args = _ingest_and_flows(tmp_path)
+    network = out / "flows_topic_1910_1915.tsv"
+    lines = network.read_text().splitlines()
+    lines[1] = "\t".join(lines[1].split("\t")[:4] + [weight])
+    write_lines(network, lines)
+    if command == "viz":
+        args = [*args, "--pair", "1910", "1915"]
+    capsys.readouterr()
+    assert main([command, *args]) == 2
+    assert f"{network}:2: weights must be finite" in capsys.readouterr().err

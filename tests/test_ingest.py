@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from topicflow import PublicationRecord, SnapshotGrid, compute_yearly_paper_quantile, ingest_records
+from topicflow import (
+    ActivityProfile,
+    IngestStats,
+    PublicationRecord,
+    SnapshotGrid,
+    compute_yearly_paper_quantile,
+    ingest_records,
+)
 from topicflow.errors import EmptyInput, InvalidSpec, MalformedRecord
 from topicflow.ingest import iter_records, read_records
 from conftest import write_lines
@@ -236,3 +245,122 @@ def test_cut_scope_all_counts_unclassified(table, make_records, grid_1910_2014):
     excluded, stats = ingest_records(records, table, grid_1910_2014, 17, cut_scope="all")
     assert excluded == []
     assert stats.authors_excluded == 1
+
+
+# -- single pass against a naive two-pass reference --
+
+def _rows_with_repeats(rng, n):
+    """Random rows plus repeats of their papers: in another calendar year,
+    in an unclassified journal, outside the grid, or verbatim."""
+    years = [1912, 1913, 1950, 1951, 1987, 2001, 2002, 2014]
+    rows = [
+        (f"a{rng.randrange(n // 4)}", f"p{rng.randrange(n // 2)}",
+         rng.choice(["J1", "J2", "J3"]), rng.choice(years))
+        for _ in range(n)
+    ]
+    for author, paper, journal, year in rng.sample(rows, n // 2):
+        rows.append(rng.choice([
+            (author, paper, rng.choice(["J1", "J2", "J3"]), rng.choice(years)),
+            (author, paper, "unknown", year),
+            (author, paper, journal, rng.choice([1890, 2020])),
+            (author, paper, journal, year),
+        ]))
+    # one busy author-year near the default cut of 17, in either scope
+    rows += [("busy", f"b{i}", "J1", 2001) for i in range(rng.randrange(12, 19))]
+    rows += [("busy", f"u{i}", "unknown", 2001) for i in range(rng.randrange(3, 9))]
+    rng.shuffle(rows)
+    return rows
+
+
+def _reference_ingest(rows, grid, threshold, cut_scope, quantile):
+    """Two passes, the naive way: per-(author, calendar year) paper sets
+    give the cut (and the quantile, over every row); then the kept rows
+    are deduplicated to the minimal (year, journal) per (author, paper)."""
+    def classified(journal, year):
+        return journal in TABLE and grid.contains(year)
+
+    if quantile is not None:
+        every: dict[tuple[str, int], set[str]] = {}
+        for author, paper, _, year in rows:
+            every.setdefault((author, year), set()).add(paper)
+        sizes = sorted(len(papers) for papers in every.values())
+        threshold = sizes[max(0, math.ceil(Fraction(str(quantile)) * len(sizes)) - 1)]
+    per_year: dict[tuple[str, int], set[str]] = {}
+    for author, paper, journal, year in rows:
+        if cut_scope == "all" or classified(journal, year):
+            per_year.setdefault((author, year), set()).add(paper)
+    excluded = {a for (a, _), papers in per_year.items() if threshold and len(papers) > threshold}
+
+    stats = IngestStats(
+        records_read=len(rows), authors_excluded=len(excluded), max_papers_per_year=threshold
+    )
+    best: dict[tuple[str, str], tuple[int, str]] = {}
+    for author, paper, journal, year in rows:
+        if not grid.contains(year):
+            stats.dropped_year += 1
+        elif journal not in TABLE:
+            stats.dropped_unclassified += 1
+        elif author in excluded:
+            stats.excluded_by_cut += 1
+        elif (author, paper) in best:
+            stats.duplicates_collapsed += 1
+            best[(author, paper)] = min(best[(author, paper)], (year, journal))
+        else:
+            best[(author, paper)] = (year, journal)
+    stats.records_kept = len(best)
+
+    counts: dict[tuple[str, int], dict[str, int]] = {}
+    for (author, _), (year, journal) in best.items():
+        bucket = counts.setdefault((author, grid.snapshot_of(year)), {})
+        for topic in TABLE[journal]:
+            bucket[topic] = bucket.get(topic, 0) + 1
+    profiles = [
+        ActivityProfile(author, snapshot, topics, frozenset(AREAS[t] for t in topics))
+        for (author, snapshot), topics in sorted(counts.items())
+    ]
+    return profiles, stats
+
+
+@pytest.mark.parametrize("quantile", [None, 0.5, 0.9])
+@pytest.mark.parametrize("threshold", [0, 1, 2, 17])
+@pytest.mark.parametrize("cut_scope", ["classified", "all"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_single_pass_matches_two_pass_reference(
+    table, make_records, grid_1910_2014, seed, cut_scope, threshold, quantile
+):
+    rows = _rows_with_repeats(random.Random(seed), 80)
+    got = ingest_records(
+        make_records(rows), table, grid_1910_2014, threshold,
+        cut_scope=cut_scope, quantile=quantile,
+    )
+    assert got == _reference_ingest(rows, grid_1910_2014, threshold, cut_scope, quantile)
+    if quantile is not None:
+        assert got[1].max_papers_per_year == compute_yearly_paper_quantile(
+            make_records(rows), quantile
+        )
+
+
+@pytest.mark.parametrize(
+    "cut_scope,quantile", [("classified", None), ("all", None), ("classified", 0.5), ("all", 0.9)]
+)
+def test_stats_reconcile(table, make_records, grid_1910_2014, cut_scope, quantile):
+    rows = _rows_with_repeats(random.Random(7), 120)
+    _, stats = ingest_records(
+        make_records(rows), table, grid_1910_2014, 2, cut_scope=cut_scope, quantile=quantile
+    )
+    assert stats.excluded_by_cut > 0 and stats.duplicates_collapsed > 0
+    assert stats.dropped_year > 0 and stats.dropped_unclassified > 0
+    assert stats.records_read == len(rows) == (
+        stats.records_kept + stats.dropped_year + stats.dropped_unclassified
+        + stats.excluded_by_cut + stats.duplicates_collapsed
+    )
+
+
+def test_cut_counts_paper_in_each_year_profile_once(table, make_records, grid_1910_2014):
+    # p1 appears in 2001 and 2002; 2002 also holds q1, so 2002 has two papers.
+    rows = [("X", "p1", "J2", 2001), ("X", "p1", "J1", 2002), ("X", "q1", "J2", 2002)]
+    profiles, stats = ingest_records(make_records(rows), table, grid_1910_2014, 1)
+    assert profiles == [] and stats.authors_excluded == 1 and stats.excluded_by_cut == 3
+    profiles, stats = ingest_records(make_records(rows), table, grid_1910_2014, 2)
+    assert [p.topic_counts for p in profiles] == [{"T2": 2}]
+    assert stats.records_kept == 2 and stats.duplicates_collapsed == 1
