@@ -15,7 +15,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .classification import AreaId, ClassificationTable
 from .errors import (
@@ -485,6 +484,11 @@ def _sector_elements(lay: VizLayout) -> list[str]:
     return out
 
 
+def _escape(text: str) -> str:
+    """XML character data: ``&`` first, so the other entities stay intact."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _label_element(lay: VizLayout, node: str) -> str:
     cfg = lay.cfg
     angle = lay.node_angle[node]
@@ -500,7 +504,7 @@ def _label_element(lay: VizLayout, node: str) -> str:
         f'<text class="label" x="{_fmt(pos[0])}" y="{_fmt(pos[1])}" '
         f'font-size="{cfg.font_size:g}" fill="{color}" text-anchor="{anchor}" '
         f'dominant-baseline="middle" '
-        f'transform="rotate({_fmt(degrees)} {_pt(pos)})">{escape(node)}</text>'
+        f'transform="rotate({_fmt(degrees)} {_pt(pos)})">{_escape(node)}</text>'
     )
 
 

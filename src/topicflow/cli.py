@@ -3,13 +3,16 @@
 Every stage reads and writes plain sorted TSV under the output
 directory, so intermediate artifacts stay diffable, and the whole tree
 is byte-identical across reruns with the same inputs and flags.
+``report`` hands the profiles that ingest built to flows and metrics in
+memory instead of re-reading ``profiles.tsv``, and still writes every
+artifact that the separate subcommands would. All stages run in one
+process.
 Exit codes: 0 success, 1 usage, 2 input format, 3 internal invariant.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -79,6 +82,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec("seed must be a 64-bit unsigned integer")
+        if self.threads is not None and self.threads < 1:
+            raise UsageError("--threads must be >= 1")
 
     def grid(self) -> SnapshotGrid:
         return SnapshotGrid(self.start_year, self.end_year, self.width)
@@ -89,13 +94,6 @@ class PipelineConfig:
         if self.level in ("topic", "area"):
             return [self.level]
         raise UsageError(f"level must be topic, area or both, got {self.level!r}")
-
-    def effective_threads(self) -> int:
-        if self.threads is not None:
-            if self.threads < 1:
-                raise UsageError("--threads must be >= 1")
-            return self.threads
-        return os.cpu_count() or 1
 
 
 _FIELD_TYPES = {
@@ -139,7 +137,8 @@ def _build_parser() -> _Parser:
     shared.add_argument("--canvas-size", type=int)
     shared.add_argument("--seed", type=int)
     shared.add_argument("--threads", type=int,
-                        help="worker cap for parallel stages (default: all cores)")
+                        help="accepted for compatibility (must be >= 1); stages run in "
+                             "one process and output is identical at every setting")
 
     parser = _Parser(prog="topicflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -231,8 +230,11 @@ def write_profiles(profiles: list[ActivityProfile], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_profiles(path, table: ClassificationTable) -> list[ActivityProfile]:
+def load_profiles(
+    path, table: ClassificationTable, grid: SnapshotGrid
+) -> list[ActivityProfile]:
     topic_area = table.topic_area
+    labels = set(grid.labels())
     grouped: dict[tuple[str, int], dict[str, int]] = {}
     for lineno, parts in iter_tsv(path):
         if len(parts) != 4:
@@ -244,6 +246,8 @@ def load_profiles(path, table: ClassificationTable) -> list[ActivityProfile]:
             snapshot, count = int(snapshot_text), int(count_text)
         except ValueError:
             raise MalformedLine(f"{path}:{lineno}: snapshot and count must be integers") from None
+        if snapshot not in labels:
+            raise MalformedLine(f"{path}:{lineno}: snapshot {snapshot} is not on the grid")
         if count < 1:
             raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
         bucket = grouped.setdefault((author, snapshot), {})
@@ -264,7 +268,7 @@ def load_profiles(path, table: ClassificationTable) -> list[ActivityProfile]:
 # -- commands --
 
 
-def cmd_ingest(cfg: PipelineConfig) -> tuple[Path, IngestStats]:
+def cmd_ingest(cfg: PipelineConfig) -> tuple[list[ActivityProfile], IngestStats]:
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
     out = _out_dir(cfg)
@@ -282,32 +286,39 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[Path, IngestStats]:
         fh.write("\n")
     print(f"ingest: {json.dumps(stats.as_dict(), sort_keys=True)}", file=sys.stderr)
     print(f"wrote {profiles_path} ({len(profiles)} profiles)")
-    return profiles_path, stats
+    return profiles, stats
 
 
-def cmd_flows(cfg: PipelineConfig) -> list[Path]:
-    table = _load_table(cfg)
-    out = _out_dir(cfg)
+def _read_profiles(
+    cfg: PipelineConfig, out: Path, table: ClassificationTable
+) -> list[ActivityProfile]:
     profiles_path = out / "profiles.tsv"
     if not profiles_path.is_file():
         raise MissingInput(f"profiles not found: {profiles_path} (run ingest first)")
-    profiles = load_profiles(profiles_path, table)
-    grid = cfg.grid()
+    return load_profiles(profiles_path, table, cfg.grid())
+
+
+def cmd_flows(
+    cfg: PipelineConfig, profiles: list[ActivityProfile] | None = None
+) -> list[Path]:
+    """Write every requested flow network; ``profiles`` defaults to ``profiles.tsv``."""
+    table = _load_table(cfg)
+    out = _out_dir(cfg)
+    if profiles is None:
+        profiles = _read_profiles(cfg, out, table)
+    nets = flow_networks_from_profiles(
+        profiles,
+        cfg.grid(),
+        level=cfg.level,
+        table=table,
+        area_mode=cfg.area_mode,
+        appearing_weight=cfg.appearing_weight,
+    )
     written: list[Path] = []
-    for level in cfg.levels():
-        nets = flow_networks_from_profiles(
-            profiles,
-            grid,
-            level=level,
-            table=table,
-            area_mode=cfg.area_mode,
-            appearing_weight=cfg.appearing_weight,
-            threads=cfg.effective_threads(),
-        )
-        for net in nets:
-            path = out / flow_file_name(level, net.from_snapshot, net.to_snapshot)
-            write_flow_network(net, path)
-            written.append(path)
+    for net in nets:
+        path = out / flow_file_name(net.level, net.from_snapshot, net.to_snapshot)
+        write_flow_network(net, path)
+        written.append(path)
     print(f"wrote {len(written)} network files to {out}")
     return written
 
@@ -329,7 +340,10 @@ def _write_tsv(path: Path, header: str, rows: list[str]) -> None:
         fh.write("\n".join([header, *rows]) + "\n")
 
 
-def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
+def cmd_metrics(
+    cfg: PipelineConfig, profiles: list[ActivityProfile] | None = None
+) -> list[Path]:
+    """Write every metric table; ``profiles`` defaults to ``profiles.tsv``."""
     table = _load_table(cfg)
     out = _out_dir(cfg)
     policy = ZeroBaselinePolicy.parse(cfg.baseline_policy)
@@ -384,10 +398,9 @@ def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
         _write_tsv(path, "#area\tmedian_rho\tmedian_sigma", median_rows)
         written.append(path)
 
-    profiles_path = out / "profiles.tsv"
-    if not profiles_path.is_file():
-        raise MissingInput(f"profiles not found: {profiles_path} (run ingest first)")
-    distributions = multidisciplinarity(load_profiles(profiles_path, table))
+    if profiles is None:
+        profiles = _read_profiles(cfg, out, table)
+    distributions = multidisciplinarity(profiles)
     hist_rows = [
         f"{dist.snapshot}\t{n_areas}\t{count}"
         for dist in distributions
@@ -458,9 +471,10 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
 
 def cmd_report(cfg: PipelineConfig) -> Path:
     out = _out_dir(cfg)
-    _, stats = cmd_ingest(cfg)
-    flow_paths = cmd_flows(cfg)
-    metric_paths = cmd_metrics(cfg)
+    profiles, stats = cmd_ingest(cfg)
+    flow_paths = cmd_flows(cfg, profiles)
+    metric_paths = cmd_metrics(cfg, profiles)
+    del profiles  # viz reads only the flow files
     viz_level = "area" if cfg.level == "area" else "topic"
     viz_cfg = replace(cfg, level=viz_level)
     svg_paths = []

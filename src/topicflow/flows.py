@@ -8,11 +8,14 @@ self-transition; a topic appearing on the later side receives one
 transition from every topic of the earlier side. Summing over authors
 yields a weighted directed network per consecutive snapshot pair, at
 topic or area granularity.
+
+Everything runs in the calling process. ``flow_networks_from_profiles``
+computes each profile's dominant set once and fills the topic-level and
+area-level author maps in the same sweep.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -28,10 +31,6 @@ from .errors import (
 )
 from .ingest import ActivityProfile, SnapshotGrid
 from .util import check_token, fmt_weight, iter_tsv, parse_weight
-
-# Worker pools only pay off once there are enough authors to amortize
-# the fork+pickle overhead; below this the build runs inline.
-POOL_MIN_AUTHORS = 50_000
 
 FLOW_HEADER = "#from_snapshot\tto_snapshot\tsource\ttarget\tweight"
 
@@ -134,29 +133,32 @@ def count_transitions(
     return out
 
 
-def _author_snapshot_sets(
-    entries: Iterable[tuple[str, int, frozenset[str]]],
-) -> dict[str, dict[int, frozenset[str]]]:
-    by_author: dict[str, dict[int, frozenset[str]]] = {}
-    for author, snapshot, nodes in entries:
-        snaps = by_author.setdefault(author, {})
-        if snapshot in snaps:
-            raise InvariantViolation(
-                f"duplicate dominant set for author {author!r} at snapshot {snapshot}"
-            )
-        snaps[snapshot] = nodes
-    return by_author
+def _add_set(
+    by_author: dict[str, dict[int, frozenset[str]]],
+    author: str,
+    snapshot: int,
+    nodes: frozenset[str],
+) -> None:
+    snaps = by_author.setdefault(author, {})
+    if snapshot in snaps:
+        raise InvariantViolation(
+            f"duplicate dominant set for author {author!r} at snapshot {snapshot}"
+        )
+    snaps[snapshot] = nodes
 
 
-def _transitions_for_authors(
-    snapshot_maps: list[dict[int, frozenset[str]]],
-    pairs: list[tuple[int, int]],
+def _networks(
+    by_author: dict[str, dict[int, frozenset[str]]],
+    grid: SnapshotGrid,
+    level: str,
     appearing_weight: str,
-) -> dict[tuple[int, int], dict[tuple[str, str], int | Fraction]]:
+) -> list[FlowNetwork]:
+    """Sum every author's transitions into one network per consecutive grid pair."""
+    pairs = grid.label_pairs()
     acc: dict[tuple[int, int], dict[tuple[str, str], int | Fraction]] = {
         pair: {} for pair in pairs
     }
-    for snaps in snapshot_maps:
+    for snaps in by_author.values():
         if len(snaps) < 2:
             continue
         for pair in pairs:
@@ -167,14 +169,10 @@ def _transitions_for_authors(
             bucket = acc[pair]
             for edge, weight in count_transitions(earlier, later, appearing_weight).items():
                 bucket[edge] = bucket.get(edge, 0) + weight
-    return acc
-
-
-def _merge_accumulators(into, other) -> None:
-    for pair, edges in other.items():
-        bucket = into[pair]
-        for edge, weight in edges.items():
-            bucket[edge] = bucket.get(edge, 0) + weight
+    return [
+        FlowNetwork(level=level, from_snapshot=a, to_snapshot=b, weights=acc[(a, b)])
+        for a, b in pairs
+    ]
 
 
 def build_flow_networks(
@@ -184,106 +182,81 @@ def build_flow_networks(
     level: str = "topic",
     table: ClassificationTable | None = None,
     appearing_weight: str = "unit",
-    threads: int = 1,
-    pool_min_authors: int = POOL_MIN_AUTHORS,
 ) -> list[FlowNetwork]:
     """Sum per-author transitions into one network per consecutive grid pair.
 
     Only authors present in both snapshots of a pair contribute; skipped
     snapshots never bridge (1910->1920 without 1915 yields nothing). With
     ``level='area'`` each dominant topic set is mapped through the
-    topic->area table and deduplicated before counting. Accumulation is
-    an associative, commutative merge, so results are identical at every
-    ``threads`` setting.
+    topic->area table and deduplicated before counting. Weights are
+    exact: integers, or ``Fraction``s under ``appearing_weight='uniform'``.
     """
     if level not in ("topic", "area"):
         raise UsageError(f"level must be 'topic' or 'area', got {level!r}")
     if level == "area" and table is None:
         raise UsageError("area-level flows need a classification table")
-
-    entries = []
+    by_author: dict[str, dict[int, frozenset[str]]] = {}
     for ds in dominant_sets:
         nodes = ds.topics
         if level == "area":
             nodes = frozenset(_area_of(t, table) for t in nodes)
-        entries.append((ds.author_id, ds.snapshot, nodes))
-    return _build_from_entries(
-        entries, grid, level, appearing_weight, threads, pool_min_authors
-    )
-
-
-def _build_from_entries(
-    entries: list[tuple[str, int, frozenset[str]]],
-    grid: SnapshotGrid,
-    level: str,
-    appearing_weight: str,
-    threads: int,
-    pool_min_authors: int,
-) -> list[FlowNetwork]:
-    pairs = grid.label_pairs()
-    by_author = _author_snapshot_sets(entries)
-    snapshot_maps = [by_author[a] for a in sorted(by_author)]
-
-    workers = max(1, int(threads or 1))
-    if workers > 1 and len(snapshot_maps) >= pool_min_authors:
-        chunk = (len(snapshot_maps) + workers - 1) // workers
-        slices = [snapshot_maps[i : i + chunk] for i in range(0, len(snapshot_maps), chunk)]
-        acc = {pair: {} for pair in pairs}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(
-                _transitions_for_authors,
-                slices,
-                [pairs] * len(slices),
-                [appearing_weight] * len(slices),
-            ):
-                _merge_accumulators(acc, partial)
-    else:
-        acc = _transitions_for_authors(snapshot_maps, pairs, appearing_weight)
-
-    return [
-        FlowNetwork(level=level, from_snapshot=a, to_snapshot=b, weights=acc[(a, b)])
-        for a, b in pairs
-    ]
+        _add_set(by_author, ds.author_id, ds.snapshot, nodes)
+    return _networks(by_author, grid, level, appearing_weight)
 
 
 def flow_networks_from_profiles(
-    profiles: Iterable[ActivityProfile],
+    profiles: list[ActivityProfile],
     grid: SnapshotGrid,
     *,
     level: str = "topic",
     table: ClassificationTable | None = None,
     area_mode: str = "mapped",
     appearing_weight: str = "unit",
-    threads: int = 1,
-    pool_min_authors: int = POOL_MIN_AUTHORS,
 ) -> list[FlowNetwork]:
-    """Profiles -> dominant sets -> flow networks, in one call.
+    """Profiles -> dominant sets -> flow networks, in one sweep.
 
-    ``area_mode='mapped'`` (default) maps each dominant topic set through
-    the topic->area table; ``'argmax'`` re-runs the argmax on per-area
+    ``level`` is ``'topic'``, ``'area'`` or ``'both'``; with ``'both'`` the
+    topic networks come first, then the area networks. Each profile's
+    dominant topic set is computed once and feeds every requested level.
+    ``area_mode='mapped'`` (default) maps that set through the
+    topic->area table; ``'argmax'`` re-runs the argmax on per-area
     aggregated counts instead.
     """
+    if level not in ("topic", "area", "both"):
+        raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
     if area_mode not in ("mapped", "argmax"):
         raise UsageError(f"area_mode must be 'mapped' or 'argmax', got {area_mode!r}")
-    if level == "area" and area_mode == "argmax":
-        if table is None:
-            raise UsageError("area-level flows need a classification table")
-        entries = []
-        for profile in profiles:
-            ds = dominant_area_set(profile, table)
-            entries.append((ds.author_id, ds.snapshot, ds.topics))
-        return _build_from_entries(
-            entries, grid, "area", appearing_weight, threads, pool_min_authors
-        )
-    return build_flow_networks(
-        (dominant_topics(p) for p in profiles),
-        grid,
-        level=level,
-        table=table,
-        appearing_weight=appearing_weight,
-        threads=threads,
-        pool_min_authors=pool_min_authors,
-    )
+    if level != "topic" and table is None:
+        raise UsageError("area-level flows need a classification table")
+    by_topic: dict[str, dict[int, frozenset[str]]] | None = None if level == "area" else {}
+    by_area: dict[str, dict[int, frozenset[str]]] | None = None if level == "topic" else {}
+    argmax = area_mode == "argmax"
+    # Most dominant sets recur across profiles, so the maps hold one shared
+    # frozenset per distinct topic set and per mapped area set.
+    shared: dict[frozenset[str], tuple[frozenset[str], frozenset[str] | None]] = {}
+    for profile in profiles:
+        author, snapshot = profile.author_id, profile.snapshot
+        if by_topic is not None or not argmax:
+            topics = dominant_topics(profile).topics
+            entry = shared.get(topics)
+            if entry is None:
+                areas = None
+                if by_area is not None and not argmax:
+                    areas = frozenset(_area_of(t, table) for t in topics)
+                entry = shared[topics] = (topics, areas)
+            topics, areas = entry
+            if by_topic is not None:
+                _add_set(by_topic, author, snapshot, topics)
+        if by_area is not None:
+            if argmax:
+                areas = dominant_area_set(profile, table).topics
+            _add_set(by_area, author, snapshot, areas)
+    nets = []
+    if by_topic is not None:
+        nets += _networks(by_topic, grid, "topic", appearing_weight)
+    if by_area is not None:
+        nets += _networks(by_area, grid, "area", appearing_weight)
+    return nets
 
 
 def decompose_area_flows(

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import topicflow
 from topicflow.cli import main
 from conftest import write_lines
 
@@ -369,3 +374,84 @@ def test_flow_weight_not_finite_exits_two(tmp_path, capsys, weight, command):
     capsys.readouterr()
     assert main([command, *args]) == 2
     assert f"{network}:2: weights must be finite" in capsys.readouterr().err
+
+
+def test_flows_rejects_profiles_off_the_grid(tmp_path, capsys):
+    out, args = _ingest_and_flows(tmp_path)  # width 5: profiles at 1910 and 1915
+    capsys.readouterr()
+    assert main(["flows", *args, "--width", "10"]) == 2
+    assert f"{out / 'profiles.tsv'}:4: snapshot 1915 is not on the grid" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "flows_topic_1910_1920.tsv").exists()
+
+
+def test_metrics_rejects_profiles_off_the_grid(tmp_path, capsys):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
+    out = tmp_path / "out"
+    args = base_args(tmp_path, out) + ["--start-year", "1910", "--end-year", "1929"]
+    assert main(["ingest", *args, "--width", "10"]) == 0
+    assert main(["flows", *args, "--width", "10"]) == 0
+    assert main(["ingest", *args]) == 0  # profiles.tsv now on the 5-year grid
+    capsys.readouterr()
+    assert main(["metrics", *args, "--width", "10"]) == 2
+    assert f"{out / 'profiles.tsv'}:4: snapshot 1915 is not on the grid" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--appearing-weight", "uniform"],
+    ["--area-mode", "argmax"],
+    ["--level", "topic"],
+    ["--level", "area"],
+    ["--quantile", "0.9", "--cut-scope", "all"],
+    ["--width", "10"],
+])
+def test_report_tree_equals_separate_stages(tmp_path, flags):
+    corpus = tmp_path / "corpus"
+    assert main([
+        "synth", "--out", str(corpus), "--authors", "60", "--topics", "8", "--areas", "3",
+        "--snapshots", "4", "--mobility", "0.5", "--seed", "5",
+    ]) == 0
+    args = [
+        "--records", str(corpus / "records.tsv"),
+        "--journal-topics", str(corpus / "journal_topics.tsv"),
+        "--topic-areas", str(corpus / "topic_areas.tsv"),
+        "--start-year", "1910", "--end-year", "1929", *flags,
+    ]
+    together, separate = tmp_path / "report", tmp_path / "stages"
+    assert main(["report", *args, "--out", str(together)]) == 0
+    for command in ("ingest", "flows", "metrics"):
+        assert main([command, *args, "--out", str(separate)]) == 0
+    viz_level = "area" if "area" in flags else "topic"
+    for flow_file in sorted(separate.glob(f"flows_{viz_level}_*.tsv")):
+        pair = flow_file.stem.split("_")[2:]
+        assert main(["viz", *args, "--out", str(separate), "--level", viz_level,
+                     "--pair", *pair]) == 0
+
+    def tree(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    report_tree = tree(together)
+    del report_tree["report.json"]
+    assert report_tree == tree(separate)
+    assert any(name.startswith("viz_") for name in report_tree)
+
+
+def test_cli_import_loads_no_pool_or_network_modules():
+    unwanted = [
+        "concurrent.futures", "multiprocessing", "urllib.request", "http.client",
+        "email", "ssl", "xml.sax",
+    ]
+    code = (
+        "import sys, topicflow.cli; "
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
+    )
+    src = str(Path(topicflow.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"

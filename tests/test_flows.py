@@ -19,6 +19,7 @@ from topicflow import (
     load_flow_network,
     write_flow_network,
 )
+from topicflow.cli import main
 from topicflow.errors import EmptySet, MalformedLine, UnknownArea, UsageError
 
 
@@ -249,7 +250,63 @@ def test_argmax_area_mode_differs_from_mapped(make_table):
     assert argmax[0].weights == {("A2", "A1"): 1}
 
 
-def test_threads_setting_does_not_change_result():
+def test_both_levels_share_one_dominant_set_per_profile(make_table, monkeypatch):
+    import topicflow.flows as flows_module
+
+    table = make_table(
+        {"J": ["T1", "T2", "T3"]}, {"T1": "A1", "T2": "A2", "T3": "A2"}
+    )
+    rng = random.Random(3)
+    profiles = [
+        profile(f"a{i}", label, {t: rng.randint(1, 3) for t in rng.sample(["T1", "T2", "T3"], 2)})
+        for i in range(20)
+        for label in (1910, 1915)
+    ]
+    calls = []
+    original = flows_module.dominant_topics
+    monkeypatch.setattr(
+        flows_module, "dominant_topics", lambda p: calls.append(p) or original(p)
+    )
+    for area_mode in ("mapped", "argmax"):
+        calls.clear()
+        kwargs = dict(table=table, area_mode=area_mode)
+        both = flow_networks_from_profiles(profiles, GRID2, level="both", **kwargs)
+        assert len(calls) == len(profiles)
+        separate = [
+            net
+            for level in ("topic", "area")
+            for net in flow_networks_from_profiles(profiles, GRID2, level=level, **kwargs)
+        ]
+        assert [(n.level, n.from_snapshot, n.weights) for n in both] == [
+            (n.level, n.from_snapshot, n.weights) for n in separate
+        ]
+
+
+def _flow_files_at_threads(tmp_path, make_classification, make_records, sets, grid,
+                           threads, *flags):
+    """CLI ingest + flows over records whose dominant sets are ``sets``
+    (one paper per topic); return each ``--threads`` run's flow files."""
+    topics = sorted({t for d in sets for t in d.topics})
+    jt, ta = make_classification({f"J{t}": [t] for t in topics}, {t: "X" for t in topics})
+    records = make_records(
+        [(d.author_id, f"{d.author_id}-{d.snapshot}-{t}", f"J{t}", d.snapshot)
+         for d in sets for t in sorted(d.topics)]
+    )
+    args = [
+        "--records", str(records), "--journal-topics", str(jt), "--topic-areas", str(ta),
+        "--start-year", str(grid.start_year), "--end-year", str(grid.end_year),
+        "--level", "topic", *flags,
+    ]
+    trees = {}
+    for n in threads:
+        out = tmp_path / f"run_t{n}"
+        assert main(["ingest", *args, "--out", str(out)]) == 0
+        assert main(["flows", *args, "--out", str(out), "--threads", str(n)]) == 0
+        trees[n] = {p.name: p.read_bytes() for p in sorted(out.glob("flows_*.tsv"))}
+    return trees
+
+
+def test_threads_setting_does_not_change_result(tmp_path, make_classification, make_records):
     rng = random.Random(9)
     grid = SnapshotGrid(1900, 1929, 5)
     sets = []
@@ -257,24 +314,35 @@ def test_threads_setting_does_not_change_result():
         for label in grid.labels():
             if rng.random() < 0.5:
                 sets.append(ds(f"a{i}", label, frozenset(rng.sample("ABCDE", rng.randint(1, 2)))))
-    serial = build_flow_networks(sets, grid, threads=1)
-    pooled = build_flow_networks(sets, grid, threads=3, pool_min_authors=1)
-    assert [n.weights for n in serial] == [n.weights for n in pooled]
+    trees = _flow_files_at_threads(
+        tmp_path, make_classification, make_records, sets, grid, (1, 3)
+    )
+    assert trees[1] == trees[3]
+    for net in build_flow_networks(sets, grid):
+        path = tmp_path / "run_t3" / f"flows_topic_{net.from_snapshot}_{net.to_snapshot}.tsv"
+        assert load_flow_network(path, level="topic").weights == net.weights
 
 
-def test_uniform_weights_are_exact_across_threads():
+def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification, make_records):
     sets = [
         ds("x", 1910, {"A", "B", "C"}),
         ds("x", 1915, {"D"}),
         ds("y", 1910, {"A", "B", "C"}),
         ds("y", 1915, {"D"}),
     ]
-    serial = build_flow_networks(sets, GRID2, appearing_weight="uniform", threads=1)
-    pooled = build_flow_networks(
-        sets, GRID2, appearing_weight="uniform", threads=2, pool_min_authors=1
+    profiles = [profile(d.author_id, d.snapshot, dict.fromkeys(d.topics, 1)) for d in sets]
+    exact = flow_networks_from_profiles(profiles, GRID2, appearing_weight="uniform")
+    built = build_flow_networks(sets, GRID2, appearing_weight="uniform")
+    assert exact[0].weights == built[0].weights
+    assert exact[0].weights[("A", "D")] == Fraction(2, 3)
+    assert isinstance(exact[0].weights[("A", "D")], Fraction)
+    trees = _flow_files_at_threads(
+        tmp_path, make_classification, make_records, sets, GRID2, (1, 2),
+        "--appearing-weight", "uniform",
     )
-    assert serial[0].weights == pooled[0].weights
-    assert serial[0].weights[("A", "D")] == Fraction(2, 3)
+    assert trees[1] == trees[2]
+    loaded = load_flow_network(tmp_path / "run_t2" / "flows_topic_1910_1915.tsv", level="topic")
+    assert loaded.weights == {edge: float(w) for edge, w in exact[0].weights.items()}
 
 
 # -- decomposition --

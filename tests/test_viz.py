@@ -335,6 +335,21 @@ def test_svg_well_formed_with_expected_counts(three_area_table, three_area_net):
     assert len(labels) == 6
 
 
+def test_labels_with_markup_characters_round_trip(make_table):
+    topics = ["a&b", "x<y", "p>q", "&amp;<>"]
+    table = make_table(
+        {f"j{i}": [t] for i, t in enumerate(topics)},
+        {"a&b": "a0", "x<y": "a0", "p>q": "a1", "&amp;<>": "a1"},
+    )
+    net = FlowNetwork(
+        "topic", 1910, 1915,
+        {("a&b", "x<y"): 2, ("x<y", "p>q"): 1, ("p>q", "&amp;<>"): 3},
+    )
+    svg = render_svg(net, table, VizConfig())
+    labels = svg_elements(svg, "text", "label")
+    assert sorted(el.text for el in labels) == sorted(topics)
+
+
 def test_render_deterministic(three_area_table, three_area_net):
     cfg = VizConfig()
     first = render_svg(three_area_net, three_area_table, cfg)
