@@ -8,6 +8,11 @@ B-splines through seven control points: the two endpoints plus five
 points on concentric guide circles that gather outgoing flow near the
 source sector and incoming flow near the circle center, which is what
 produces the visual bundling.
+
+Per-edge work is kept small: ``layout`` computes the node, r_zero and
+area gather points once, and the B-spline to Bezier conversion replays a
+knot-insertion schedule memoized per control-polygon length, with the
+same float operations in the same order as inserting the knots anew.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cache
 
 from .classification import AreaId, ClassificationTable
 from .errors import (
@@ -163,20 +169,32 @@ def arc_midpoint(a: float, b: float) -> float:
     return a + diff / 2.0
 
 
-def _lerp(p: Point, q: Point, t: float) -> Point:
-    return (p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t)
-
-
-def _insert_knot(ctrl: list[Point], knots: list[float], u: float) -> tuple[list[Point], list[float]]:
+@cache
+def _knot_schedule(
+    n: int,
+) -> tuple[tuple[tuple[int, int, float], ...], tuple[tuple[int, ...], ...]]:
+    """Knot insertion raising every interior knot to multiplicity 3, replayed
+    on indices: lerp ``(i, j, alpha)`` appends pool[i] + (pool[j] - pool[i])
+    * alpha to a pool that starts as the n control points. Also returns the
+    pool indices of each Bezier segment."""
     degree = 3
-    span = bisect_right(knots, u) - 1
-    new_ctrl = ctrl[: span - degree + 1]
-    for i in range(span - degree + 1, span + 1):
-        denom = knots[i + degree] - knots[i]
-        alpha = (u - knots[i]) / denom if denom else 0.0
-        new_ctrl.append(_lerp(ctrl[i - 1], ctrl[i], alpha))
-    new_ctrl.extend(ctrl[span:])
-    return new_ctrl, knots[: span + 1] + [u] + knots[span + 1 :]
+    spans = n - 3
+    knots = [0.0] * 4 + [float(i) for i in range(1, spans)] + [float(spans)] * 4
+    ctrl = list(range(n))
+    lerps: list[tuple[int, int, float]] = []
+    for value in range(1, spans):
+        u = float(value)
+        for _ in range(2):
+            span = bisect_right(knots, u) - 1
+            new = []
+            for i in range(span - degree + 1, span + 1):
+                denom = knots[i + degree] - knots[i]
+                alpha = (u - knots[i]) / denom if denom else 0.0
+                new.append(n + len(lerps))
+                lerps.append((ctrl[i - 1], ctrl[i], alpha))
+            ctrl[span - degree + 1 : span] = new
+            knots.insert(span + 1, u)
+    return tuple(lerps), tuple(tuple(ctrl[3 * i : 3 * i + 4]) for i in range(spans))
 
 
 def bspline_beziers(points: list[Point]) -> list[list[Point]]:
@@ -184,13 +202,12 @@ def bspline_beziers(points: list[Point]) -> list[list[Point]]:
     to cubic Bezier segments by raising interior knots to full multiplicity."""
     if len(points) < 4:
         raise UsageError("cubic B-spline needs at least 4 control points")
-    spans = len(points) - 3
-    knots = [0.0] * 4 + [float(i) for i in range(1, spans)] + [float(spans)] * 4
-    ctrl = [tuple(p) for p in points]
-    for value in range(1, spans):
-        for _ in range(2):
-            ctrl, knots = _insert_knot(ctrl, knots, float(value))
-    return [ctrl[3 * i : 3 * i + 4] for i in range(spans)]
+    lerps, segments = _knot_schedule(len(points))
+    pool = [tuple(p) for p in points]
+    for i, j, t in lerps:
+        (px, py), (qx, qy) = pool[i], pool[j]
+        pool.append((px + (qx - px) * t, py + (qy - py) * t))
+    return [[pool[k] for k in seg] for seg in segments]
 
 
 # -- layout --
@@ -204,29 +221,28 @@ class VizLayout:
     node_angle: dict[str, float]
     node_radius: dict[str, float]
     node_area: dict[str, AreaId]
-    node_strength: dict[str, Fraction]
+    node_strength: dict[str, int | Fraction]
     sector_arc: dict[AreaId, tuple[float, float]]
     sector_color: dict[AreaId, str]
+    node_point: dict[str, Point]  # on the node circle
+    zero_point: dict[str, Point]  # the node's radial projection onto r_zero
+    gather_out: dict[AreaId, Point]  # where flow leaving the area bundles
+    gather_in: dict[AreaId, Point]  # where flow entering the area bundles
     sector_order: list[AreaId] = field(default_factory=list)
 
     def sector_barycenter(self, area: AreaId) -> float:
         a0, a1 = self.sector_arc[area]
         return (a0 + a1) / 2.0
 
-    def node_point(self, node: str) -> Point:
-        return _polar(
-            self.center, self.node_angle[node], self.cfg.r_node * self.circle_radius
-        )
-
 
 def _symmetrized_area_graph(net: FlowNetwork, node_area: dict[str, str]):
-    # Exact rational accumulation: iteration order cannot perturb the
-    # modularity comparisons, whatever the weight type.
-    sym: dict[tuple[str, str], Fraction] = {}
+    # Exact accumulation (ints, or rationals once a weight is not an int):
+    # iteration order cannot perturb the modularity comparisons.
+    sym: dict[tuple[str, str], int | Fraction] = {}
     for (source, target), weight in net.weights.items():
         a, b = node_area[source], node_area[target]
         key = (a, b) if a <= b else (b, a)
-        sym[key] = sym.get(key, 0) + Fraction(weight)
+        sym[key] = sym.get(key, 0) + (weight if type(weight) is int else Fraction(weight))
     return sym
 
 
@@ -295,13 +311,14 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
     if not net.weights:
         raise EmptyNetwork("layout needs a network with at least one edge")
 
-    # Strengths as exact rationals: node order must not depend on float
-    # summation order, which varies with the hash seed.
-    strength: dict[str, Fraction] = {}
+    # Exact strengths (int sums, rationals once a weight is not an int):
+    # node order must not depend on float summation order, which varies
+    # with the hash seed.
+    strength: dict[str, int | Fraction] = {}
     for (source, target), weight in net.weights.items():
-        w = Fraction(weight)
-        strength[source] = strength.get(source, Fraction(0)) + w
-        strength[target] = strength.get(target, Fraction(0)) + w
+        w = weight if type(weight) is int else Fraction(weight)
+        strength[source] = strength.get(source, 0) + w
+        strength[target] = strength.get(target, 0) + w
 
     node_area: dict[str, str] = {}
     for node in strength:
@@ -353,6 +370,8 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
         for node, s in strength.items()
     }
 
+    offset = math.radians(cfg.out_offset_deg)
+    barycenter = {area: (a0 + a1) / 2.0 for area, (a0, a1) in sector_arc.items()}
     return VizLayout(
         cfg=cfg,
         center=center,
@@ -363,6 +382,20 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
         node_strength=strength,
         sector_arc=sector_arc,
         sector_color=_sector_colors(order, cfg.color_overrides()),
+        node_point={
+            n: _polar(center, a, cfg.r_node * circle_radius) for n, a in node_angle.items()
+        },
+        zero_point={
+            n: _polar(center, a, cfg.r_zero * circle_radius) for n, a in node_angle.items()
+        },
+        gather_out={
+            area: _polar(center, b + offset, (cfg.r_first + cfg.radial_nudge) * circle_radius)
+            for area, b in barycenter.items()
+        },
+        gather_in={
+            area: _polar(center, b - offset, (cfg.r_first - cfg.radial_nudge) * circle_radius)
+            for area, b in barycenter.items()
+        },
         sector_order=list(order),
     )
 
@@ -376,34 +409,23 @@ def route_cross_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
     Outgoing flow gathers beside the source sector's barycenter slightly
     outside the first-level circle; incoming flow gathers beside the
     target's barycenter slightly inside it, so direction stays readable.
+    Only the middle point depends on both endpoints; the layout holds
+    the others.
     """
     src_area = lay.node_area[source]
     dst_area = lay.node_area[target]
     if src_area == dst_area:
         raise SameArea(f"{source}->{target} stays inside {src_area}; route as intra-area")
-    cfg = lay.cfg
-    radius = lay.circle_radius
-    offset = math.radians(cfg.out_offset_deg)
-    a_src = lay.node_angle[source]
-    a_dst = lay.node_angle[target]
-    points = [
-        lay.node_point(source),
-        _polar(lay.center, a_src, cfg.r_zero * radius),
-        _polar(
-            lay.center,
-            lay.sector_barycenter(src_area) + offset,
-            (cfg.r_first + cfg.radial_nudge) * radius,
-        ),
-        _polar(lay.center, arc_midpoint(a_src, a_dst), cfg.r_second * radius),
-        _polar(
-            lay.center,
-            lay.sector_barycenter(dst_area) - offset,
-            (cfg.r_first - cfg.radial_nudge) * radius,
-        ),
-        _polar(lay.center, a_dst, cfg.r_zero * radius),
-        lay.node_point(target),
+    mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
+    return [
+        lay.node_point[source],
+        lay.zero_point[source],
+        lay.gather_out[src_area],
+        _polar(lay.center, mid_angle, lay.cfg.r_second * lay.circle_radius),
+        lay.gather_in[dst_area],
+        lay.zero_point[target],
+        lay.node_point[target],
     ]
-    return points
 
 
 def route_intra_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
@@ -417,9 +439,9 @@ def route_intra_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
     mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
     mid_radius = (cfg.r_node + cfg.sector_inner) / 2.0 * lay.circle_radius
     return [
-        lay.node_point(source),
+        lay.node_point[source],
         _polar(lay.center, mid_angle, mid_radius),
-        lay.node_point(target),
+        lay.node_point[target],
     ]
 
 
@@ -431,7 +453,7 @@ def _fmt(value: float) -> str:
 
 
 def _pt(p: Point) -> str:
-    return f"{_fmt(p[0])} {_fmt(p[1])}"
+    return f"{p[0]:.3f} {p[1]:.3f}"
 
 
 def _annulus_path(center: Point, r_in: float, r_out: float, a0: float, a1: float) -> str:
@@ -559,12 +581,13 @@ def render_svg(
         lay = layout(net, table, cfg)
         intra: list[str] = []
         cross: list[str] = []
+        cross_colors: dict[tuple[AreaId, AreaId], str] = {}
         for (source, target), weight in net.sorted_items():
             if source == target or float(weight) < cfg.min_weight:
                 continue
             width = edge_width(cfg, weight)
             alpha = _edge_alpha(
-                cfg, lay.node_point(source), lay.node_point(target), lay.circle_radius
+                cfg, lay.node_point[source], lay.node_point[target], lay.circle_radius
             )
             src_area = lay.node_area[source]
             dst_area = lay.node_area[target]
@@ -577,19 +600,21 @@ def render_svg(
                     f'd="M {_pt(p0)} Q {_pt(ctrl)} {_pt(p1)}"/>'
                 )
             else:
-                color = mix_colors(
-                    lay.sector_color[src_area],
-                    lay.sector_color[dst_area],
-                    cfg.dest_color_weight,
-                )
+                color = cross_colors.get((src_area, dst_area))
+                if color is None:
+                    color = cross_colors[src_area, dst_area] = mix_colors(
+                        lay.sector_color[src_area],
+                        lay.sector_color[dst_area],
+                        cfg.dest_color_weight,
+                    )
                 cross.append(
                     f'<path class="edge-cross" fill="none" stroke="{color}" '
                     f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" '
                     f'd="{_spline_path(route_cross_edge(lay, source, target))}"/>'
                 )
         nodes = [
-            f'<circle class="node" cx="{_fmt(lay.node_point(n)[0])}" '
-            f'cy="{_fmt(lay.node_point(n)[1])}" r="{_fmt(lay.node_radius[n])}" '
+            f'<circle class="node" cx="{_fmt(lay.node_point[n][0])}" '
+            f'cy="{_fmt(lay.node_point[n][1])}" r="{_fmt(lay.node_radius[n])}" '
             f'fill="{lay.sector_color[lay.node_area[n]]}"/>'
             for n in sorted(lay.node_angle)
         ]

@@ -343,15 +343,21 @@ def _write_tsv(path: Path, header: str, rows: list[str]) -> None:
 def cmd_metrics(
     cfg: PipelineConfig, profiles: list[ActivityProfile] | None = None
 ) -> list[Path]:
-    """Write every metric table; ``profiles`` defaults to ``profiles.tsv``."""
+    """Write every metric table; ``profiles`` defaults to ``profiles.tsv``.
+    All inputs are checked before the first write, so a bad one changes no file."""
     table = _load_table(cfg)
     out = _out_dir(cfg)
     policy = ZeroBaselinePolicy.parse(cfg.baseline_policy)
+    # Only the histogram is kept, so profiles read here are freed before
+    # the networks load (a lower peak RSS).
+    distributions = multidisciplinarity(
+        profiles if profiles is not None else _read_profiles(cfg, out, table)
+    )
+    nets = {level: _load_networks(cfg, out, level) for level in cfg.levels()}
     written: list[Path] = []
 
-    if "topic" in cfg.levels():
-        nets = _load_networks(cfg, out, "topic")
-        deltas = attractiveness_table(nets, policy, n_topics=table.topic_count)
+    if "topic" in nets:
+        deltas = attractiveness_table(nets["topic"], policy, n_topics=table.topic_count)
         rows = [
             f"{snapshot}\t{topic}\t{fmt_float(delta)}\t{pairs_used}"
             for (snapshot, topic), (delta, pairs_used) in sorted(deltas.items())
@@ -361,22 +367,18 @@ def cmd_metrics(
         written.append(path)
 
         winner_rows = []
-        if deltas:
-            for snapshot, entry in sorted(
-                most_attractive_topics(nets, policy, n_topics=table.topic_count).items()
-            ):
-                for topic in entry.ties:
-                    flag = "winner" if topic == entry.topic else "tie"
-                    winner_rows.append(
-                        f"{snapshot}\t{topic}\t{fmt_float(entry.delta)}\t{flag}"
-                    )
+        for snapshot, entry in sorted(most_attractive_topics(deltas).items()):
+            for topic in entry.ties:
+                flag = "winner" if topic == entry.topic else "tie"
+                winner_rows.append(f"{snapshot}\t{topic}\t{fmt_float(entry.delta)}\t{flag}")
         path = out / "most_attractive_topic.tsv"
         _write_tsv(path, "#snapshot\ttopic\tdelta\trank", winner_rows)
         written.append(path)
 
-    if "area" in cfg.levels():
-        nets = [n for n in _load_networks(cfg, out, "area") if n.weights]
-        series = migration_index_series(nets, areas=table.areas())
+    if "area" in nets:
+        series = migration_index_series(
+            [n for n in nets["area"] if n.weights], areas=table.areas()
+        )
         rows = [
             f"{entry.snapshot}\t{area}\t{fmt_float(idx.iota)}\t{fmt_float(idx.epsilon)}"
             f"\t{fmt_float(idx.rho)}\t{fmt_float(idx.sigma)}"
@@ -398,9 +400,6 @@ def cmd_metrics(
         _write_tsv(path, "#area\tmedian_rho\tmedian_sigma", median_rows)
         written.append(path)
 
-    if profiles is None:
-        profiles = _read_profiles(cfg, out, table)
-    distributions = multidisciplinarity(profiles)
     hist_rows = [
         f"{dist.snapshot}\t{n_areas}\t{count}"
         for dist in distributions

@@ -213,20 +213,15 @@ def attractiveness_table(
 
 
 def most_attractive_topics(
-    nets: Iterable[FlowNetwork],
-    policy: ZeroBaselinePolicy = ZeroBaselinePolicy(),
-    n_topics: int | None = None,
+    table: dict[tuple[int, TopicId], tuple[float, int]],
 ) -> dict[int, MostAttractive]:
-    """Topic with the largest attractiveness per snapshot.
+    """Topic with the largest attractiveness per snapshot, from an
+    ``attractiveness_table`` result.
 
     Candidates are the topics observed in either network of the pair.
     Exact ties are all reported, with the lexicographically first marked
     as the winner.
     """
-    nets = list(nets)
-    if not _consecutive_pairs(nets):
-        raise NoBaseline("need two consecutive transition networks")
-    table = attractiveness_table(nets, policy, n_topics)
     by_snapshot: dict[int, list[tuple[float, str]]] = {}
     for (snapshot, topic), (delta, _) in table.items():
         by_snapshot.setdefault(snapshot, []).append((delta, topic))

@@ -23,7 +23,7 @@ def iter_tsv(path) -> Iterator[tuple[int, list[str]]]:
 
 
 def check_token(token: str, path, lineno: int, what: str) -> str:
-    if not token or any(ch.isspace() for ch in token):
+    if token.split() != [token]:  # empty, or holds whitespace
         raise MalformedLine(
             f"{path}:{lineno}: {what} must be a non-empty token without "
             f"whitespace, got {token!r}"

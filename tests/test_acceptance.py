@@ -320,6 +320,7 @@ def _peak_rss_bytes():
     return max(self_kb, child_kb) * 1024
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_performance(tmp_path):
     with criterion("criterion 8 (1M records through flows: <60s, <2GB, thread-stable)"):
         spec = SyntheticSpec(

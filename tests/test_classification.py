@@ -11,6 +11,7 @@ from topicflow.errors import (
     UnknownTopic,
     UsageError,
 )
+from topicflow.util import check_token
 from conftest import write_lines
 
 
@@ -73,6 +74,17 @@ def test_whitespace_in_token_rejected(tmp_path):
     ta = write_lines(tmp_path / "ta.tsv", ["T1\tA1"])
     with pytest.raises(MalformedLine):
         load_classification(jt, ta)
+
+
+@pytest.mark.parametrize("token", ["", "\x1c", "\x85", "\xa0", "a ", "\u3000b", "a\u2028b"])
+def test_check_token_rejects_empty_and_unicode_whitespace(token):
+    with pytest.raises(MalformedLine, match="ids.tsv:7: topic id must be a non-empty token"):
+        check_token(token, "ids.tsv", 7, "topic id")
+
+
+@pytest.mark.parametrize("token", ["T1", "j-0042", "area_09", "Ökonomie", "a/b:c"])
+def test_check_token_accepts_ordinary_ids(token):
+    assert check_token(token, "ids.tsv", 7, "topic id") == token
 
 
 def test_multiplexity_histogram_by_hand(make_table):

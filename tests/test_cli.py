@@ -400,6 +400,37 @@ def test_metrics_rejects_profiles_off_the_grid(tmp_path, capsys):
     )
 
 
+METRIC_FILES = (
+    "delta_topic.tsv", "most_attractive_topic.tsv", "indices_area.tsv", "medians_area.tsv",
+    "multidisciplinarity.tsv", "multidisciplinarity_summary.tsv",
+)
+
+
+def test_metrics_failure_leaves_metric_files_untouched(tmp_path, capsys):
+    # The flows changed since the last metrics run, but profiles.tsv is now
+    # off the grid: metrics must fail before it writes anything.
+    out = tmp_path / "out"
+    args = base_args(tmp_path, out) + ["--start-year", "1910", "--end-year", "1939"]
+    setup_inputs(tmp_path, [
+        ("x", "p1", "J1", 1911), ("x", "p2", "J3", 1921), ("x", "p3", "J2", 1931),
+    ])
+    for command in ("ingest", "flows", "metrics"):
+        assert main([command, *args, "--width", "10"]) == 0
+    before = {name: (out / name).read_bytes() for name in METRIC_FILES}
+    setup_inputs(tmp_path, [
+        ("x", "p1", "J3", 1911), ("x", "p2", "J2", 1926), ("x", "p3", "J3", 1931),
+    ])
+    for command in ("ingest", "flows"):
+        assert main([command, *args, "--width", "10"]) == 0
+    assert main(["ingest", *args]) == 0  # profiles.tsv now on the 5-year grid
+    capsys.readouterr()
+    assert main(["metrics", *args, "--width", "10"]) == 2
+    assert f"{out / 'profiles.tsv'}:3: snapshot 1925 is not on the grid" in (
+        capsys.readouterr().err
+    )
+    assert {name: (out / name).read_bytes() for name in METRIC_FILES} == before
+
+
 @pytest.mark.parametrize("flags", [
     [],
     ["--appearing-weight", "uniform"],

@@ -150,7 +150,8 @@ def test_delta_active_invariant_under_uniform_scaling():
 def test_most_attractive_engineered_winner():
     prev = topic_net(1915, {("X", "T"): 1, ("X", "U"): 4, ("Y", "U"): 4})
     cur = topic_net(1920, {("X", "T"): 5, ("X", "U"): 4, ("Y", "U"): 4})
-    winners = most_attractive_topics([prev, cur], ZeroBaselinePolicy("active"))
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    winners = most_attractive_topics(table)
     assert winners[1920].topic == "T"
     assert winners[1920].delta == 4.0
     assert winners[1920].ties == ("T",)
@@ -159,7 +160,8 @@ def test_most_attractive_engineered_winner():
 def test_most_attractive_tie_reported_lexicographic():
     prev = topic_net(1915, {("X", "T"): 1, ("X", "S"): 1})
     cur = topic_net(1920, {("X", "T"): 2, ("X", "S"): 2})
-    winners = most_attractive_topics([prev, cur], ZeroBaselinePolicy("active"))
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    winners = most_attractive_topics(table)
     assert winners[1920].ties == ("S", "T")
     assert winners[1920].topic == "S"
 
@@ -179,7 +181,9 @@ def test_most_attractive_matches_exhaustive_oracle(seed):
 
     prev, cur = rand_net(1915), rand_net(1920)
     policy = ZeroBaselinePolicy("active")
-    winners = most_attractive_topics([prev, cur], policy, n_topics=len(topics))
+    winners = most_attractive_topics(
+        attractiveness_table([prev, cur], policy, n_topics=len(topics))
+    )
     candidates = sorted(prev.nodes() | cur.nodes())
     scored = {
         t: delta_literal(prev, cur, t, len(topics), policy) for t in candidates
@@ -194,13 +198,13 @@ def test_winner_invariant_under_relabeling_of_losers():
     prev = topic_net(1915, {("X", "T"): 1, ("X", "U"): 4, ("U", "X"): 2})
     cur = topic_net(1920, {("X", "T"): 5, ("X", "U"): 4, ("U", "X"): 2})
     policy = ZeroBaselinePolicy("active")
-    base = most_attractive_topics([prev, cur], policy)[1920]
+    base = most_attractive_topics(attractiveness_table([prev, cur], policy))[1920]
     relabel = {"X": "ZZ", "U": "QQ", "T": "T"}
     nets = [
         topic_net(1915, {(relabel[s], relabel[t]): w for (s, t), w in prev.weights.items()}),
         topic_net(1920, {(relabel[s], relabel[t]): w for (s, t), w in cur.weights.items()}),
     ]
-    again = most_attractive_topics(nets, policy)[1920]
+    again = most_attractive_topics(attractiveness_table(nets, policy))[1920]
     assert again.topic == base.topic == "T"
     assert again.delta == base.delta
 

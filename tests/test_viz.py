@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topicflow import FlowNetwork, VizConfig, layout, render_svg, route_cross_edge, route_intra_edge
 from topicflow.bundleviz import (
@@ -15,6 +19,7 @@ from topicflow.bundleviz import (
     mix_colors,
     parse_hex,
 )
+from topicflow.classification import ClassificationTable
 from topicflow.errors import (
     DifferentArea,
     EmptyNetwork,
@@ -109,6 +114,43 @@ def test_bspline_matches_de_boor(u):
 def test_bspline_four_points_is_single_bezier():
     points = [(0, 0), (1, 1), (2, 1), (3, 0)]
     assert bspline_beziers(points) == [points]
+
+
+def reference_beziers(points):
+    """Boehm knot insertion written out step by step, list splicing included."""
+    degree = 3
+    spans = len(points) - 3
+    knots = [0.0] * 4 + [float(i) for i in range(1, spans)] + [float(spans)] * 4
+    ctrl = [tuple(p) for p in points]
+    for value in range(1, spans):
+        u = float(value)
+        for _ in range(2):
+            span = bisect_right(knots, u) - 1
+            new_ctrl = ctrl[: span - degree + 1]
+            for i in range(span - degree + 1, span + 1):
+                denom = knots[i + degree] - knots[i]
+                alpha = (u - knots[i]) / denom if denom else 0.0
+                p, q = ctrl[i - 1], ctrl[i]
+                new_ctrl.append((p[0] + (q[0] - p[0]) * alpha, p[1] + (q[1] - p[1]) * alpha))
+            new_ctrl.extend(ctrl[span:])
+            ctrl = new_ctrl
+            knots = knots[: span + 1] + [u] + knots[span + 1 :]
+    return [ctrl[3 * i : 3 * i + 4] for i in range(spans)]
+
+
+def float_bits(segments):
+    # float.hex is exact and tells -0.0 from 0.0; the nan an overflowing
+    # lerp yields compares equal to itself.
+    return [[(x.hex(), y.hex()) for x, y in seg] for seg in segments]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(finite, finite), min_size=4, max_size=12))
+def test_bspline_bit_identical_to_knot_insertion(points):
+    assert float_bits(bspline_beziers(points)) == float_bits(reference_beziers(points))
 
 
 def test_bspline_needs_four_points():
@@ -479,3 +521,61 @@ def test_palette_override_used_in_render(three_area_table, three_area_net, tmp_p
     cfg = load_viz_config(path)
     svg = render_svg(three_area_net, three_area_table, cfg)
     assert "#010203" in svg
+
+
+# -- wide-network golden: a seeded network at the scale of a real snapshot pair --
+
+WIDE_GOLDEN_SHA256 = {
+    "modularity": "3cbd401cf3e34ebd36d3bb486c375969a8465799d589eadcef60f8905ed68034",
+    "strength": "b8cebc4b23b7a6925d671c70c03e7617ae3055645f63af603a6b44aa316657b4",
+    "min_weight": "92104092cbd15159729e6dedb2b9e52de619c2115c62bd46be45d55ed88bddf1",
+}
+WIDE_CONFIGS = {
+    "modularity": VizConfig(),
+    "strength": VizConfig(sector_order="strength"),
+    "min_weight": VizConfig(min_weight=3.0),
+}
+
+
+def wide_network(convert=int):
+    """About 1,750 cross-area edges over 12 areas and 144 topics, plus
+    intra-area edges and self-loops; weights are ``convert(k)`` for ints k."""
+    rng = random.Random(1916)
+    topic_area = {f"t{i:03d}": f"area{i % 12:02d}" for i in range(144)}
+    topics = sorted(topic_area)
+    weights = {}
+    for _ in range(2000):
+        source, target = rng.choice(topics), rng.choice(topics)
+        weights[(source, target)] = convert(rng.choice([1, 1, 1, 2, 2, 3, 4, 7, 12, 40]))
+    table = ClassificationTable(
+        journal_topics={f"j{t}": (t,) for t in topics}, topic_area=topic_area
+    )
+    return FlowNetwork("topic", 1910, 1915, weights), table
+
+
+def wide_svg(name, convert=int):
+    net, table = wide_network(convert)
+    return render_svg(net, table, WIDE_CONFIGS[name])
+
+
+def test_wide_network_has_the_intended_shape():
+    net, table = wide_network()
+    areas = {table.topic_area[t] for t in net.nodes()}
+    cross = [(s, t) for s, t in net.weights if table.topic_area[s] != table.topic_area[t]]
+    assert len(areas) >= 10
+    assert len(cross) >= 1000
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CONFIGS))
+def test_wide_network_golden(name):
+    svg = wide_svg(name)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == WIDE_GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CONFIGS))
+def test_wide_network_weight_types_render_identically(name):
+    reference = wide_svg(name)
+    assert wide_svg(name, float) == reference
+    assert wide_svg(name, Fraction) == reference
+    # non-integer values: exact halves as floats and as rationals
+    assert wide_svg(name, lambda k: k / 2) == wide_svg(name, lambda k: Fraction(k, 2))
