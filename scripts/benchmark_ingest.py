@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Desk-scale benchmark: a million synthetic records through ingest + flows.
 
-Reports wall time per stage and peak RSS. Mirrors the performance gate in
+Reports wall time per stage, peak RSS, and peak RSS per record read
+(the number to watch as the corpus grows). Mirrors the performance gate in
 tests/test_acceptance.py but keeps the artifacts around for inspection.
 
 Usage:
@@ -10,6 +11,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
 import resource
 import sys
 import time
@@ -21,12 +23,12 @@ from topicflow import SnapshotGrid, SyntheticSpec, generate_corpus  # noqa: E402
 from topicflow.cli import main as topicflow  # noqa: E402
 
 
-def peak_rss_gb() -> float:
+def peak_rss_bytes() -> int:
     kb = max(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
     )
-    return kb * 1024 / 1e9
+    return kb * 1024
 
 
 def run(argv=None) -> int:
@@ -66,7 +68,9 @@ def run(argv=None) -> int:
         if rc != 0:
             return rc
         print(f"  {stage}: {time.perf_counter() - t0:.1f}s")
-    print(f"peak rss: {peak_rss_gb():.2f} GB")
+    stats = json.loads((out / "run" / "ingest_stats.json").read_text(encoding="utf-8"))
+    peak = peak_rss_bytes()
+    print(f"peak rss: {peak / 1e9:.2f} GB ({peak / stats['records_read']:.0f} bytes/record read)")
     return 0
 
 

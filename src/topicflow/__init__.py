@@ -15,7 +15,6 @@ from .flows import (
 from .ingest import (
     ActivityProfile,
     IngestStats,
-    PublicationRecord,
     SnapshotGrid,
     compute_yearly_paper_quantile,
     ingest_records,
@@ -45,7 +44,6 @@ __all__ = [
     "FlowNetwork",
     "IngestStats",
     "MigrationIndices",
-    "PublicationRecord",
     "SnapshotGrid",
     "SyntheticSpec",
     "VizConfig",

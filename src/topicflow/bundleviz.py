@@ -230,10 +230,6 @@ class VizLayout:
     gather_in: dict[AreaId, Point]  # where flow entering the area bundles
     sector_order: list[AreaId] = field(default_factory=list)
 
-    def sector_barycenter(self, area: AreaId) -> float:
-        a0, a1 = self.sector_arc[area]
-        return (a0 + a1) / 2.0
-
 
 def _symmetrized_area_graph(net: FlowNetwork, node_area: dict[str, str]):
     # Exact accumulation (ints, or rationals once a weight is not an int):

@@ -254,15 +254,19 @@ def load_profiles(
         if topic in bucket:
             raise MalformedLine(f"{path}:{lineno}: duplicate topic row {topic!r}")
         bucket[topic] = count
-    return [
-        ActivityProfile(
-            author_id=author,
-            snapshot=snapshot,
-            topic_counts=counts,
-            area_set=frozenset(topic_area[t] for t in counts),
+    area_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
+    profiles = []
+    for (author, snapshot), counts in sorted(grouped.items()):
+        areas = frozenset(topic_area[t] for t in counts)
+        profiles.append(
+            ActivityProfile(
+                author_id=author,
+                snapshot=snapshot,
+                topic_counts=counts,
+                area_set=area_sets.setdefault(areas, areas),
+            )
         )
-        for (author, snapshot), counts in sorted(grouped.items())
-    ]
+    return profiles
 
 
 # -- commands --

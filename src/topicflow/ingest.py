@@ -10,25 +10,19 @@ accumulated per (author, snapshot).
 """
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .classification import AreaId, ClassificationTable, TopicId
 from .errors import EmptyInput, InvalidSpec, MalformedRecord
 from .util import quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
-
-
-@dataclass(frozen=True)
-class PublicationRecord:
-    author_id: str
-    paper_id: str
-    journal_id: str
-    year: int
 
 
 @dataclass(frozen=True)
@@ -67,13 +61,15 @@ class SnapshotGrid:
         return list(zip(labels, labels[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivityProfile:
     """One author's activity within one snapshot.
 
     ``topic_counts`` counts paper classifications (a paper in a journal
     with three topics counts once per topic); ``area_set`` is every area
     of every journal the author published in during the snapshot.
+    Profiles are slotted, and the loaders share one ``area_set`` object
+    per distinct set of areas: there are far fewer sets than profiles.
     """
 
     author_id: str
@@ -172,18 +168,12 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
             yield lineno, sys.intern(author), paper, sys.intern(journal), year
 
 
-def read_records(path) -> Iterator[PublicationRecord]:
-    """Typed record stream; the pipeline itself uses the raw tuples."""
-    for _, author, paper, journal, year in iter_records(path):
-        yield PublicationRecord(author, paper, journal, year)
-
-
 # Journal entered for a paper seen only in records the filters drop.
 # Journal ids are non-empty tokens, so the empty string cannot collide.
 _NOT_KEPT = ""
 
-# author -> calendar year -> paper -> smallest kept journal, or _NOT_KEPT
-PaperGroups = dict[str, dict[int, dict[str, str]]]
+# author -> "<calendar year><TAB>paper" -> smallest kept journal, or _NOT_KEPT
+PaperGroups = dict[str, dict[str, str]]
 
 
 def _group_papers(
@@ -191,13 +181,21 @@ def _group_papers(
 ) -> tuple[PaperGroups, dict[str, int]]:
     """Read the records file once, grouping papers by author and calendar year.
 
+    Each author holds one dict keyed by ``"<year><TAB><paper>"``: most
+    author-years hold a single paper, so a dict per author-year would
+    mostly be a dict per record. Paper ids hold no whitespace, so the
+    key splits back at its first tab. A string key also keeps no
+    separate paper string alive, and, unlike a (year, paper) tuple, is
+    not tracked by the cyclic garbage collector, so the grouping holds
+    no tracked object per record.
+
     A record whose year is in ``years`` and whose journal is in
-    ``journals`` is kept: its paper maps to the smallest journal any kept
-    record gives it in that year. Other records are counted as dropped in
-    ``stats`` and, when ``track_dropped``, still enter their paper as
-    ``_NOT_KEPT``, so that every group also holds the distinct papers of
-    the dropped records. Also returns, per author, the number of kept
-    records that repeat a paper already kept in the same year.
+    ``journals`` is kept: its key maps to the smallest journal any kept
+    record gives it. Other records are counted as dropped in ``stats``
+    and, when ``track_dropped``, still enter their key as ``_NOT_KEPT``,
+    so that the groups also hold the distinct papers of the dropped
+    records. Also returns, per author, the number of kept records that
+    repeat a (year, paper) already kept.
     """
     groups: PaperGroups = {}
     repeats: dict[str, int] = {}
@@ -214,30 +212,34 @@ def _group_papers(
             if not track_dropped:
                 continue
             journal = _NOT_KEPT
-        by_year = groups.get(author)
-        if by_year is None:
-            groups[author] = {year: {paper: journal}}
+        key = f"{year}\t{paper}"
+        entries = groups.get(author)
+        if entries is None:
+            groups[author] = {key: journal}
             continue
-        papers = by_year.get(year)
-        if papers is None:
-            by_year[year] = {paper: journal}
-            continue
-        previous = papers.get(paper)
+        previous = entries.get(key)
         if previous is None:
-            papers[paper] = journal
+            entries[key] = journal
         elif journal:
             if previous:
                 repeats[author] = repeats.get(author, 0) + 1
             if not previous or journal < previous:
-                papers[paper] = journal
+                entries[key] = journal
     stats.records_read = read
     stats.dropped_year = dropped_year
     stats.dropped_unclassified = dropped_unclassified
     return groups, repeats
 
 
-def _kept_papers(papers: dict[str, str]) -> int:
-    return sum(map(bool, papers.values()))  # every entry but _NOT_KEPT
+def _year_counts(entries: dict[str, str], kept_only: bool) -> Iterable[int]:
+    """Distinct papers per calendar year among one author's entries:
+    every entry, or only the kept ones (every entry but _NOT_KEPT)."""
+    counts: dict[str, int] = {}
+    for key, journal in entries.items():
+        if journal or not kept_only:
+            year = key[: key.index("\t")]  # str(int): equal years, equal text
+            counts[year] = counts.get(year, 0) + 1
+    return counts.values()
 
 
 def _check_quantile(q: float) -> None:
@@ -245,11 +247,18 @@ def _check_quantile(q: float) -> None:
         raise InvalidSpec(f"quantile must be in (0, 1), got {q}")
 
 
-def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> int:
-    counts = [len(papers) for by_year in groups.values() for papers in by_year.values()]
+def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> tuple[int, dict[str, int]]:
+    """The cut ``q`` derives from per-(author, year) counts of every entry,
+    and each author's largest such count (what ``--cut-scope all`` compares)."""
+    counts: list[int] = []
+    peaks: dict[str, int] = {}
+    for author, entries in groups.items():
+        per_year = _year_counts(entries, False)
+        counts += per_year
+        peaks[author] = max(per_year)
     if not counts:
         raise EmptyInput(f"{records_file}: no records")
-    return quantile_cutoff(counts, q)
+    return quantile_cutoff(counts, q), peaks
 
 
 def ingest_records(
@@ -277,12 +286,19 @@ def ingest_records(
     fraction of (author, year) distinct-paper counts, over every
     well-formed record, are <= k.
 
-    The file is read once, into distinct papers per (author, calendar
-    year); dropped records enter too when the cut or the quantile counts
-    them. The cut and the quantile are counted from these groups, and
-    the dedupe walks each kept author's years in ascending order, taking
-    a paper from the first year that keeps it. So the cut counts a paper
+    The file is read once, into one dict per author of its distinct
+    (calendar year, paper) entries (see ``_group_papers``); dropped
+    records enter too when the cut or the quantile counts them. The cut
+    and the quantile are per-year tallies of these entries, and the
+    dedupe walks each kept author's entries by ascending year, taking a
+    paper from the first year that keeps it. So the cut counts a paper
     once in every year it appears, and the profile counts it once.
+
+    Profiles are the only objects built here in bulk that the cyclic
+    garbage collector tracks, and none is part of a cycle. With
+    collection on, every full collection would walk all the profiles
+    built so far; so collection is paused for the whole call and
+    restored to its previous state on return, also when it raises.
 
     Returns profiles sorted by (author, snapshot) plus ingest statistics,
     whose ``max_papers_per_year`` is the cut applied.
@@ -298,60 +314,79 @@ def ingest_records(
     labels = {year: grid.snapshot_of(year) for year in range(grid.start_year, grid.end_year + 1)}
     count_dropped = cut_scope == "all"
     stats = IngestStats()
-    groups, repeats = _group_papers(
-        records_file,
-        journals,
-        labels,
-        quantile is not None or (count_dropped and max_papers_per_year > 0),
-        stats,
-    )
-    threshold = (
-        max_papers_per_year if quantile is None else _yearly_quantile(groups, quantile, records_file)
-    )
-    stats.max_papers_per_year = threshold
-
     topic_area = table.topic_area
+    area_sets: dict[frozenset[AreaId], frozenset[AreaId]] = {}
     profiles: list[ActivityProfile] = []
     kept = collapsed = excluded = excluded_records = 0
-    for author in sorted(groups):
-        by_year = groups.pop(author)
-        if threshold and any(
-            len(papers) > threshold
-            and (count_dropped or _kept_papers(papers) > threshold)
-            for papers in by_year.values()
-        ):
-            excluded += 1
-            excluded_records += repeats.get(author, 0) + sum(map(_kept_papers, by_year.values()))
-            continue
-        collapsed += repeats.get(author, 0)
-        seen: set[str] = set()
-        by_snapshot: dict[int, dict[TopicId, int]] = {}
-        for year in sorted(by_year):
-            label = labels.get(year)
-            if label is None:  # only dropped records fall outside the grid
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        groups, repeats = _group_papers(
+            records_file,
+            journals,
+            labels,
+            quantile is not None or (count_dropped and max_papers_per_year > 0),
+            stats,
+        )
+        # Each author's largest per-year count, when the quantile pass has
+        # already tallied what the cut counts; else tallied below as needed.
+        peaks: dict[str, int] | None = None
+        if quantile is None:
+            threshold = max_papers_per_year
+        else:
+            threshold, peaks = _yearly_quantile(groups, quantile, records_file)
+            if not count_dropped:
+                peaks = None
+        for author in sorted(groups):
+            entries = groups.pop(author)
+            if (
+                threshold
+                and len(entries) > threshold  # else no year can exceed it
+                and (
+                    peaks[author] > threshold
+                    if peaks is not None
+                    else any(n > threshold for n in _year_counts(entries, not count_dropped))
+                )
+            ):
+                excluded += 1
+                excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
                 continue
-            for paper, journal in by_year[year].items():
-                if not journal:
-                    continue
+            collapsed += repeats.get(author, 0)
+            walk = []
+            for key, journal in entries.items():
+                if journal:  # kept entries, whose years are all on the grid
+                    year, _, paper = key.partition("\t")
+                    walk.append((int(year), paper, journal))
+            # A stable sort by year keeps each year's papers in record order.
+            walk.sort(key=itemgetter(0))
+            seen: set[str] = set()
+            by_snapshot: dict[int, dict[TopicId, int]] = {}
+            for year, paper, journal in walk:
                 if paper in seen:
                     collapsed += 1
                     continue
                 seen.add(paper)
+                label = labels[year]
                 counts = by_snapshot.get(label)
                 if counts is None:
                     counts = by_snapshot[label] = {}
                 for topic in journals[journal]:
                     counts[topic] = counts.get(topic, 0) + 1
-        kept += len(seen)
-        for snapshot, counts in by_snapshot.items():
-            profiles.append(
-                ActivityProfile(
-                    author_id=author,
-                    snapshot=snapshot,
-                    topic_counts=counts,
-                    area_set=frozenset(topic_area[t] for t in counts),
+            kept += len(seen)
+            for snapshot, counts in by_snapshot.items():
+                areas = frozenset(topic_area[t] for t in counts)
+                profiles.append(
+                    ActivityProfile(
+                        author_id=author,
+                        snapshot=snapshot,
+                        topic_counts=counts,
+                        area_set=area_sets.setdefault(areas, areas),
+                    )
                 )
-            )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    stats.max_papers_per_year = threshold
     stats.records_kept = kept
     stats.duplicates_collapsed = collapsed
     stats.authors_excluded = excluded
@@ -370,4 +405,4 @@ def compute_yearly_paper_quantile(records_file, q: float) -> int:
     _check_quantile(q)
     # With no years to keep, every record enters its paper as dropped.
     groups, _ = _group_papers(records_file, {}, {}, True, IngestStats())
-    return _yearly_quantile(groups, q, records_file)
+    return _yearly_quantile(groups, q, records_file)[0]

@@ -307,8 +307,8 @@ def test_cross_edge_offsets_straddle_barycenters(three_area_table, three_area_ne
     def angle(p):
         return math.atan2(p[1] - lay.center[1], p[0] - lay.center[0])
 
-    src_bary = lay.sector_barycenter(lay.node_area["t1"])
-    dst_bary = lay.sector_barycenter(lay.node_area["t2"])
+    src_bary = sum(lay.sector_arc[lay.node_area["t1"]]) / 2.0
+    dst_bary = sum(lay.sector_arc[lay.node_area["t2"]]) / 2.0
 
     def norm(x):
         return (x + math.pi) % (2 * math.pi) - math.pi
