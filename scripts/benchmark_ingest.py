@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
-"""Desk-scale benchmark: a million synthetic records through ingest + flows.
+"""Desk-scale benchmark: a million synthetic records through ingest, flows and metrics.
 
-Reports wall time per stage, peak RSS, and peak RSS per record read
-(the number to watch as the corpus grows). Mirrors the performance gate in
+Runs ``synth``, then each stage, as its own ``python -m topicflow.cli``
+child, the way users run it, and reports each one's wall time and max
+RSS (from ``os.wait4``). So ``flows`` and ``metrics`` show what
+reloading ``profiles.tsv`` costs. This script imports no topicflow code
+and stays small: a child started by ``subprocess`` reports at least the
+RSS its parent had when it started, so a large parent would hide the
+stages' own peaks. Ingest's peak is also given per record read (the
+number to watch as the corpus grows). Mirrors the performance gate in
 tests/test_acceptance.py but keeps the artifacts around for inspection.
 
 Usage:
@@ -12,23 +18,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from topicflow import SnapshotGrid, SyntheticSpec, generate_corpus  # noqa: E402
-from topicflow.cli import main as topicflow  # noqa: E402
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def peak_rss_bytes() -> int:
-    kb = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+def run_stage(argv: list[str]) -> tuple[int, float, int]:
+    """Run one topicflow subcommand as a child; return (exit code, wall s, max RSS KiB)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "topicflow.cli", *argv], env=env, stdout=subprocess.DEVNULL
     )
-    return kb * 1024
+    _, status, usage = os.wait4(child.pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss
 
 
 def run(argv=None) -> int:
@@ -40,37 +48,34 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = Path(args.out)
-    spec = SyntheticSpec(
-        n_authors=args.authors, n_topics=40, n_areas=8, n_snapshots=4,
-        mobility=0.3, skew=1.0, seed=args.seed,
-    )
-    print(f"generating corpus ({args.authors} authors)...")
-    t0 = time.perf_counter()
-    corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), out / "corpus")
-    print(f"  {corpus.n_records} records in {time.perf_counter() - t0:.1f}s")
-
-    grid = corpus.grid
+    corpus = out / "corpus"
+    grid = ["--start-year", "1910", "--end-year", "2014", "--width", "5"]
+    stages = [("synth", [
+        "synth", "--out", str(corpus), "--authors", str(args.authors), "--topics", "40",
+        "--areas", "8", "--snapshots", "4", "--mobility", "0.3", "--skew", "1.0",
+        "--seed", str(args.seed), *grid,
+    ])]
     common = [
-        "--records", str(corpus.records_path),
-        "--journal-topics", str(corpus.journal_topics_path),
-        "--topic-areas", str(corpus.topic_areas_path),
-        "--out", str(out / "run"),
-        "--start-year", str(grid.start_year),
-        "--end-year", str(grid.end_year),
-        "--width", str(grid.width_years),
+        "--records", str(corpus / "records.tsv"),
+        "--journal-topics", str(corpus / "journal_topics.tsv"),
+        "--topic-areas", str(corpus / "topic_areas.tsv"),
+        "--out", str(out / "run"), *grid,
     ]
     if args.threads is not None:
         common += ["--threads", str(args.threads)]
+    stages += [(stage, [stage, *common]) for stage in ("ingest", "flows", "metrics")]
 
-    for stage in ("ingest", "flows"):
-        t0 = time.perf_counter()
-        rc = topicflow([stage, *common])
+    print(f"{args.authors} authors, seed {args.seed}")
+    peaks = {}
+    for stage, stage_argv in stages:
+        rc, wall, peaks[stage] = run_stage(stage_argv)
         if rc != 0:
             return rc
-        print(f"  {stage}: {time.perf_counter() - t0:.1f}s")
+        print(f"  {stage}: {wall:.1f}s, max rss {peaks[stage] / 1024:.0f} MB")
     stats = json.loads((out / "run" / "ingest_stats.json").read_text(encoding="utf-8"))
-    peak = peak_rss_bytes()
-    print(f"peak rss: {peak / 1e9:.2f} GB ({peak / stats['records_read']:.0f} bytes/record read)")
+    per_record = peaks["ingest"] * 1024 / stats["records_read"]
+    print(f"{stats['records_read']} records read; "
+          f"ingest max rss per record read: {per_record:.0f} bytes")
     return 0
 
 

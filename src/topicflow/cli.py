@@ -51,7 +51,7 @@ from .metrics import (
     multidisciplinarity,
 )
 from .synth import SyntheticSpec, generate_corpus
-from .util import fmt_float, iter_tsv
+from .util import fmt_float, gc_paused, iter_tsv
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
 
@@ -233,39 +233,71 @@ def write_profiles(profiles: list[ActivityProfile], path) -> None:
 def load_profiles(
     path, table: ClassificationTable, grid: SnapshotGrid
 ) -> list[ActivityProfile]:
+    """Read ``profiles.tsv`` back into profiles sorted by (author, snapshot).
+
+    Rows may come in any order; ``write_profiles`` writes each (author,
+    snapshot) group's rows together, so a group is looked up only when
+    the pair changes from the previous row. The loaded profiles are as
+    compact as the ones ingest builds: topic keys are the classification
+    table's own strings, every profile of a snapshot holds the same int,
+    an author's consecutive rows share one author string, and profiles
+    with equal area sets share one set object. Like ``ingest_records``,
+    the load runs with garbage collection paused (none of these objects
+    is part of a cycle) and restores its previous state, also on error.
+    """
     topic_area = table.topic_area
-    labels = set(grid.labels())
+    topics = {t: t for t in topic_area}
+    # A label's own text, and the label itself, map to one shared int.
+    labels: dict[str | int, int] = {}
+    for label in grid.labels():
+        labels[str(label)] = labels[label] = label
     grouped: dict[tuple[str, int], dict[str, int]] = {}
-    for lineno, parts in iter_tsv(path):
-        if len(parts) != 4:
-            raise MalformedLine(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-        author, snapshot_text, topic, count_text = parts
-        if topic not in topic_area:
-            raise MalformedLine(f"{path}:{lineno}: unknown topic {topic!r}")
-        try:
-            snapshot, count = int(snapshot_text), int(count_text)
-        except ValueError:
-            raise MalformedLine(f"{path}:{lineno}: snapshot and count must be integers") from None
-        if snapshot not in labels:
-            raise MalformedLine(f"{path}:{lineno}: snapshot {snapshot} is not on the grid")
-        if count < 1:
-            raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
-        bucket = grouped.setdefault((author, snapshot), {})
-        if topic in bucket:
-            raise MalformedLine(f"{path}:{lineno}: duplicate topic row {topic!r}")
-        bucket[topic] = count
-    area_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
-    profiles = []
-    for (author, snapshot), counts in sorted(grouped.items()):
-        areas = frozenset(topic_area[t] for t in counts)
-        profiles.append(
-            ActivityProfile(
-                author_id=author,
-                snapshot=snapshot,
-                topic_counts=counts,
-                area_set=area_sets.setdefault(areas, areas),
+    author = group_snapshot = bucket = None
+    with gc_paused():
+        for lineno, parts in iter_tsv(path):
+            if len(parts) != 4:
+                raise MalformedLine(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+            author_text, snapshot_text, topic_text, count_text = parts
+            topic = topics.get(topic_text)
+            if topic is None:
+                raise MalformedLine(f"{path}:{lineno}: unknown topic {topic_text!r}")
+            snapshot = labels.get(snapshot_text)
+            try:
+                count = int(count_text)
+                if snapshot is None:  # other spellings, such as "01915", parse
+                    parsed = int(snapshot_text)
+            except ValueError:
+                raise MalformedLine(
+                    f"{path}:{lineno}: snapshot and count must be integers"
+                ) from None
+            if snapshot is None:
+                snapshot = labels.get(parsed)
+                if snapshot is None:
+                    raise MalformedLine(f"{path}:{lineno}: snapshot {parsed} is not on the grid")
+            if count < 1:
+                raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
+            if author_text != author:
+                author, bucket = author_text, None
+            if bucket is None or snapshot != group_snapshot:
+                group_snapshot = snapshot
+                bucket = grouped.setdefault((author, snapshot), {})
+            if topic in bucket:
+                raise MalformedLine(f"{path}:{lineno}: duplicate topic row {topic!r}")
+            bucket[topic] = count
+        area_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
+        profiles = []
+        for key in sorted(grouped):
+            author, snapshot = key
+            counts = grouped[key]
+            areas = frozenset(topic_area[t] for t in counts)
+            profiles.append(
+                ActivityProfile(
+                    author_id=author,
+                    snapshot=snapshot,
+                    topic_counts=counts,
+                    area_set=area_sets.setdefault(areas, areas),
+                )
             )
-        )
     return profiles
 
 

@@ -10,7 +10,6 @@ accumulated per (author, snapshot).
 """
 from __future__ import annotations
 
-import gc
 import json
 import re
 import sys
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .classification import AreaId, ClassificationTable, TopicId
 from .errors import EmptyInput, InvalidSpec, MalformedRecord
-from .util import quantile_cutoff
+from .util import gc_paused, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 
@@ -318,9 +317,7 @@ def ingest_records(
     area_sets: dict[frozenset[AreaId], frozenset[AreaId]] = {}
     profiles: list[ActivityProfile] = []
     kept = collapsed = excluded = excluded_records = 0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         groups, repeats = _group_papers(
             records_file,
             journals,
@@ -383,9 +380,6 @@ def ingest_records(
                         area_set=area_sets.setdefault(areas, areas),
                     )
                 )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     stats.max_papers_per_year = threshold
     stats.records_kept = kept
     stats.duplicates_collapsed = collapsed

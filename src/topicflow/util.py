@@ -1,7 +1,10 @@
-"""Small shared helpers: TSV iteration, numeric formatting, quantile cutoffs."""
+"""Small shared helpers: TSV iteration, numeric formatting, quantile cutoffs,
+pausing the garbage collector."""
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -67,3 +70,19 @@ def quantile_cutoff(values: Iterable[int], q: float) -> int:
         raise ValueError(f"quantile must be in (0, 1), got {q}")
     idx = max(0, math.ceil(frac * len(vals)) - 1)
     return vals[idx]
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection for the block.
+
+    The previous state is restored on exit, also when the block raises,
+    so a caller that had collection off finds it still off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

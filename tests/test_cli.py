@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,17 @@ def test_profiles_unknown_topic_exits_two(tmp_path, capsys):
     assert f"{profiles}:2: unknown topic 'T9'" in capsys.readouterr().err
 
 
+def test_profiles_duplicate_topic_away_from_its_group_exits_two(tmp_path, capsys):
+    out, args = _ingest_and_flows(tmp_path)
+    profiles = out / "profiles.tsv"
+    lines = profiles.read_text().splitlines()
+    assert lines[1:] == ["x\t1910\tT1\t1", "x\t1910\tT2\t1", "x\t1915\tT3\t1"]
+    write_lines(profiles, [*lines, "x\t1910\tT2\t5"])
+    capsys.readouterr()
+    assert main(["flows", *args]) == 2
+    assert f"{profiles}:5: duplicate topic row 'T2'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("weight,command", [("inf", "viz"), ("nan", "metrics")])
 def test_flow_weight_not_finite_exits_two(tmp_path, capsys, weight, command):
     out, args = _ingest_and_flows(tmp_path)
@@ -469,6 +481,39 @@ def test_report_tree_equals_separate_stages(tmp_path, flags):
     del report_tree["report.json"]
     assert report_tree == tree(separate)
     assert any(name.startswith("viz_") for name in report_tree)
+
+
+@pytest.mark.parametrize("flags", [[], ["--appearing-weight", "uniform", "--area-mode", "argmax"]])
+def test_shuffled_profiles_give_the_same_flows_and_metrics(tmp_path, flags):
+    corpus = tmp_path / "corpus"
+    assert main([
+        "synth", "--out", str(corpus), "--authors", "60", "--topics", "8", "--areas", "3",
+        "--snapshots", "4", "--mobility", "0.5", "--seed", "5",
+    ]) == 0
+    args = [
+        "--records", str(corpus / "records.tsv"),
+        "--journal-topics", str(corpus / "journal_topics.tsv"),
+        "--topic-areas", str(corpus / "topic_areas.tsv"),
+        "--start-year", "1910", "--end-year", "1929", *flags,
+    ]
+    in_order, shuffled = tmp_path / "sorted", tmp_path / "shuffled"
+    assert main(["ingest", *args, "--out", str(in_order)]) == 0
+    header, *rows = (in_order / "profiles.tsv").read_text().splitlines()
+    random.Random(11).shuffle(rows)
+    shuffled.mkdir()
+    write_lines(shuffled / "profiles.tsv", [header, *rows])
+    for out in (in_order, shuffled):
+        for command in ("flows", "metrics"):
+            assert main([command, *args, "--out", str(out)]) == 0
+
+    def tree(directory):
+        return {
+            p.name: p.read_bytes() for p in sorted(directory.iterdir())
+            if p.name not in ("profiles.tsv", "ingest_stats.json")
+        }
+
+    assert tree(in_order) == tree(shuffled)
+    assert "multidisciplinarity.tsv" in tree(shuffled)
 
 
 def test_cli_import_loads_no_pool_or_network_modules():

@@ -21,7 +21,7 @@ from topicflow import (
     load_classification,
 )
 from topicflow.cli import load_profiles, write_profiles
-from topicflow.errors import EmptyInput, InvalidSpec, MalformedRecord
+from topicflow.errors import EmptyInput, InvalidSpec, MalformedLine, MalformedRecord
 from topicflow.ingest import iter_records
 from conftest import write_lines
 
@@ -417,3 +417,107 @@ def test_ingest_restores_gc_state(table, make_records, grid_1910_2014, tmp_path,
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_profiles_restores_gc_state(table, grid_1910_2014, tmp_path, enabled):
+    good = write_lines(tmp_path / "good.tsv", ["X\t1910\tT1\t1"])
+    bad = write_lines(tmp_path / "bad.tsv", ["X\t1910\tT1\t1", "X\t1910\tT1"])
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        load_profiles(good, table, grid_1910_2014)
+        assert gc.isenabled() is enabled
+        with pytest.raises(MalformedLine):
+            load_profiles(bad, table, grid_1910_2014)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_load_profiles_retained_traced_bytes_per_row(tmp_path):
+    # Seed 8 at 2,000 authors: 13,311 profile rows. Bytes still traced
+    # per row once the profiles are loaded: 180 with a topic string, an
+    # author string and a snapshot int per row; 99 with the table's own
+    # topic strings, one author string per run of rows and one int per
+    # snapshot label.
+    spec = SyntheticSpec(n_authors=2000, n_topics=40, n_areas=8, n_snapshots=4, seed=8)
+    corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), tmp_path)
+    table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)
+    profiles, _ = ingest_records(corpus.records_path, table, corpus.grid)
+    path = tmp_path / "profiles.tsv"
+    write_profiles(profiles, path)
+    rows = sum(len(p.topic_counts) for p in profiles)
+    del profiles
+    tracemalloc.start()
+    try:
+        loaded = load_profiles(path, table, corpus.grid)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(p.topic_counts) for p in loaded) == rows
+    assert retained / rows < 140
+
+
+def _profile_rows(profiles):
+    return [
+        f"{p.author_id}\t{p.snapshot}\t{t}\t{n}"
+        for p in profiles
+        for t, n in sorted(p.topic_counts.items())
+    ]
+
+
+def test_loaded_profiles_share_table_topics_authors_and_labels(table, grid_1910_2014, tmp_path):
+    rows = ["X\t1910\tT1\t2", "X\t1910\tT3\t1", "X\t1915\tT1\t1", "X\t1915\tT2\t4",
+            "Y\t1915\tT1\t1", "Y\t2010\tT3\t1"]
+    path = write_lines(tmp_path / "profiles.tsv", ["#author\tsnapshot\ttopic\tcount", *rows])
+    loaded = load_profiles(path, table, grid_1910_2014)
+    assert _profile_rows(loaded) == rows
+    own = {t: t for t in table.topic_area}
+    for p in loaded:
+        assert all(t is own[t] for t in p.topic_counts)
+    labels = {}
+    authors = {}
+    for p in loaded:
+        assert labels.setdefault(p.snapshot, p.snapshot) is p.snapshot
+        assert authors.setdefault(p.author_id, p.author_id) is p.author_id
+    assert len(labels) == 3 and len(authors) == 2
+
+
+def test_load_profiles_row_order_does_not_matter(table, grid_1910_2014, tmp_path):
+    rows = [f"{a}\t{s}\t{t}\t{n}" for a, s, t, n in (
+        ("X", 1910, "T1", 2), ("X", 1910, "T3", 1), ("X", 1915, "T1", 1), ("X", 1915, "T2", 4),
+        ("Y", 1915, "T1", 1), ("Y", 2010, "T2", 3), ("Y", 2010, "T3", 1), ("Z", 1950, "T2", 1),
+    )]
+    sorted_path = write_lines(tmp_path / "sorted.tsv", rows)
+    expected = load_profiles(sorted_path, table, grid_1910_2014)
+    shuffled = rows[:]
+    random.Random(3).shuffle(shuffled)
+    for order in (shuffled, rows[::-1]):
+        path = write_lines(tmp_path / "shuffled.tsv", order)
+        assert load_profiles(path, table, grid_1910_2014) == expected
+
+
+@pytest.mark.parametrize("lines,expected", [
+    # Other spellings of an on-grid integer load like the label's own text.
+    (["W\t01915\tT1\t1", "X\t+1915\tT2\t2", "Y\t 1915 \tT3\t1", "Z\t1_915\tT1\t1"], None),
+    (["X\t1915.0\tT1\t1"], "1: snapshot and count must be integers"),
+    (["X\t01916\tT1\t1"], "1: snapshot 1916 is not on the grid"),
+    (["X\t01916\tT1\t0"], "1: snapshot 1916 is not on the grid"),
+    (["X\t+1915\tT1\tone"], "1: snapshot and count must be integers"),
+    (["X\t01915\tT1\t0"], "1: counts must be >= 1"),
+    (["X\t1915\tT9\tone"], "1: unknown topic 'T9'"),
+    (["X\t1915\tT1\t1", "X\t01915\tT1\t1"], "2: duplicate topic row 'T1'"),
+])
+def test_load_profiles_snapshot_spellings(table, grid_1910_2014, tmp_path, lines, expected):
+    path = write_lines(tmp_path / "profiles.tsv", lines)
+    if expected is None:
+        loaded = load_profiles(path, table, grid_1910_2014)
+        assert _profile_rows(loaded) == [
+            "W\t1915\tT1\t1", "X\t1915\tT2\t2", "Y\t1915\tT3\t1", "Z\t1915\tT1\t1",
+        ]
+        assert all(p.snapshot is loaded[0].snapshot for p in loaded)
+        return
+    with pytest.raises(MalformedLine) as err:
+        load_profiles(path, table, grid_1910_2014)
+    assert str(err.value) == f"{path}:{expected}"
