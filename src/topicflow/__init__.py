@@ -2,7 +2,6 @@
 
 from .classification import ClassificationTable, load_classification
 from .flows import (
-    DominantTopicSet,
     FlowNetwork,
     build_flow_networks,
     count_transitions,
@@ -20,10 +19,8 @@ from .ingest import (
     ingest_records,
 )
 from .metrics import (
-    AttractivenessSeries,
     MigrationIndices,
     ZeroBaselinePolicy,
-    attractiveness,
     attractiveness_table,
     median_sink_source,
     migration_index_series,
@@ -38,9 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivityProfile",
-    "AttractivenessSeries",
     "ClassificationTable",
-    "DominantTopicSet",
     "FlowNetwork",
     "IngestStats",
     "MigrationIndices",
@@ -48,7 +43,6 @@ __all__ = [
     "SyntheticSpec",
     "VizConfig",
     "ZeroBaselinePolicy",
-    "attractiveness",
     "attractiveness_table",
     "build_flow_networks",
     "compute_yearly_paper_quantile",

@@ -23,14 +23,7 @@ from fractions import Fraction
 from functools import cache
 
 from .classification import AreaId, ClassificationTable
-from .errors import (
-    DifferentArea,
-    EmptyNetwork,
-    MalformedLine,
-    SameArea,
-    UnknownTopic,
-    UsageError,
-)
+from .errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
 from .flows import FlowNetwork
 from .util import iter_tsv
 
@@ -411,7 +404,7 @@ def route_cross_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
     src_area = lay.node_area[source]
     dst_area = lay.node_area[target]
     if src_area == dst_area:
-        raise SameArea(f"{source}->{target} stays inside {src_area}; route as intra-area")
+        raise UsageError(f"{source}->{target} stays inside {src_area}; route as intra-area")
     mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
     return [
         lay.node_point[source],
@@ -430,7 +423,7 @@ def route_intra_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
     src_area = lay.node_area[source]
     dst_area = lay.node_area[target]
     if src_area != dst_area:
-        raise DifferentArea(f"{source}->{target} crosses {src_area}->{dst_area}")
+        raise UsageError(f"{source}->{target} crosses {src_area}->{dst_area}")
     cfg = lay.cfg
     mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
     mid_radius = (cfg.r_node + cfg.sector_inner) / 2.0 * lay.circle_radius
@@ -562,66 +555,58 @@ def render_svg(
     net: FlowNetwork,
     table: ClassificationTable | None,
     cfg: VizConfig = VizConfig(),
-    out=None,
 ) -> str:
-    """Render the network as a standalone SVG document (also written to
-    ``out`` when given). Self-transitions are never drawn; edges lighter
-    than ``cfg.min_weight`` are omitted. Element order: sectors, intra
-    edges, cross edges, nodes, labels.
+    """Render the network as a standalone SVG document. Self-transitions
+    are never drawn; edges lighter than ``cfg.min_weight`` are omitted.
+    Element order: sectors, intra edges, cross edges, nodes, labels.
     """
     if not net.weights:
         if table is None:
             raise EmptyNetwork("nothing to render: empty network and no table")
-        svg = _sectors_only(table, cfg)
-    else:
-        lay = layout(net, table, cfg)
-        intra: list[str] = []
-        cross: list[str] = []
-        cross_colors: dict[tuple[AreaId, AreaId], str] = {}
-        for (source, target), weight in net.sorted_items():
-            if source == target or float(weight) < cfg.min_weight:
-                continue
-            width = edge_width(cfg, weight)
-            alpha = _edge_alpha(
-                cfg, lay.node_point[source], lay.node_point[target], lay.circle_radius
-            )
-            src_area = lay.node_area[source]
-            dst_area = lay.node_area[target]
-            if src_area == dst_area:
-                p0, ctrl, p1 = route_intra_edge(lay, source, target)
-                intra.append(
-                    f'<path class="edge-intra" fill="none" '
-                    f'stroke="{lay.sector_color[src_area]}" '
-                    f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" '
-                    f'd="M {_pt(p0)} Q {_pt(ctrl)} {_pt(p1)}"/>'
-                )
-            else:
-                color = cross_colors.get((src_area, dst_area))
-                if color is None:
-                    color = cross_colors[src_area, dst_area] = mix_colors(
-                        lay.sector_color[src_area],
-                        lay.sector_color[dst_area],
-                        cfg.dest_color_weight,
-                    )
-                cross.append(
-                    f'<path class="edge-cross" fill="none" stroke="{color}" '
-                    f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" '
-                    f'd="{_spline_path(route_cross_edge(lay, source, target))}"/>'
-                )
-        nodes = [
-            f'<circle class="node" cx="{_fmt(lay.node_point[n][0])}" '
-            f'cy="{_fmt(lay.node_point[n][1])}" r="{_fmt(lay.node_radius[n])}" '
-            f'fill="{lay.sector_color[lay.node_area[n]]}"/>'
-            for n in sorted(lay.node_angle)
-        ]
-        labels = (
-            [_label_element(lay, n) for n in sorted(lay.node_angle)]
-            if cfg.show_labels
-            else []
+        return _sectors_only(table, cfg)
+    lay = layout(net, table, cfg)
+    intra: list[str] = []
+    cross: list[str] = []
+    cross_colors: dict[tuple[AreaId, AreaId], str] = {}
+    for (source, target), weight in net.sorted_items():
+        if source == target or float(weight) < cfg.min_weight:
+            continue
+        width = edge_width(cfg, weight)
+        alpha = _edge_alpha(
+            cfg, lay.node_point[source], lay.node_point[target], lay.circle_radius
         )
-        svg = _document(cfg, [*_sector_elements(lay), *intra, *cross, *nodes, *labels])
-
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    return svg
+        src_area = lay.node_area[source]
+        dst_area = lay.node_area[target]
+        if src_area == dst_area:
+            p0, ctrl, p1 = route_intra_edge(lay, source, target)
+            intra.append(
+                f'<path class="edge-intra" fill="none" '
+                f'stroke="{lay.sector_color[src_area]}" '
+                f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" '
+                f'd="M {_pt(p0)} Q {_pt(ctrl)} {_pt(p1)}"/>'
+            )
+        else:
+            color = cross_colors.get((src_area, dst_area))
+            if color is None:
+                color = cross_colors[src_area, dst_area] = mix_colors(
+                    lay.sector_color[src_area],
+                    lay.sector_color[dst_area],
+                    cfg.dest_color_weight,
+                )
+            cross.append(
+                f'<path class="edge-cross" fill="none" stroke="{color}" '
+                f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" '
+                f'd="{_spline_path(route_cross_edge(lay, source, target))}"/>'
+            )
+    nodes = [
+        f'<circle class="node" cx="{_fmt(lay.node_point[n][0])}" '
+        f'cy="{_fmt(lay.node_point[n][1])}" r="{_fmt(lay.node_radius[n])}" '
+        f'fill="{lay.sector_color[lay.node_area[n]]}"/>'
+        for n in sorted(lay.node_angle)
+    ]
+    labels = (
+        [_label_element(lay, n) for n in sorted(lay.node_angle)]
+        if cfg.show_labels
+        else []
+    )
+    return _document(cfg, [*_sector_elements(lay), *intra, *cross, *nodes, *labels])

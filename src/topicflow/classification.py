@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyTable, MalformedLine, UnknownJournal, UnknownTopic, UsageError
+from .errors import EmptyTable, MalformedLine, PipelineError, UnknownTopic, UsageError
 from .util import check_token, iter_tsv
 
 TopicId = str
@@ -29,10 +29,6 @@ class ClassificationTable:
     def topic_count(self) -> int:
         return len(self.topic_area)
 
-    @property
-    def area_count(self) -> int:
-        return len(set(self.topic_area.values()))
-
     def areas(self) -> tuple[AreaId, ...]:
         return tuple(sorted(set(self.topic_area.values())))
 
@@ -40,7 +36,7 @@ class ClassificationTable:
         try:
             return self.journal_topics[journal]
         except KeyError:
-            raise UnknownJournal(f"journal {journal!r} not in classification table") from None
+            raise PipelineError(f"journal {journal!r} not in classification table") from None
 
     def areas_of_journal(self, journal: JournalId) -> tuple[AreaId, ...]:
         """Areas of a journal's topics, deduplicated in first-occurrence order."""

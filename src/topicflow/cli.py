@@ -2,7 +2,8 @@
 
 Every stage reads and writes plain sorted TSV under the output
 directory, so intermediate artifacts stay diffable, and the whole tree
-is byte-identical across reruns with the same inputs and flags.
+is byte-identical across reruns with the same inputs and flags. Each
+file is replaced in one step (``util.write_text_atomic``).
 ``report`` hands the profiles that ingest built to flows and metrics in
 memory instead of re-reading ``profiles.tsv``, and still writes every
 artifact that the separate subcommands would. All stages run in one
@@ -51,7 +52,7 @@ from .metrics import (
     multidisciplinarity,
 )
 from .synth import SyntheticSpec, generate_corpus
-from .util import fmt_float, gc_paused, iter_tsv
+from .util import fmt_float, gc_paused, iter_tsv, write_text_atomic
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
 
@@ -96,12 +97,10 @@ class PipelineConfig:
         raise UsageError(f"level must be topic, area or both, got {self.level!r}")
 
 
+# Config-file parser per setting, read off the annotations ("int | None" -> int).
 _FIELD_TYPES = {
-    "records": str, "journal_topics": str, "topic_areas": str, "out_dir": str,
-    "start_year": int, "end_year": int, "width": int, "max_papers_per_year": int,
-    "quantile": float, "cut_scope": str, "level": str, "baseline_policy": str,
-    "appearing_weight": str, "area_mode": str, "viz_config": str, "min_weight": float,
-    "sector_order": str, "canvas_size": int, "seed": int, "threads": int,
+    f.name: {"str": str, "int": int, "float": float}[f.type.removesuffix(" | None")]
+    for f in fields(PipelineConfig)
 }
 
 
@@ -226,8 +225,7 @@ def write_profiles(profiles: list[ActivityProfile], path) -> None:
                 f"{profile.author_id}\t{profile.snapshot}\t{topic}\t"
                 f"{profile.topic_counts[topic]}"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_profiles(
@@ -317,9 +315,7 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[list[ActivityProfile], IngestStats]
     profiles_path = out / "profiles.tsv"
     write_profiles(profiles, profiles_path)
     stats_path = out / "ingest_stats.json"
-    with open(stats_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(stats.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(stats_path, json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"ingest: {json.dumps(stats.as_dict(), sort_keys=True)}", file=sys.stderr)
     print(f"wrote {profiles_path} ({len(profiles)} profiles)")
     return profiles, stats
@@ -372,8 +368,7 @@ def _load_networks(cfg: PipelineConfig, out: Path, level: str) -> list[FlowNetwo
 
 
 def _write_tsv(path: Path, header: str, rows: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+    write_text_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def cmd_metrics(
@@ -481,7 +476,7 @@ def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
         raise MissingInput(f"network file not found: {net_path} (run flows first)")
     net = load_flow_network(net_path, level=level, from_snapshot=earlier, to_snapshot=later)
     svg_path = out / f"viz_{level}_{earlier}_{later}.svg"
-    render_svg(net, table, _viz_config(cfg), out=svg_path)
+    write_text_atomic(svg_path, render_svg(net, table, _viz_config(cfg)))
     print(f"wrote {svg_path}")
     return svg_path
 
@@ -525,9 +520,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
         "viz_files": sorted(Path(p).name for p in svg_paths),
     }
     report_path = out / "report.json"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(report_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {report_path}")
     return report_path
 

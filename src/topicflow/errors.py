@@ -3,7 +3,8 @@
 Each class carries the CLI exit code it maps to: 1 for usage problems,
 2 for anything wrong with an input file, 3 for internal invariant
 violations. Errors raised while parsing a file embed ``path:line`` in
-their message so the CLI can print a single-line diagnostic.
+their message so the CLI can print a single-line diagnostic. A problem
+raised at a single site uses ``PipelineError`` or ``UsageError`` itself.
 """
 
 EXIT_OK = 0
@@ -38,16 +39,8 @@ class UnknownTopic(PipelineError):
     """A topic referenced somewhere but absent from the topic->area table."""
 
 
-class UnknownJournal(PipelineError):
-    """A journal queried but absent from the classification table."""
-
-
 class EmptyTable(PipelineError):
     """A classification file produced no usable entries."""
-
-
-class EmptyInput(PipelineError):
-    """An input stream contained no records."""
 
 
 class MissingInput(PipelineError):
@@ -60,10 +53,6 @@ class InvalidSpec(UsageError):
     """A configuration object violates its own invariants."""
 
 
-class UnknownArea(UsageError):
-    """An area queried that is not part of the known area universe."""
-
-
 class EmptySet(UsageError):
     """Transition counting requires non-empty topic sets on both sides."""
 
@@ -72,17 +61,5 @@ class EmptyNetwork(UsageError):
     """Layout requires a network with at least one weighted edge."""
 
 
-class NoBaseline(UsageError):
-    """Attractiveness needs a preceding transition network."""
-
-
 class EmptySeries(UsageError):
     """Median indices need at least one snapshot with defined values."""
-
-
-class SameArea(UsageError):
-    """Cross-area routing called with endpoints in one area."""
-
-
-class DifferentArea(UsageError):
-    """Intra-area routing called with endpoints in different areas."""

@@ -21,27 +21,11 @@ from fractions import Fraction
 from typing import Iterable
 
 from .classification import AreaId, ClassificationTable
-from .errors import (
-    EmptySet,
-    InvariantViolation,
-    MalformedLine,
-    UnknownArea,
-    UnknownTopic,
-    UsageError,
-)
+from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
 from .ingest import ActivityProfile, SnapshotGrid
-from .util import check_token, fmt_weight, iter_tsv, parse_weight
+from .util import check_token, fmt_weight, iter_tsv, parse_weight, write_text_atomic
 
 FLOW_HEADER = "#from_snapshot\tto_snapshot\tsource\ttarget\tweight"
-
-
-@dataclass(frozen=True)
-class DominantTopicSet:
-    """Topics (or areas, at the coarse level) of maximal activity, ties included."""
-
-    author_id: str
-    snapshot: int
-    topics: frozenset[str]
 
 
 @dataclass
@@ -60,26 +44,19 @@ class FlowNetwork:
             found.add(target)
         return found
 
-    def total_weight(self):
-        return sum(self.weights.values())
-
     def sorted_items(self) -> list[tuple[tuple[str, str], int | float | Fraction]]:
         return sorted(self.weights.items())
 
 
-def dominant_topics(profile: ActivityProfile) -> DominantTopicSet:
+def dominant_topics(profile: ActivityProfile) -> frozenset[str]:
     """All topics achieving the maximum activity count within the snapshot."""
     if not profile.topic_counts:
         raise EmptySet(f"profile {profile.author_id}@{profile.snapshot} has no topic counts")
     best = max(profile.topic_counts.values())
-    return DominantTopicSet(
-        author_id=profile.author_id,
-        snapshot=profile.snapshot,
-        topics=frozenset(t for t, c in profile.topic_counts.items() if c == best),
-    )
+    return frozenset(t for t, c in profile.topic_counts.items() if c == best)
 
 
-def dominant_area_set(profile: ActivityProfile, table: ClassificationTable) -> DominantTopicSet:
+def dominant_area_set(profile: ActivityProfile, table: ClassificationTable) -> frozenset[str]:
     """Areas of maximal aggregated activity (the argmax-at-area-level variant)."""
     if not profile.topic_counts:
         raise EmptySet(f"profile {profile.author_id}@{profile.snapshot} has no topic counts")
@@ -88,11 +65,7 @@ def dominant_area_set(profile: ActivityProfile, table: ClassificationTable) -> D
         area = _area_of(topic, table)
         area_counts[area] = area_counts.get(area, 0) + count
     best = max(area_counts.values())
-    return DominantTopicSet(
-        author_id=profile.author_id,
-        snapshot=profile.snapshot,
-        topics=frozenset(a for a, c in area_counts.items() if c == best),
-    )
+    return frozenset(a for a, c in area_counts.items() if c == best)
 
 
 def _area_of(topic: str, table: ClassificationTable) -> str:
@@ -176,7 +149,7 @@ def _networks(
 
 
 def build_flow_networks(
-    dominant_sets: Iterable[DominantTopicSet],
+    dominant_sets: Iterable[tuple[str, int, frozenset[str]]],
     grid: SnapshotGrid,
     *,
     level: str = "topic",
@@ -185,22 +158,23 @@ def build_flow_networks(
 ) -> list[FlowNetwork]:
     """Sum per-author transitions into one network per consecutive grid pair.
 
-    Only authors present in both snapshots of a pair contribute; skipped
-    snapshots never bridge (1910->1920 without 1915 yields nothing). With
-    ``level='area'`` each dominant topic set is mapped through the
-    topic->area table and deduplicated before counting. Weights are
-    exact: integers, or ``Fraction``s under ``appearing_weight='uniform'``.
+    ``dominant_sets`` holds one ``(author, snapshot, nodes)`` tuple per
+    profile, ``nodes`` being its dominant topics. Only authors present in
+    both snapshots of a pair contribute; skipped snapshots never bridge
+    (1910->1920 without 1915 yields nothing). With ``level='area'`` each
+    dominant topic set is mapped through the topic->area table and
+    deduplicated before counting. Weights are exact: integers, or
+    ``Fraction``s under ``appearing_weight='uniform'``.
     """
     if level not in ("topic", "area"):
         raise UsageError(f"level must be 'topic' or 'area', got {level!r}")
     if level == "area" and table is None:
         raise UsageError("area-level flows need a classification table")
     by_author: dict[str, dict[int, frozenset[str]]] = {}
-    for ds in dominant_sets:
-        nodes = ds.topics
+    for author, snapshot, nodes in dominant_sets:
         if level == "area":
             nodes = frozenset(_area_of(t, table) for t in nodes)
-        _add_set(by_author, ds.author_id, ds.snapshot, nodes)
+        _add_set(by_author, author, snapshot, nodes)
     return _networks(by_author, grid, level, appearing_weight)
 
 
@@ -237,7 +211,7 @@ def flow_networks_from_profiles(
     for profile in profiles:
         author, snapshot = profile.author_id, profile.snapshot
         if by_topic is not None or not argmax:
-            topics = dominant_topics(profile).topics
+            topics = dominant_topics(profile)
             entry = shared.get(topics)
             if entry is None:
                 areas = None
@@ -249,7 +223,7 @@ def flow_networks_from_profiles(
                 _add_set(by_topic, author, snapshot, topics)
         if by_area is not None:
             if argmax:
-                areas = dominant_area_set(profile, table).topics
+                areas = dominant_area_set(profile, table)
             _add_set(by_area, author, snapshot, areas)
     nets = []
     if by_topic is not None:
@@ -259,21 +233,14 @@ def flow_networks_from_profiles(
     return nets
 
 
-def decompose_area_flows(
-    net: FlowNetwork,
-    area: AreaId,
-    known_areas: Iterable[AreaId] | None = None,
-):
+def decompose_area_flows(net: FlowNetwork, area: AreaId):
     """(intra, incoming-cross, outgoing-cross) volume for one area.
 
     Flows are indexed by the network's arrival snapshot. An area absent
-    from the network but part of the known universe decomposes to
-    (0, 0, 0); passing ``known_areas`` makes truly unknown areas an error.
+    from the network decomposes to (0, 0, 0).
     """
     if net.level != "area":
         raise UsageError(f"decomposition needs an area-level network, got {net.level!r}")
-    if known_areas is not None and area not in set(known_areas):
-        raise UnknownArea(f"area {area!r} not in the known area universe")
     intra = net.weights.get((area, area), 0)
     incoming = 0
     outgoing = 0
@@ -301,8 +268,7 @@ def write_flow_network(net: FlowNetwork, path) -> None:
         lines.append(
             f"{net.from_snapshot}\t{net.to_snapshot}\t{source}\t{target}\t{fmt_weight(weight)}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_flow_network(

@@ -11,15 +11,14 @@ accumulated per (author, snapshot).
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .classification import AreaId, ClassificationTable, TopicId
-from .errors import EmptyInput, InvalidSpec, MalformedRecord
-from .util import gc_paused, quantile_cutoff
+from .errors import InvalidSpec, MalformedRecord, PipelineError
+from .util import gc_paused, is_token, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 
@@ -43,9 +42,6 @@ class SnapshotGrid:
             raise InvalidSpec(
                 f"start year {self.start_year} must precede end year {self.end_year}"
             )
-
-    def contains(self, year: int) -> bool:
-        return self.start_year <= year <= self.end_year
 
     def snapshot_of(self, year: int) -> int:
         return self.start_year + self.width_years * (
@@ -102,11 +98,8 @@ class IngestStats:
         }
 
 
-_WHITESPACE = re.compile(r"\s")
-
-
 def _bad_token(value) -> bool:
-    return not isinstance(value, str) or not value or _WHITESPACE.search(value) is not None
+    return not isinstance(value, str) or not is_token(value)
 
 
 def _parse_year(value, path, lineno) -> int:
@@ -256,7 +249,7 @@ def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> tuple[int, 
         counts += per_year
         peaks[author] = max(per_year)
     if not counts:
-        raise EmptyInput(f"{records_file}: no records")
+        raise PipelineError(f"{records_file}: no records")
     return quantile_cutoff(counts, q), peaks
 
 

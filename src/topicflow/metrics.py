@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .classification import AreaId, TopicId
-from .errors import EmptySeries, NoBaseline, UnknownTopic, UsageError
+from .errors import EmptySeries, UsageError
 from .flows import FlowNetwork, decompose_area_flows
 from .ingest import ActivityProfile
 from .util import quantile_cutoff
@@ -49,16 +49,6 @@ class ZeroBaselinePolicy:
             except ValueError:
                 raise UsageError(f"bad smoothing constant in {text!r}") from None
         return cls(text)
-
-    def label(self) -> str:
-        return f"smooth:{self.k:g}" if self.kind == "smooth" else self.kind
-
-
-@dataclass
-class AttractivenessSeries:
-    topic: TopicId
-    points: dict[int, float]
-    pairs_used: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -143,43 +133,6 @@ def _delta_for_topic(
         divisor = (n_topics - 1) if policy.kind == "strict" else pairs_used
     delta = total / divisor if divisor > 0 else 0.0
     return delta, pairs_used
-
-
-def attractiveness(
-    nets: Iterable[FlowNetwork],
-    topic: TopicId,
-    policy: ZeroBaselinePolicy = ZeroBaselinePolicy(),
-    n_topics: int | None = None,
-) -> AttractivenessSeries:
-    """Mean relative change of the topic's incoming flows, per snapshot.
-
-    Each value compares the network arriving at a snapshot with the one
-    arriving one step earlier; self-flow is always excluded. ``n_topics``
-    is the size of the topic universe (the classification table's count
-    in the full pipeline); it defaults to the number of distinct nodes
-    seen across the networks.
-    """
-    nets = list(nets)
-    pairs = _consecutive_pairs(nets)
-    if not pairs:
-        raise NoBaseline("attractiveness needs two consecutive transition networks")
-    universe: set[str] = set()
-    for net in nets:
-        universe |= net.nodes()
-    if topic not in universe:
-        raise UnknownTopic(f"topic {topic!r} absent from every supplied network")
-    if n_topics is None:
-        n_topics = len(universe)
-
-    points: dict[int, float] = {}
-    used: dict[int, int] = {}
-    for prev, cur in pairs:
-        prev_in = _incoming_index(prev).get(topic, {})
-        cur_in = _incoming_index(cur).get(topic, {})
-        delta, pairs_used = _delta_for_topic(topic, prev_in, cur_in, policy, n_topics)
-        points[cur.to_snapshot] = delta
-        used[cur.to_snapshot] = pairs_used
-    return AttractivenessSeries(topic=topic, points=points, pairs_used=used)
 
 
 def attractiveness_table(

@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import InvalidSpec
 from .flows import FlowNetwork, flow_file_name, write_flow_network
 from .ingest import SnapshotGrid
+from .util import write_text_atomic
 
 # Fixed dominant-set pairs guaranteeing that a mobile corpus exercises
 # every transition-counting case: pure move, vanishing topic, full
@@ -188,21 +189,21 @@ def generate_corpus(spec: SyntheticSpec, grid: SnapshotGrid, out_dir) -> SynthRe
     rng.shuffle(lines)
 
     records_path = out / "records.tsv"
-    with open(records_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#author_id\tpaper_id\tjournal_id\tyear\n")
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(
+        records_path, "#author_id\tpaper_id\tjournal_id\tyear\n" + "\n".join(lines) + "\n"
+    )
 
     journal_topics_path = out / "journal_topics.tsv"
-    with open(journal_topics_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#journal_id\ttopic_id\n")
-        for topic in topics:
-            fh.write(f"j_{topic}\t{topic}\n")
+    write_text_atomic(
+        journal_topics_path,
+        "#journal_id\ttopic_id\n" + "".join(f"j_{topic}\t{topic}\n" for topic in topics),
+    )
 
     topic_areas_path = out / "topic_areas.tsv"
-    with open(topic_areas_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#topic_id\tarea_id\n")
-        for topic in topics:
-            fh.write(f"{topic}\t{topic_area[topic]}\n")
+    write_text_atomic(
+        topic_areas_path,
+        "#topic_id\tarea_id\n" + "".join(f"{topic}\t{topic_area[topic]}\n" for topic in topics),
+    )
 
     answer_paths: dict[tuple[str, int, int], Path] = {}
     for level, answers in (("topic", answers_topic), ("area", answers_area)):
@@ -227,9 +228,7 @@ def generate_corpus(spec: SyntheticSpec, grid: SnapshotGrid, out_dir) -> SynthRe
         "assumes": {"appearing_weight": "unit", "area_mode": "mapped"},
         "answer_files": sorted(p.name for p in answer_paths.values()),
     }
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     return SynthResult(
         records_path=records_path,

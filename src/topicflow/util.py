@@ -1,10 +1,11 @@
-"""Small shared helpers: TSV iteration, numeric formatting, quantile cutoffs,
-pausing the garbage collector."""
+"""Small shared helpers: TSV iteration, token checks, numeric formatting,
+quantile cutoffs, pausing the garbage collector, atomic file writes."""
 from __future__ import annotations
 
 import gc
 import math
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -25,8 +26,13 @@ def iter_tsv(path) -> Iterator[tuple[int, list[str]]]:
             yield lineno, line.split("\t")
 
 
+def is_token(text: str) -> bool:
+    """True when ``text`` is non-empty and holds no whitespace."""
+    return text.split() == [text]
+
+
 def check_token(token: str, path, lineno: int, what: str) -> str:
-    if token.split() != [token]:  # empty, or holds whitespace
+    if not is_token(token):
         raise MalformedLine(
             f"{path}:{lineno}: {what} must be a non-empty token without "
             f"whitespace, got {token!r}"
@@ -86,3 +92,21 @@ def gc_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF line ends, in one step.
+
+    The text goes to a sibling named with the process id, which then
+    replaces ``path``. An interrupted write leaves the previous file, or
+    none, never a truncated one; the sibling is removed on any exception.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise

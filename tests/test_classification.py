@@ -7,7 +7,7 @@ from topicflow import load_classification
 from topicflow.errors import (
     EmptyTable,
     MalformedLine,
-    UnknownJournal,
+    PipelineError,
     UnknownTopic,
     UsageError,
 )
@@ -18,7 +18,7 @@ from conftest import write_lines
 def test_minimal_consistent_table(make_table):
     table = make_table({"J1": ["T1", "T2"]}, {"T1": "A1", "T2": "A2"})
     assert table.topic_count == 2
-    assert table.area_count == 2
+    assert table.areas() == ("A1", "A2")
     assert table.topics_of_journal("J1") == ("T1", "T2")
 
 
@@ -114,7 +114,7 @@ def test_areas_of_journal(make_table):
     assert collapsed.areas_of_journal("J1") == ("A1",)
     split = make_table({"J1": ["T1", "T2"]}, {"T1": "A1", "T2": "A2"}, prefix="s_")
     assert split.areas_of_journal("J1") == ("A1", "A2")
-    with pytest.raises(UnknownJournal):
+    with pytest.raises(PipelineError, match="journal 'nope' not in classification table"):
         split.areas_of_journal("nope")
 
 

@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import topicflow
-from topicflow.cli import main
+from topicflow.cli import PipelineConfig, _build_parser, _resolve_config, main
 from conftest import write_lines
 
 
@@ -225,6 +226,45 @@ def test_config_file_defaults_and_flag_override(tmp_path):
 def test_config_file_unknown_key(tmp_path):
     config = write_lines(tmp_path / "bad.cfg", ["mystery=1"])
     assert main(["ingest", "--config", str(config)]) == 2
+
+
+def test_config_file_sets_every_field_with_its_annotated_type(tmp_path):
+    values = {
+        "records": "r.tsv", "journal_topics": "jt.tsv", "topic_areas": "ta.tsv",
+        "out_dir": "o", "start_year": "1900", "end_year": "1949", "width": "10",
+        "max_papers_per_year": "3", "quantile": "0.5", "cut_scope": "all",
+        "level": "topic", "baseline_policy": "smooth:0.5", "appearing_weight": "uniform",
+        "area_mode": "argmax", "viz_config": "v.cfg", "min_weight": "2",
+        "sector_order": "strength", "canvas_size": "400", "seed": "7", "threads": "2",
+    }
+    assert set(values) == {f.name for f in fields(PipelineConfig)}
+    config = write_lines(tmp_path / "all.cfg", [f"{k}={v}" for k, v in values.items()])
+    args = _build_parser().parse_args(["ingest", "--config", str(config)])
+    cfg = _resolve_config(args)
+    expected_types = {
+        "start_year": int, "end_year": int, "width": int, "max_papers_per_year": int,
+        "quantile": float, "min_weight": float, "canvas_size": int, "seed": int,
+        "threads": int,
+    }
+    for name, text in values.items():
+        kind = expected_types.get(name, str)
+        got = getattr(cfg, name)
+        assert type(got) is kind, name
+        assert got == kind(text)
+
+
+def test_config_file_bad_value_exits_two(tmp_path, capsys):
+    config = write_lines(tmp_path / "bad.cfg", ["width=five"])
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert f"{config}:1: bad value 'five' for width" in capsys.readouterr().err
+
+
+def test_quantile_on_empty_records_exits_two(tmp_path, capsys):
+    setup_inputs(tmp_path, [])
+    records = write_lines(tmp_path / "records.tsv", ["# only a comment"])
+    args = base_args(tmp_path, tmp_path / "out")
+    assert main(["ingest", *args, "--quantile", "0.5"]) == 2
+    assert capsys.readouterr().err == f"topicflow: error: {records}: no records\n"
 
 
 def test_internal_error_exits_three(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from topicflow import (
     ActivityProfile,
-    DominantTopicSet,
     FlowNetwork,
     SnapshotGrid,
     build_flow_networks,
@@ -20,7 +19,7 @@ from topicflow import (
     write_flow_network,
 )
 from topicflow.cli import main
-from topicflow.errors import EmptySet, MalformedLine, UnknownArea, UsageError
+from topicflow.errors import EmptySet, MalformedLine, UsageError
 
 
 def profile(author, snapshot, counts, areas=()):
@@ -28,23 +27,23 @@ def profile(author, snapshot, counts, areas=()):
 
 
 def ds(author, snapshot, topics):
-    return DominantTopicSet(author, snapshot, frozenset(topics))
+    return author, snapshot, frozenset(topics)
 
 
 # -- dominant sets --
 
 def test_dominant_topics_tie_retained():
     got = dominant_topics(profile("x", 1910, {"A": 2, "B": 2, "C": 1}))
-    assert got.topics == frozenset({"A", "B"})
+    assert got == frozenset({"A", "B"})
 
 
 def test_dominant_topics_single():
-    assert dominant_topics(profile("x", 1910, {"A": 5})).topics == frozenset({"A"})
+    assert dominant_topics(profile("x", 1910, {"A": 5})) == frozenset({"A"})
 
 
 def test_dominant_topics_full_tie():
     got = dominant_topics(profile("x", 1910, {"A": 1, "B": 1, "C": 1}))
-    assert got.topics == frozenset({"A", "B", "C"})
+    assert got == frozenset({"A", "B", "C"})
 
 
 # -- transition counting: the worked cases --
@@ -286,11 +285,11 @@ def _flow_files_at_threads(tmp_path, make_classification, make_records, sets, gr
                            threads, *flags):
     """CLI ingest + flows over records whose dominant sets are ``sets``
     (one paper per topic); return each ``--threads`` run's flow files."""
-    topics = sorted({t for d in sets for t in d.topics})
+    topics = sorted({t for _, _, nodes in sets for t in nodes})
     jt, ta = make_classification({f"J{t}": [t] for t in topics}, {t: "X" for t in topics})
     records = make_records(
-        [(d.author_id, f"{d.author_id}-{d.snapshot}-{t}", f"J{t}", d.snapshot)
-         for d in sets for t in sorted(d.topics)]
+        [(author, f"{author}-{snapshot}-{t}", f"J{t}", snapshot)
+         for author, snapshot, nodes in sets for t in sorted(nodes)]
     )
     args = [
         "--records", str(records), "--journal-topics", str(jt), "--topic-areas", str(ta),
@@ -330,7 +329,7 @@ def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification,
         ds("y", 1910, {"A", "B", "C"}),
         ds("y", 1915, {"D"}),
     ]
-    profiles = [profile(d.author_id, d.snapshot, dict.fromkeys(d.topics, 1)) for d in sets]
+    profiles = [profile(a, snapshot, dict.fromkeys(nodes, 1)) for a, snapshot, nodes in sets]
     exact = flow_networks_from_profiles(profiles, GRID2, appearing_weight="uniform")
     built = build_flow_networks(sets, GRID2, appearing_weight="uniform")
     assert exact[0].weights == built[0].weights
@@ -364,12 +363,6 @@ def test_decompose_absent_area_is_zero():
 def test_decompose_single_area_has_no_cross():
     net = area_net({("a", "a"): 5})
     assert decompose_area_flows(net, "a") == (5, 0, 0)
-
-
-def test_decompose_unknown_area_with_universe():
-    net = area_net({("a", "a"): 8})
-    with pytest.raises(UnknownArea):
-        decompose_area_flows(net, "zz", known_areas=["a", "b"])
 
 
 def test_decompose_needs_area_level():

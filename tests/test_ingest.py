@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from topicflow import (
     load_classification,
 )
 from topicflow.cli import load_profiles, write_profiles
-from topicflow.errors import EmptyInput, InvalidSpec, MalformedLine, MalformedRecord
+from topicflow.errors import InvalidSpec, MalformedLine, MalformedRecord, PipelineError
 from topicflow.ingest import iter_records
 from conftest import write_lines
 
@@ -228,7 +229,7 @@ def test_quantile_identical_counts(tmp_path):
 
 def test_quantile_validation(tmp_path):
     path = write_lines(tmp_path / "r.tsv", ["# empty"])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(PipelineError, match=re.escape(f"{path}: no records")):
         compute_yearly_paper_quantile(path, 0.5)
     path2 = write_lines(tmp_path / "r2.tsv", ["a\tp\tJ\t2000"])
     with pytest.raises(InvalidSpec):
@@ -277,7 +278,7 @@ def _reference_ingest(rows, grid, threshold, cut_scope, quantile):
     give the cut (and the quantile, over every row); then the kept rows
     are deduplicated to the minimal (year, journal) per (author, paper)."""
     def classified(journal, year):
-        return journal in TABLE and grid.contains(year)
+        return journal in TABLE and grid.start_year <= year <= grid.end_year
 
     if quantile is not None:
         every: dict[tuple[str, int], set[str]] = {}
@@ -296,7 +297,7 @@ def _reference_ingest(rows, grid, threshold, cut_scope, quantile):
     )
     best: dict[tuple[str, str], tuple[int, str]] = {}
     for author, paper, journal, year in rows:
-        if not grid.contains(year):
+        if not grid.start_year <= year <= grid.end_year:
             stats.dropped_year += 1
         elif journal not in TABLE:
             stats.dropped_unclassified += 1

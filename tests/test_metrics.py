@@ -8,7 +8,6 @@ from topicflow import (
     ActivityProfile,
     FlowNetwork,
     ZeroBaselinePolicy,
-    attractiveness,
     attractiveness_table,
     median_sink_source,
     migration_index_series,
@@ -16,7 +15,7 @@ from topicflow import (
     most_attractive_topics,
     multidisciplinarity,
 )
-from topicflow.errors import EmptySeries, NoBaseline, UnknownTopic, UsageError
+from topicflow.errors import EmptySeries, UsageError
 
 
 def topic_net(to_snapshot, weights, width=5):
@@ -76,19 +75,18 @@ def test_policy_parse():
 def test_delta_hand_example_active_policy():
     prev = topic_net(1915, {("X", "T"): 2, ("Y", "T"): 4})
     cur = topic_net(1920, {("X", "T"): 3, ("Y", "T"): 2})
-    series = attractiveness([prev, cur], "T", ZeroBaselinePolicy("active"))
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
     # (0.5 + (-0.5)) / 2 = 0
-    assert series.points == {1920: 0.0}
-    assert series.pairs_used == {1920: 2}
+    assert table[(1920, "T")] == (0.0, 2)
 
 
 def test_delta_strict_uses_full_denominator():
     prev = topic_net(1915, {("X", "T"): 2})
     cur = topic_net(1920, {("X", "T"): 3})
-    strict = attractiveness([prev, cur], "T", ZeroBaselinePolicy("strict"), n_topics=306)
-    assert strict.points[1920] == pytest.approx(0.5 / 305, abs=1e-15)
-    active = attractiveness([prev, cur], "T", ZeroBaselinePolicy("active"))
-    assert active.points[1920] == 0.5
+    strict = attractiveness_table([prev, cur], ZeroBaselinePolicy("strict"), n_topics=306)
+    assert strict[(1920, "T")][0] == pytest.approx(0.5 / 305, abs=1e-15)
+    active = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    assert active[(1920, "T")][0] == 0.5
 
 
 def test_delta_zero_when_flows_unchanged():
@@ -100,50 +98,49 @@ def test_delta_zero_when_flows_unchanged():
         ZeroBaselinePolicy("active"),
         ZeroBaselinePolicy("smooth", 1.0),
     ):
-        assert attractiveness([prev, cur], "T", policy).points[1920] == 0.0
+        assert attractiveness_table([prev, cur], policy)[(1920, "T")][0] == 0.0
 
 
 def test_delta_excludes_self_flow():
     prev = topic_net(1915, {("T", "T"): 5, ("X", "T"): 1})
     cur = topic_net(1920, {("T", "T"): 50, ("X", "T"): 1})
-    assert attractiveness([prev, cur], "T", ZeroBaselinePolicy("active")).points[1920] == 0.0
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    assert table[(1920, "T")][0] == 0.0
 
 
 def test_delta_smooth_covers_zero_baselines():
     prev = topic_net(1915, {("Y", "X"): 1})
     cur = topic_net(1920, {("Z", "T"): 3})
-    series = attractiveness(
-        [prev, cur], "T", ZeroBaselinePolicy("smooth", 1.0), n_topics=4
-    )
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("smooth", 1.0), n_topics=4)
     # only Z->T changed: (3-0)/(0+1) / (4-1)
-    assert series.points[1920] == pytest.approx(1.0, abs=1e-15)
-    assert series.pairs_used[1920] == 0
+    delta, pairs_used = table[(1920, "T")]
+    assert delta == pytest.approx(1.0, abs=1e-15)
+    assert pairs_used == 0
 
 
 def test_no_baseline_error():
-    with pytest.raises(NoBaseline):
-        attractiveness([topic_net(1915, {("X", "T"): 1})], "T")
+    # without two consecutive networks there is no baseline, so no row
+    assert attractiveness_table([topic_net(1915, {("X", "T"): 1})]) == {}
     gap = [topic_net(1915, {("X", "T"): 1}), topic_net(1930, {("X", "T"): 1})]
-    with pytest.raises(NoBaseline):
-        attractiveness(gap, "T")
+    assert attractiveness_table(gap) == {}
 
 
 def test_unknown_topic_error():
+    # a topic absent from every network gets no row
     nets = [topic_net(1915, {("X", "T"): 1}), topic_net(1920, {("X", "T"): 1})]
-    with pytest.raises(UnknownTopic):
-        attractiveness(nets, "nope")
+    assert set(attractiveness_table(nets)) == {(1920, "T"), (1920, "X")}
 
 
 def test_delta_active_invariant_under_uniform_scaling():
     prev = topic_net(1915, {("X", "T"): 2, ("Y", "T"): 5, ("Z", "T"): 1})
     cur = topic_net(1920, {("X", "T"): 3, ("Y", "T"): 2, ("Z", "T"): 9})
-    base = attractiveness([prev, cur], "T", ZeroBaselinePolicy("active")).points[1920]
+    base = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))[(1920, "T")][0]
     for c in (2, 7, 1000):
         scaled = [
             topic_net(1915, {k: w * c for k, w in prev.weights.items()}),
             topic_net(1920, {k: w * c for k, w in cur.weights.items()}),
         ]
-        got = attractiveness(scaled, "T", ZeroBaselinePolicy("active")).points[1920]
+        got = attractiveness_table(scaled, ZeroBaselinePolicy("active"))[(1920, "T")][0]
         assert got == base
 
 

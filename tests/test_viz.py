@@ -10,7 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicflow import FlowNetwork, VizConfig, layout, render_svg, route_cross_edge, route_intra_edge
+from topicflow import (
+    FlowNetwork,
+    VizConfig,
+    layout,
+    render_svg,
+    route_cross_edge,
+    route_intra_edge,
+    write_flow_network,
+)
 from topicflow.bundleviz import (
     arc_midpoint,
     bspline_beziers,
@@ -20,14 +28,8 @@ from topicflow.bundleviz import (
     parse_hex,
 )
 from topicflow.classification import ClassificationTable
-from topicflow.errors import (
-    DifferentArea,
-    EmptyNetwork,
-    MalformedLine,
-    SameArea,
-    UnknownTopic,
-    UsageError,
-)
+from topicflow.cli import main
+from topicflow.errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
 from conftest import write_lines
 
 
@@ -328,7 +330,7 @@ def test_cross_edge_p3_at_shorter_arc_midpoint(three_area_table, three_area_net)
 
 def test_cross_edge_same_area_rejected(three_area_table, three_area_net):
     lay = layout(three_area_net, three_area_table, VizConfig())
-    with pytest.raises(SameArea):
+    with pytest.raises(UsageError, match="t0->t1 stays inside a0; route as intra-area"):
         route_cross_edge(lay, "t0", "t1")
 
 
@@ -347,7 +349,7 @@ def test_intra_edge_control_point_in_band(three_area_table, three_area_net):
 
 def test_intra_edge_cross_area_rejected(three_area_table, three_area_net):
     lay = layout(three_area_net, three_area_table, VizConfig())
-    with pytest.raises(DifferentArea):
+    with pytest.raises(UsageError, match="t0->t2 crosses a0->a1"):
         route_intra_edge(lay, "t0", "t2")
 
 
@@ -474,9 +476,18 @@ def test_empty_network_without_table_raises():
 
 
 def test_render_writes_file(three_area_table, three_area_net, tmp_path):
-    out = tmp_path / "diagram.svg"
-    svg = render_svg(three_area_net, three_area_table, VizConfig(), out=out)
-    assert out.read_text(encoding="utf-8") == svg
+    # the viz command writes exactly the document render_svg returns
+    out = tmp_path / "out"
+    out.mkdir()
+    write_flow_network(three_area_net, out / "flows_topic_1910_1915.tsv")
+    args = [
+        "viz", "--journal-topics", str(tmp_path / "journal_topics.tsv"),
+        "--topic-areas", str(tmp_path / "topic_areas.tsv"), "--out", str(out),
+        "--level", "topic", "--pair", "1910", "1915",
+    ]
+    assert main(args) == 0
+    svg = render_svg(three_area_net, three_area_table, VizConfig())
+    assert (out / "viz_topic_1910_1915.svg").read_text(encoding="utf-8") == svg
 
 
 # -- config --
