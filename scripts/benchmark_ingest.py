@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Desk-scale benchmark: a million synthetic records through ingest, flows and metrics.
+"""Desk-scale benchmark: a million synthetic records through every subcommand.
 
-Runs ``synth``, then each stage, as its own ``python -m topicflow.cli``
-child, the way users run it, and reports each one's wall time and max
-RSS (from ``os.wait4``). So ``flows`` and ``metrics`` show what
-reloading ``profiles.tsv`` costs. This script imports no topicflow code
-and stays small: a child started by ``subprocess`` reports at least the
-RSS its parent had when it started, so a large parent would hide the
-stages' own peaks. Ingest's peak is also given per record read (the
+Runs ``synth``, then ``ingest``, ``flows``, ``metrics`` and one ``viz
+--level topic --pair 1910 1915``, each as its own ``python -m
+topicflow.cli`` child, the way users run it, and reports each one's wall
+time and max RSS (from ``os.wait4``). So ``flows`` and ``metrics`` show
+what reloading ``profiles.tsv`` costs, and ``viz`` what one redraw costs.
+This script imports no topicflow code and stays small: a child started by
+``subprocess`` reports at least the RSS its parent had when it started,
+so a large parent would hide the stages' own peaks. Ingest's peak is also given per record read (the
 number to watch as the corpus grows). Mirrors the performance gate in
 tests/test_acceptance.py but keeps the artifacts around for inspection.
 
@@ -64,6 +65,7 @@ def run(argv=None) -> int:
     if args.threads is not None:
         common += ["--threads", str(args.threads)]
     stages += [(stage, [stage, *common]) for stage in ("ingest", "flows", "metrics")]
+    stages.append(("viz", ["viz", "--level", "topic", "--pair", "1910", "1915", *common]))
 
     print(f"{args.authors} authors, seed {args.seed}")
     peaks = {}

@@ -12,7 +12,13 @@ produces the visual bundling.
 Per-edge work is kept small: ``layout`` computes the node, r_zero and
 area gather points once, and the B-spline to Bezier conversion replays a
 knot-insertion schedule memoized per control-polygon length, with the
-same float operations in the same order as inserting the knots anew.
+same float operations as inserting the knots anew. The schedule records
+which control points each of its points depends on, so ``render_svg``
+replays the lerps over one endpoint's control points only (1 of 18 for
+the source, 6 for the target) once per node, and formats the first and
+last three path points once per node; each edge replays the other 11
+lerps and formats 7 points. The sector order's modularity merge compares
+exact integer-scaled gains and keeps community sums as they merge.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .classification import AreaId, ClassificationTable
 from .errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
@@ -163,18 +170,22 @@ def arc_midpoint(a: float, b: float) -> float:
 
 
 @cache
-def _knot_schedule(
-    n: int,
-) -> tuple[tuple[tuple[int, int, float], ...], tuple[tuple[int, ...], ...]]:
+def _knot_schedule(n: int) -> tuple[
+    tuple[tuple[int, int, float], ...],
+    tuple[tuple[int, ...], ...],
+    tuple[frozenset[int], ...],
+]:
     """Knot insertion raising every interior knot to multiplicity 3, replayed
     on indices: lerp ``(i, j, alpha)`` appends pool[i] + (pool[j] - pool[i])
     * alpha to a pool that starts as the n control points. Also returns the
-    pool indices of each Bezier segment."""
+    pool indices of each Bezier segment, and for every pool entry the
+    control points it depends on."""
     degree = 3
     spans = n - 3
     knots = [0.0] * 4 + [float(i) for i in range(1, spans)] + [float(spans)] * 4
     ctrl = list(range(n))
     lerps: list[tuple[int, int, float]] = []
+    deps = [frozenset([k]) for k in range(n)]
     for value in range(1, spans):
         u = float(value)
         for _ in range(2):
@@ -185,9 +196,21 @@ def _knot_schedule(
                 alpha = (u - knots[i]) / denom if denom else 0.0
                 new.append(n + len(lerps))
                 lerps.append((ctrl[i - 1], ctrl[i], alpha))
+                deps.append(deps[ctrl[i - 1]] | deps[ctrl[i]])
             ctrl[span - degree + 1 : span] = new
             knots.insert(span + 1, u)
-    return tuple(lerps), tuple(tuple(ctrl[3 * i : 3 * i + 4]) for i in range(spans))
+    segments = tuple(tuple(ctrl[3 * i : 3 * i + 4]) for i in range(spans))
+    return tuple(lerps), segments, tuple(deps)
+
+
+def _replay(pool: list[Point], lerps) -> list[Point]:
+    """Append each lerp's point to ``pool``; the one float expression every
+    spline point comes from (alpha 0.0 included: not a no-op on inf)."""
+    append = pool.append
+    for i, j, t in lerps:
+        (px, py), (qx, qy) = pool[i], pool[j]
+        append((px + (qx - px) * t, py + (qy - py) * t))
+    return pool
 
 
 def bspline_beziers(points: list[Point]) -> list[list[Point]]:
@@ -195,12 +218,93 @@ def bspline_beziers(points: list[Point]) -> list[list[Point]]:
     to cubic Bezier segments by raising interior knots to full multiplicity."""
     if len(points) < 4:
         raise UsageError("cubic B-spline needs at least 4 control points")
-    lerps, segments = _knot_schedule(len(points))
-    pool = [tuple(p) for p in points]
-    for i, j, t in lerps:
-        (px, py), (qx, qy) = pool[i], pool[j]
-        pool.append((px + (qx - px) * t, py + (qy - py) * t))
+    lerps, segments, _ = _knot_schedule(len(points))
+    pool = _replay([tuple(p) for p in points], lerps)
     return [[pool[k] for k in seg] for seg in segments]
+
+
+def _path_format(seps, indices) -> str:
+    """Format string over a pool of points: ``seps[n]`` then the point at
+    pool index ``indices[n]``, each coordinate to 3 decimals (as ``_pt``)."""
+    return "".join(f"{sep}{{{k}[0]:.3f}} {{{k}[1]:.3f}}" for sep, k in zip(seps, indices))
+
+
+class _SidePlan(NamedTuple):
+    """The part of a cross edge's spline fixed by one endpoint node."""
+
+    lerps: tuple[tuple[int, int, float], ...]  # over the side's own control points
+    text: str  # path text of the points only this side fixes, as a _path_format
+    exports: tuple[int, ...]  # the pool entries the per-edge lerps and text read
+
+    def part(self, points: list[Point]) -> tuple[str, list[Point]]:
+        pool = _replay(points, self.lerps)
+        return self.text.format(*pool), [pool[k] for k in self.exports]
+
+
+class _CrossPlan(NamedTuple):
+    source: _SidePlan  # control points 0-2; its text is the path's head
+    target: _SidePlan  # control points 4-6; its text is the path's tail
+    lerps: tuple[tuple[int, int, float], ...]  # over source exports, target exports, point 3
+    middle: str  # path text between head and tail, as a _path_format
+
+    def path(self, head, tail, mid: Point) -> str:
+        """Path text of one edge from its endpoints' parts and its point 3."""
+        (head_text, head_points), (tail_text, tail_points) = head, tail
+        pool = _replay([*head_points, *tail_points, mid], self.lerps)
+        return head_text + self.middle.format(*pool) + tail_text
+
+
+# Control points of a cross edge fixed by its source node and by its target
+# node (see ``route_cross_edge``); only point 3 depends on the pair.
+_CROSS_SIDES = (frozenset({0, 1, 2}), frozenset({4, 5, 6}))
+
+
+@cache
+def _cross_edge_plan() -> _CrossPlan:
+    """Split the seven-point schedule by what each pool entry depends on.
+
+    The lerps over one side's control points only are replayed once per
+    node, and the path points at the start (source) or end (target) of the
+    path that only that side fixes are formatted once per node. Each edge
+    replays the remaining lerps, with the same operands and alphas, and
+    formats the remaining points.
+    """
+    n_points = 7
+    lerps, segments, deps = _knot_schedule(n_points)
+    path = [segments[0][0], *(k for seg in segments for k in seg[1:])]
+    seps = ["M "] + [" C " if n % 3 == 1 else " " for n in range(1, len(path))]
+    head = next(n for n, k in enumerate(path) if not deps[k] <= _CROSS_SIDES[0])
+    end = len(path) - next(
+        n for n, k in enumerate(reversed(path)) if not deps[k] <= _CROSS_SIDES[1]
+    )
+    owned = [[k for k in range(len(deps)) if deps[k] <= side] for side in _CROSS_SIDES]
+    (pair_point,) = (k for k in range(n_points) if not any(k in side for side in owned))
+    edge_lerps = [k for k in range(n_points, len(deps)) if not any(k in side for side in owned)]
+    read = set(path[head:end]).union(*(lerps[k - n_points][:2] for k in edge_lerps))
+
+    sides = []
+    exports: list[int] = []
+    for entries, shown in zip(owned, (range(head), range(end, len(path)))):
+        local = {k: n for n, k in enumerate(entries)}
+        side_exports = [k for k in entries if k in read]
+        exports += side_exports
+        sides.append(_SidePlan(
+            lerps=tuple(
+                (local[i], local[j], t)
+                for i, j, t in (lerps[k - n_points] for k in entries if k >= n_points)
+            ),
+            text=_path_format([seps[n] for n in shown], [local[path[n]] for n in shown]),
+            exports=tuple(local[k] for k in side_exports),
+        ))
+    index = {k: n for n, k in enumerate([*exports, pair_point, *edge_lerps])}
+    return _CrossPlan(
+        source=sides[0],
+        target=sides[1],
+        lerps=tuple(
+            (index[i], index[j], t) for i, j, t in (lerps[k - n_points] for k in edge_lerps)
+        ),
+        middle=_path_format(seps[head:end], [index[k] for k in path[head:end]]),
+    )
 
 
 # -- layout --
@@ -238,18 +342,23 @@ def _symmetrized_area_graph(net: FlowNetwork, node_area: dict[str, str]):
 def _greedy_modularity_order(areas, sym, area_strength) -> list[str]:
     """Agglomerative modularity merge over the (tiny) area graph.
 
-    Exact rational arithmetic plus lexicographic tie-breaking keep the
-    resulting order reproducible across runs and hash seeds.
+    Merging communities a and b gains ``2 * (between / two_m - ka * kb /
+    two_m**2)`` modularity; ``between * two_m - ka * kb`` is that gain times
+    the positive constant ``two_m**2 / 2``, so it orders and ties the
+    merges the same way and has the same sign. Exact arithmetic (ints, or
+    rationals once a weight is not an int) plus lexicographic tie-breaking
+    keep the resulting order reproducible across runs and hash seeds.
     """
-    adjacency = {a: dict() for a in areas}
+    # between[a][b]: weight joining communities a and b; degree[a]: a's
+    # degree sum. Both are kept up to date as communities merge.
+    between: dict[str, dict[str, int | Fraction]] = {a: {} for a in areas}
     degree = {a: 0 for a in areas}
     for (a, b), w in sym.items():
         if a == b:
-            adjacency[a][a] = adjacency[a].get(a, 0) + 2 * w
             degree[a] += 2 * w
         else:
-            adjacency[a][b] = adjacency[a].get(b, 0) + w
-            adjacency[b][a] = adjacency[b].get(a, 0) + w
+            between[a][b] = between[a].get(b, 0) + w
+            between[b][a] = between[b].get(a, 0) + w
             degree[a] += w
             degree[b] += w
     two_m = sum(degree.values())
@@ -260,22 +369,23 @@ def _greedy_modularity_order(areas, sym, area_strength) -> list[str]:
             best = None
             ids = sorted(communities)
             for i, ca in enumerate(ids):
+                row, ka = between[ca], degree[ca]
                 for cb in ids[i + 1 :]:
-                    between = sum(
-                        adjacency[x].get(y, 0)
-                        for x in sorted(communities[ca])
-                        for y in sorted(communities[cb])
-                    )
-                    ka = sum(degree[x] for x in sorted(communities[ca]))
-                    kb = sum(degree[x] for x in sorted(communities[cb]))
-                    gain = 2 * (Fraction(between, two_m) - Fraction(ka * kb, two_m * two_m))
+                    gain = row.get(cb, 0) * two_m - ka * degree[cb]
                     if best is None or gain > best[0]:
                         best = (gain, ca, cb)
             if best is None or best[0] <= 0:
                 break
-            _, ca, cb = best
-            merged = communities.pop(ca) | communities.pop(cb)
-            communities[min(merged)] = merged
+            _, ca, cb = best  # ca < cb, so the merged community keeps the id ca
+            communities[ca] |= communities.pop(cb)
+            degree[ca] += degree.pop(cb)
+            row = between[ca]
+            row.pop(cb, None)
+            for other, w in between.pop(cb).items():
+                if other != ca:
+                    row[other] = row.get(other, 0) + w
+                    joined = between[other]
+                    joined[ca] = joined.get(ca, 0) + joined.pop(cb)
 
     def community_key(members: frozenset):
         return (-sum(area_strength[a] for a in sorted(members)), min(members))
@@ -405,16 +515,24 @@ def route_cross_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
     dst_area = lay.node_area[target]
     if src_area == dst_area:
         raise UsageError(f"{source}->{target} stays inside {src_area}; route as intra-area")
-    mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
     return [
-        lay.node_point[source],
-        lay.zero_point[source],
-        lay.gather_out[src_area],
-        _polar(lay.center, mid_angle, lay.cfg.r_second * lay.circle_radius),
-        lay.gather_in[dst_area],
-        lay.zero_point[target],
-        lay.node_point[target],
+        *_cross_source_points(lay, source),
+        _cross_mid_point(lay, source, target),
+        *_cross_target_points(lay, target),
     ]
+
+
+def _cross_source_points(lay: VizLayout, source: str) -> list[Point]:
+    return [lay.node_point[source], lay.zero_point[source], lay.gather_out[lay.node_area[source]]]
+
+
+def _cross_mid_point(lay: VizLayout, source: str, target: str) -> Point:
+    mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
+    return _polar(lay.center, mid_angle, lay.cfg.r_second * lay.circle_radius)
+
+
+def _cross_target_points(lay: VizLayout, target: str) -> list[Point]:
+    return [lay.gather_in[lay.node_area[target]], lay.zero_point[target], lay.node_point[target]]
 
 
 def route_intra_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
@@ -457,14 +575,6 @@ def _annulus_path(center: Point, r_in: float, r_out: float, a0: float, a1: float
         f"L {_pt(p_in1)} "
         f"A {_fmt(r_in)} {_fmt(r_in)} 0 {large} 0 {_pt(p_in0)} Z"
     )
-
-
-def _spline_path(points: list[Point]) -> str:
-    segments = bspline_beziers(points)
-    parts = [f"M {_pt(segments[0][0])}"]
-    for seg in segments:
-        parts.append(f"C {_pt(seg[1])} {_pt(seg[2])} {_pt(seg[3])}")
-    return " ".join(parts)
 
 
 def _edge_alpha(cfg: VizConfig, p: Point, q: Point, circle_radius: float) -> float:
@@ -568,6 +678,11 @@ def render_svg(
     intra: list[str] = []
     cross: list[str] = []
     cross_colors: dict[tuple[AreaId, AreaId], str] = {}
+    # A cross edge's path starts and ends with what its source and its
+    # target node alone fix: computed once per node.
+    plan = _cross_edge_plan()
+    heads: dict[str, tuple[str, list[Point]]] = {}
+    tails: dict[str, tuple[str, list[Point]]] = {}
     for (source, target), weight in net.sorted_items():
         if source == target or float(weight) < cfg.min_weight:
             continue
@@ -593,10 +708,16 @@ def render_svg(
                     lay.sector_color[dst_area],
                     cfg.dest_color_weight,
                 )
+            head = heads.get(source)
+            if head is None:
+                head = heads[source] = plan.source.part(_cross_source_points(lay, source))
+            tail = tails.get(target)
+            if tail is None:
+                tail = tails[target] = plan.target.part(_cross_target_points(lay, target))
+            d = plan.path(head, tail, _cross_mid_point(lay, source, target))
             cross.append(
                 f'<path class="edge-cross" fill="none" stroke="{color}" '
-                f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" '
-                f'd="{_spline_path(route_cross_edge(lay, source, target))}"/>'
+                f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" d="{d}"/>'
             )
     nodes = [
         f'<circle class="node" cx="{_fmt(lay.node_point[n][0])}" '

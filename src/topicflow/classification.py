@@ -7,10 +7,9 @@ consistent pair of TSV files works.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyTable, MalformedLine, PipelineError, UnknownTopic, UsageError
+from .errors import EmptyTable, MalformedLine, UnknownTopic
 from .util import check_token, iter_tsv
 
 TopicId = str
@@ -31,34 +30,6 @@ class ClassificationTable:
 
     def areas(self) -> tuple[AreaId, ...]:
         return tuple(sorted(set(self.topic_area.values())))
-
-    def topics_of_journal(self, journal: JournalId) -> tuple[TopicId, ...]:
-        try:
-            return self.journal_topics[journal]
-        except KeyError:
-            raise PipelineError(f"journal {journal!r} not in classification table") from None
-
-    def areas_of_journal(self, journal: JournalId) -> tuple[AreaId, ...]:
-        """Areas of a journal's topics, deduplicated in first-occurrence order."""
-        seen: dict[AreaId, None] = {}
-        for topic in self.topics_of_journal(journal):
-            seen.setdefault(self.topic_area[topic], None)
-        return tuple(seen)
-
-    def multiplexity_histogram(self, level: str = "topic") -> dict[int, float]:
-        """Fraction of journals classified into exactly 1, 2, ... topics (areas)."""
-        if level not in ("topic", "area"):
-            raise UsageError(f"level must be 'topic' or 'area', got {level!r}")
-        if not self.journal_topics:
-            raise EmptyTable("classification table has no journals")
-        counts: Counter[int] = Counter()
-        for journal, topics in self.journal_topics.items():
-            if level == "topic":
-                counts[len(topics)] += 1
-            else:
-                counts[len(self.areas_of_journal(journal))] += 1
-        total = len(self.journal_topics)
-        return {k: counts[k] / total for k in sorted(counts)}
 
 
 def load_classification(journal_topic_file, topic_area_file) -> ClassificationTable:

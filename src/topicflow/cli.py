@@ -356,14 +356,17 @@ def cmd_flows(
 
 
 def _load_networks(cfg: PipelineConfig, out: Path, level: str) -> list[FlowNetwork]:
+    """Every network of ``level`` on the grid, read with garbage collection
+    paused (the weight maps hold no cycles); its state is restored, also on error."""
     nets = []
-    for earlier, later in cfg.grid().label_pairs():
-        path = out / flow_file_name(level, earlier, later)
-        if not path.is_file():
-            raise MissingInput(f"network file not found: {path} (run flows first)")
-        nets.append(
-            load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later)
-        )
+    with gc_paused():
+        for earlier, later in cfg.grid().label_pairs():
+            path = out / flow_file_name(level, earlier, later)
+            if not path.is_file():
+                raise MissingInput(f"network file not found: {path} (run flows first)")
+            nets.append(
+                load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later)
+            )
     return nets
 
 

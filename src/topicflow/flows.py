@@ -23,7 +23,7 @@ from typing import Iterable
 from .classification import AreaId, ClassificationTable
 from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
 from .ingest import ActivityProfile, SnapshotGrid
-from .util import check_token, fmt_weight, iter_tsv, parse_weight, write_text_atomic
+from .util import check_token, fmt_weight, gc_paused, iter_tsv, parse_weight, write_text_atomic
 
 FLOW_HEADER = "#from_snapshot\tto_snapshot\tsource\ttarget\tweight"
 
@@ -194,7 +194,9 @@ def flow_networks_from_profiles(
     dominant topic set is computed once and feeds every requested level.
     ``area_mode='mapped'`` (default) maps that set through the
     topic->area table; ``'argmax'`` re-runs the argmax on per-area
-    aggregated counts instead.
+    aggregated counts instead. Garbage collection is paused while the sets
+    and networks are built (none of them is part of a cycle), and its
+    previous state is restored, also on error.
     """
     if level not in ("topic", "area", "both"):
         raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
@@ -208,28 +210,29 @@ def flow_networks_from_profiles(
     # Most dominant sets recur across profiles, so the maps hold one shared
     # frozenset per distinct topic set and per mapped area set.
     shared: dict[frozenset[str], tuple[frozenset[str], frozenset[str] | None]] = {}
-    for profile in profiles:
-        author, snapshot = profile.author_id, profile.snapshot
-        if by_topic is not None or not argmax:
-            topics = dominant_topics(profile)
-            entry = shared.get(topics)
-            if entry is None:
-                areas = None
-                if by_area is not None and not argmax:
-                    areas = frozenset(_area_of(t, table) for t in topics)
-                entry = shared[topics] = (topics, areas)
-            topics, areas = entry
-            if by_topic is not None:
-                _add_set(by_topic, author, snapshot, topics)
+    with gc_paused():
+        for profile in profiles:
+            author, snapshot = profile.author_id, profile.snapshot
+            if by_topic is not None or not argmax:
+                topics = dominant_topics(profile)
+                entry = shared.get(topics)
+                if entry is None:
+                    areas = None
+                    if by_area is not None and not argmax:
+                        areas = frozenset(_area_of(t, table) for t in topics)
+                    entry = shared[topics] = (topics, areas)
+                topics, areas = entry
+                if by_topic is not None:
+                    _add_set(by_topic, author, snapshot, topics)
+            if by_area is not None:
+                if argmax:
+                    areas = dominant_area_set(profile, table)
+                _add_set(by_area, author, snapshot, areas)
+        nets = []
+        if by_topic is not None:
+            nets += _networks(by_topic, grid, "topic", appearing_weight)
         if by_area is not None:
-            if argmax:
-                areas = dominant_area_set(profile, table)
-            _add_set(by_area, author, snapshot, areas)
-    nets = []
-    if by_topic is not None:
-        nets += _networks(by_topic, grid, "topic", appearing_weight)
-    if by_area is not None:
-        nets += _networks(by_area, grid, "area", appearing_weight)
+            nets += _networks(by_area, grid, "area", appearing_weight)
     return nets
 
 

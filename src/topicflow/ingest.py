@@ -21,6 +21,7 @@ from .errors import InvalidSpec, MalformedRecord, PipelineError
 from .util import gc_paused, is_token, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
+_RECORD_KEYS = frozenset(RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise MalformedRecord(f"{path}:{lineno}: invalid JSON record: {exc}") from None
-                if not isinstance(obj, dict) or set(obj) != set(RECORD_FIELDS):
+                if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
                     raise MalformedRecord(
                         f"{path}:{lineno}: record object must have exactly the fields "
                         f"{', '.join(RECORD_FIELDS)}"

@@ -21,8 +21,9 @@ from topicflow import (
     ingest_records,
     load_classification,
 )
-from topicflow.cli import load_profiles, write_profiles
-from topicflow.errors import InvalidSpec, MalformedLine, MalformedRecord, PipelineError
+from topicflow.cli import PipelineConfig, _load_networks, load_profiles, write_profiles
+from topicflow.errors import EmptySet, InvalidSpec, MalformedLine, MalformedRecord, PipelineError
+from topicflow.flows import FLOW_HEADER, flow_file_name, flow_networks_from_profiles
 from topicflow.ingest import iter_records
 from conftest import write_lines
 
@@ -159,6 +160,25 @@ def test_ndjson_rejects_missing_field(tmp_path, table, grid_1910_2014):
     path = write_lines(tmp_path / "r.ndjson", [json.dumps({"author_id": "X"})])
     with pytest.raises(MalformedRecord):
         ingest_records(path, table, grid_1910_2014)
+
+
+_FIELDS_MESSAGE = "record object must have exactly the fields author_id, paper_id, journal_id, year"
+_GOOD_RECORD = {"author_id": "X", "paper_id": "p1", "journal_id": "J1", "year": 1912}
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        json.dumps({**_GOOD_RECORD, "extra": 1}),
+        json.dumps(list(_GOOD_RECORD.values())),
+        json.dumps("X p1 J1 1912"),
+    ],
+    ids=["extra-field", "array", "string"],
+)
+def test_ndjson_rejects_records_without_exactly_the_fields(tmp_path, second):
+    path = write_lines(tmp_path / "r.ndjson", [json.dumps(_GOOD_RECORD), second])
+    with pytest.raises(MalformedRecord, match=re.escape(f"{path}:2: {_FIELDS_MESSAGE}")):
+        list(iter_records(path))
 
 
 def _random_rows(rng, n):
@@ -431,6 +451,41 @@ def test_load_profiles_restores_gc_state(table, grid_1910_2014, tmp_path, enable
         assert gc.isenabled() is enabled
         with pytest.raises(MalformedLine):
             load_profiles(bad, table, grid_1910_2014)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_flow_networks_from_profiles_restores_gc_state(table, grid_1910_2014, enabled):
+    good = [ActivityProfile("X", 1910, {"T1": 1}, frozenset({"A1"}))]
+    bad = [*good, ActivityProfile("X", 1915, {}, frozenset())]
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        flow_networks_from_profiles(good, grid_1910_2014, level="both", table=table)
+        assert gc.isenabled() is enabled
+        with pytest.raises(EmptySet):
+            flow_networks_from_profiles(bad, grid_1910_2014, level="both", table=table)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_networks_restores_gc_state(tmp_path, enabled):
+    cfg = PipelineConfig(start_year=1910, end_year=1919, width=5)
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    for out, row in ((good, "1910\t1915\tT1\tT2\t1"), (bad, "1910\t1915\tT1\tT2")):
+        out.mkdir()
+        write_lines(out / flow_file_name("topic", 1910, 1915), [FLOW_HEADER, row])
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert _load_networks(cfg, good, "topic")[0].weights == {("T1", "T2"): 1}
+        assert gc.isenabled() is enabled
+        with pytest.raises(MalformedLine):
+            _load_networks(cfg, bad, "topic")
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()

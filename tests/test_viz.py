@@ -20,6 +20,8 @@ from topicflow import (
     write_flow_network,
 )
 from topicflow.bundleviz import (
+    _greedy_modularity_order,
+    _symmetrized_area_graph,
     arc_midpoint,
     bspline_beziers,
     edge_width,
@@ -256,6 +258,89 @@ def test_modularity_order_groups_dense_pairs(make_table):
     assert abs(order.index("a1") - order.index("a3")) == 1
 
 
+def reference_modularity_order(areas, sym, area_strength):
+    """The greedy merge scored with the modularity gain itself, as rationals,
+    every community sum recomputed from its members on every merge."""
+    adjacency = {a: dict() for a in areas}
+    degree = {a: 0 for a in areas}
+    for (a, b), w in sym.items():
+        if a == b:
+            adjacency[a][a] = adjacency[a].get(a, 0) + 2 * w
+            degree[a] += 2 * w
+        else:
+            adjacency[a][b] = adjacency[a].get(b, 0) + w
+            adjacency[b][a] = adjacency[b].get(a, 0) + w
+            degree[a] += w
+            degree[b] += w
+    two_m = sum(degree.values())
+    communities = {a: frozenset([a]) for a in areas}
+    if two_m > 0:
+        while len(communities) > 1:
+            best = None
+            ids = sorted(communities)
+            for i, ca in enumerate(ids):
+                for cb in ids[i + 1 :]:
+                    between = sum(
+                        adjacency[x].get(y, 0)
+                        for x in sorted(communities[ca])
+                        for y in sorted(communities[cb])
+                    )
+                    ka = sum(degree[x] for x in sorted(communities[ca]))
+                    kb = sum(degree[x] for x in sorted(communities[cb]))
+                    gain = 2 * (Fraction(between, two_m) - Fraction(ka * kb, two_m * two_m))
+                    if best is None or gain > best[0]:
+                        best = (gain, ca, cb)
+            if best is None or best[0] <= 0:
+                break
+            _, ca, cb = best
+            merged = communities.pop(ca) | communities.pop(cb)
+            communities[min(merged)] = merged
+
+    def community_key(members):
+        return (-sum(area_strength[a] for a in sorted(members)), min(members))
+
+    ordered = []
+    for members in sorted(communities.values(), key=community_key):
+        ordered.extend(sorted(members, key=lambda a: (-area_strength[a], a)))
+    return ordered
+
+
+# Few distinct weights and few areas: equal gains, and equal strengths, are common.
+area_weights = st.sampled_from([1, 2, 3]).flatmap(
+    lambda k: st.sampled_from([k, float(k), Fraction(k), k / 2, Fraction(k, 3)])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just([f"a{i}" for i in range(n)]),
+    st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), area_weights, max_size=20
+    ),
+)))
+def test_modularity_order_matches_rational_gain_reference(graph):
+    areas, edges = graph
+    weights = {(areas[i], areas[j]): w for (i, j), w in edges.items()}
+    net = FlowNetwork("area", 1910, 1915, weights)
+    sym = _symmetrized_area_graph(net, {a: a for a in areas})
+    strength = {a: 0 for a in areas}
+    for (a, b), w in sym.items():
+        strength[a] += w
+        strength[b] += w
+    want = reference_modularity_order(areas, sym, strength)
+    assert _greedy_modularity_order(areas, sym, strength) == want
+
+
+def test_modularity_order_breaks_exact_ties_like_the_reference():
+    # A ring of four equal links: every first merge gains the same.
+    areas = ["a0", "a1", "a2", "a3"]
+    sym = {("a0", "a1"): 1, ("a1", "a2"): 1, ("a2", "a3"): 1, ("a0", "a3"): 1}
+    strength = dict.fromkeys(areas, 2)
+    got = _greedy_modularity_order(areas, sym, strength)
+    assert got == reference_modularity_order(areas, sym, strength)
+    assert got == ["a0", "a1", "a2", "a3"]
+
+
 def test_layout_empty_network_raises(three_area_table):
     with pytest.raises(EmptyNetwork):
         layout(FlowNetwork("topic", 1910, 1915, {}), three_area_table, VizConfig())
@@ -377,6 +462,48 @@ def test_svg_well_formed_with_expected_counts(three_area_table, three_area_net):
     assert len(circles) == 6
     labels = svg_elements(svg, "text", "label")
     assert len(labels) == 6
+
+
+def reference_spline_path(points):
+    """Path text of the Bezier chain, built segment by segment."""
+    segments = bspline_beziers(points)
+    parts = [f"M {segments[0][0][0]:.3f} {segments[0][0][1]:.3f}"]
+    for seg in segments:
+        parts.append("C " + " ".join(f"{x:.3f} {y:.3f}" for x, y in seg[1:]))
+    return " ".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 14).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            st.integers(1, 9) | st.floats(0.25, 9.0),
+            min_size=1,
+            max_size=40,
+        ),
+    )),
+    st.sampled_from(["modularity", "strength", "alphabetical"]),
+    st.sampled_from([300, 997, 1000, 1600]),
+    st.floats(0.0, 5.0),
+)
+def test_cross_edge_paths_match_spline_of_routed_points(graph, order, size, offset):
+    node_areas, edges = graph
+    topic_area = {f"t{i}": f"a{area}" for i, area in enumerate(node_areas)}
+    table = ClassificationTable(
+        journal_topics={f"j{t}": (t,) for t in topic_area}, topic_area=topic_area
+    )
+    net = FlowNetwork("topic", 1910, 1915, {(f"t{i}", f"t{j}"): w for (i, j), w in edges.items()})
+    cfg = VizConfig(sector_order=order, canvas_size=size, out_offset_deg=offset)
+    lay = layout(net, table, cfg)
+    want = [
+        reference_spline_path(route_cross_edge(lay, source, target))
+        for (source, target), _ in net.sorted_items()
+        if lay.node_area[source] != lay.node_area[target]
+    ]
+    got = [el.get("d") for el in svg_elements(render_svg(net, table, cfg), "path", "edge-cross")]
+    assert got == want
 
 
 def test_labels_with_markup_characters_round_trip(make_table):
