@@ -1,67 +1,49 @@
-"""Temporal flow networks of author mobility across research topics."""
+"""Temporal flow networks of author mobility across research topics.
 
-from .classification import ClassificationTable, load_classification
-from .flows import (
-    FlowNetwork,
-    build_flow_networks,
-    count_transitions,
-    decompose_area_flows,
-    dominant_topics,
-    flow_networks_from_profiles,
-    load_flow_network,
-    write_flow_network,
-)
-from .ingest import (
-    ActivityProfile,
-    IngestStats,
-    SnapshotGrid,
-    compute_yearly_paper_quantile,
-    ingest_records,
-)
-from .metrics import (
-    MigrationIndices,
-    ZeroBaselinePolicy,
-    attractiveness_table,
-    median_sink_source,
-    migration_index_series,
-    migration_indices,
-    most_attractive_topics,
-    multidisciplinarity,
-)
-from .bundleviz import VizConfig, layout, render_svg, route_cross_edge, route_intra_edge
-from .synth import SyntheticSpec, generate_corpus
+Names are imported from their modules on first use (PEP 562): every
+subcommand runs in a fresh interpreter, so ``import topicflow.cli`` loads
+only the modules the stages need (``synth`` is not one of them)."""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivityProfile",
-    "ClassificationTable",
-    "FlowNetwork",
-    "IngestStats",
-    "MigrationIndices",
-    "SnapshotGrid",
-    "SyntheticSpec",
-    "VizConfig",
-    "ZeroBaselinePolicy",
-    "attractiveness_table",
-    "build_flow_networks",
-    "compute_yearly_paper_quantile",
-    "count_transitions",
-    "decompose_area_flows",
-    "dominant_topics",
-    "flow_networks_from_profiles",
-    "generate_corpus",
-    "ingest_records",
-    "layout",
-    "load_classification",
-    "load_flow_network",
-    "median_sink_source",
-    "migration_index_series",
-    "migration_indices",
-    "most_attractive_topics",
-    "multidisciplinarity",
-    "render_svg",
-    "route_cross_edge",
-    "route_intra_edge",
-    "write_flow_network",
-]
+# The module that defines each public name.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "bundleviz": ("VizConfig", "layout", "render_svg", "route_intra_edge"),
+        "classification": ("ClassificationTable", "load_classification"),
+        "flows": (
+            "FlowNetwork", "build_flow_networks", "count_transitions", "decompose_area_flows",
+            "dominant_topics", "flow_networks_from_profiles", "load_flow_network",
+            "write_flow_network",
+        ),
+        "ingest": (
+            "ActivityProfile", "IngestStats", "SnapshotGrid", "compute_yearly_paper_quantile",
+            "ingest_records",
+        ),
+        "metrics": (
+            "MigrationIndices", "ZeroBaselinePolicy", "attractiveness_table",
+            "median_sink_source", "migration_index_series", "migration_indices",
+            "most_attractive_topics", "multidisciplinarity",
+        ),
+        "synth": ("SyntheticSpec", "generate_corpus"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -32,7 +31,7 @@ from typing import NamedTuple
 from .classification import AreaId, ClassificationTable
 from .errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
 from .flows import FlowNetwork
-from .util import iter_tsv
+from .util import Checked, Record, iter_tsv
 
 Point = tuple[float, float]
 
@@ -45,10 +44,7 @@ DEFAULT_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class VizConfig:
-    """All rendering knobs; level radii are fractions of the node circle."""
-
+class _VizFields(NamedTuple):
     canvas_size: int = 1000
     radius_frac: float = 0.36
     r_node: float = 1.00
@@ -76,7 +72,19 @@ class VizConfig:
     sector_order: str = "modularity"
     palette: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
+
+class VizConfig(Checked, _VizFields):
+    """All rendering knobs; level radii are fractions of the node circle."""
+
+    __slots__ = ()
+
+    def _check(self):
+        if not all(math.isfinite(v) for v in self if isinstance(v, float)):
+            raise UsageError("rendering settings must be finite numbers")
+        if self.canvas_size < 1:
+            raise UsageError(f"canvas size must be >= 1, got {self.canvas_size}")
+        if self.radius_frac <= 0:
+            raise UsageError("radius fraction must be positive")
         if not (0 < self.r_second < self.r_first < self.r_zero <= self.r_node):
             raise UsageError("level radii must satisfy r_node >= r_zero > r_first > r_second > 0")
         if not self.r_node < self.sector_inner < self.sector_outer:
@@ -106,7 +114,6 @@ def load_viz_config(path, base: VizConfig | None = None) -> VizConfig:
     """Flat ``key=value`` file; unknown keys with #RRGGBB values are
     per-area palette overrides."""
     cfg = base or VizConfig()
-    known = {f.name: f.type for f in fields(VizConfig)}
     updates: dict[str, object] = {}
     palette = dict(cfg.palette)
     for lineno, parts in iter_tsv(path):
@@ -114,7 +121,7 @@ def load_viz_config(path, base: VizConfig | None = None) -> VizConfig:
         if "=" not in line:
             raise MalformedLine(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in known and key != "palette":
+        if key in VizConfig._fields and key != "palette":
             current = getattr(cfg, key)
             try:
                 if isinstance(current, bool):
@@ -132,7 +139,7 @@ def load_viz_config(path, base: VizConfig | None = None) -> VizConfig:
         else:
             raise MalformedLine(f"{path}:{lineno}: unknown setting {key!r}")
     updates["palette"] = tuple(sorted(palette.items()))
-    return replace(cfg, **updates)
+    return cfg._replace(**updates)
 
 
 # -- colors --
@@ -213,16 +220,6 @@ def _replay(pool: list[Point], lerps) -> list[Point]:
     return pool
 
 
-def bspline_beziers(points: list[Point]) -> list[list[Point]]:
-    """Clamped uniform cubic B-spline over the control polygon, converted
-    to cubic Bezier segments by raising interior knots to full multiplicity."""
-    if len(points) < 4:
-        raise UsageError("cubic B-spline needs at least 4 control points")
-    lerps, segments, _ = _knot_schedule(len(points))
-    pool = _replay([tuple(p) for p in points], lerps)
-    return [[pool[k] for k in seg] for seg in segments]
-
-
 def _path_format(seps, indices) -> str:
     """Format string over a pool of points: ``seps[n]`` then the point at
     pool index ``indices[n]``, each coordinate to 3 decimals (as ``_pt``)."""
@@ -255,7 +252,7 @@ class _CrossPlan(NamedTuple):
 
 
 # Control points of a cross edge fixed by its source node and by its target
-# node (see ``route_cross_edge``); only point 3 depends on the pair.
+# node (see "edge routing"); only point 3 depends on the pair.
 _CROSS_SIDES = (frozenset({0, 1, 2}), frozenset({4, 5, 6}))
 
 
@@ -310,8 +307,9 @@ def _cross_edge_plan() -> _CrossPlan:
 # -- layout --
 
 
-@dataclass
-class VizLayout:
+class VizLayout(Record):
+    """Where ``layout`` put everything; slotted: ``render_svg`` reads it per edge."""
+
     cfg: VizConfig
     center: Point
     circle_radius: float
@@ -325,7 +323,12 @@ class VizLayout:
     zero_point: dict[str, Point]  # the node's radial projection onto r_zero
     gather_out: dict[AreaId, Point]  # where flow leaving the area bundles
     gather_in: dict[AreaId, Point]  # where flow entering the area bundles
-    sector_order: list[AreaId] = field(default_factory=list)
+    sector_order: list[AreaId]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            setattr(self, name, value)
 
 
 def _symmetrized_area_graph(net: FlowNetwork, node_area: dict[str, str]):
@@ -501,25 +504,10 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
 
 # -- edge routing --
 
-
-def route_cross_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
-    """Seven control points for a cross-area edge.
-
-    Outgoing flow gathers beside the source sector's barycenter slightly
-    outside the first-level circle; incoming flow gathers beside the
-    target's barycenter slightly inside it, so direction stays readable.
-    Only the middle point depends on both endpoints; the layout holds
-    the others.
-    """
-    src_area = lay.node_area[source]
-    dst_area = lay.node_area[target]
-    if src_area == dst_area:
-        raise UsageError(f"{source}->{target} stays inside {src_area}; route as intra-area")
-    return [
-        *_cross_source_points(lay, source),
-        _cross_mid_point(lay, source, target),
-        *_cross_target_points(lay, target),
-    ]
+# A cross-area edge has seven control points: 0-2 from its source node, 3
+# from the pair, 4-6 from its target node. Outgoing flow gathers beside the
+# source sector's barycenter just outside the first-level circle, incoming
+# flow beside the target's just inside it, so direction stays readable.
 
 
 def _cross_source_points(lay: VizLayout, source: str) -> list[Point]:

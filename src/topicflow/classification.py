@@ -7,7 +7,7 @@ consistent pair of TSV files works.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyTable, MalformedLine, UnknownTopic
 from .util import check_token, iter_tsv
@@ -17,8 +17,7 @@ AreaId = str
 JournalId = str
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
+class ClassificationTable(NamedTuple):
     """Immutable after load; safe for concurrent readers."""
 
     journal_topics: dict[JournalId, tuple[TopicId, ...]]

@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .bundleviz import VizConfig, load_viz_config, render_svg
 from .classification import ClassificationTable, load_classification
@@ -51,14 +51,12 @@ from .metrics import (
     most_attractive_topics,
     multidisciplinarity,
 )
-from .synth import SyntheticSpec, generate_corpus
-from .util import fmt_float, gc_paused, iter_tsv, write_text_atomic
+from .util import Checked, fmt_float, gc_paused, iter_tsv, write_text_atomic
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
 
 
-@dataclass
-class PipelineConfig:
+class _PipelineFields(NamedTuple):
     records: str | None = None
     journal_topics: str | None = None
     topic_areas: str | None = None
@@ -80,7 +78,11 @@ class PipelineConfig:
     seed: int = 0
     threads: int | None = None
 
-    def __post_init__(self):
+
+class PipelineConfig(Checked, _PipelineFields):
+    __slots__ = ()
+
+    def _check(self):
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec("seed must be a 64-bit unsigned integer")
         if self.threads is not None and self.threads < 1:
@@ -99,8 +101,8 @@ class PipelineConfig:
 
 # Config-file parser per setting, read off the annotations ("int | None" -> int).
 _FIELD_TYPES = {
-    f.name: {"str": str, "int": int, "float": float}[f.type.removesuffix(" | None")]
-    for f in fields(PipelineConfig)
+    name: {"str": str, "int": int, "float": float}[kind.__forward_arg__.removesuffix(" | None")]
+    for name, kind in _PipelineFields.__annotations__.items()
 }
 
 
@@ -164,7 +166,7 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    file_values: dict[str, object] = {}
+    values: dict[str, object] = {}  # from the config file, then from the flags
     config_path = getattr(args, "config", None)
     if config_path:
         if not Path(config_path).is_file():
@@ -178,18 +180,15 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             if key not in _FIELD_TYPES:
                 raise MalformedLine(f"{config_path}:{lineno}: unknown setting {key!r}")
             try:
-                file_values[key] = _FIELD_TYPES[key](value)
+                values[key] = _FIELD_TYPES[key](value)
             except ValueError:
                 raise MalformedLine(
                     f"{config_path}:{lineno}: bad value {value!r} for {key}"
                 ) from None
-    values: dict[str, object] = {}
-    for f in fields(PipelineConfig):
-        flag = getattr(args, f.name, None)
+    for name in PipelineConfig._fields:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[f.name] = flag
-        elif f.name in file_values:
-            values[f.name] = file_values[f.name]
+            values[name] = flag
     return PipelineConfig(**values)
 
 
@@ -457,16 +456,12 @@ def _viz_config(cfg: PipelineConfig) -> VizConfig:
     viz = VizConfig()
     if cfg.viz_config is not None:
         viz = load_viz_config(_require_file(cfg.viz_config, "--viz-config"), viz)
-    overrides = {}
-    if cfg.min_weight is not None:
-        overrides["min_weight"] = cfg.min_weight
-    if cfg.sector_order is not None:
-        overrides["sector_order"] = cfg.sector_order
-    if cfg.canvas_size is not None:
-        overrides["canvas_size"] = cfg.canvas_size
-    if overrides:
-        viz = replace(viz, **overrides)
-    return viz
+    overrides = {
+        name: getattr(cfg, name)
+        for name in ("min_weight", "sector_order", "canvas_size")
+        if getattr(cfg, name) is not None
+    }
+    return viz._replace(**overrides)  # checked like a new config
 
 
 def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
@@ -485,6 +480,7 @@ def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
 
 
 def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
+    from .synth import SyntheticSpec, generate_corpus  # no other stage loads synth
     spec = SyntheticSpec(
         n_authors=args.authors,
         n_topics=args.topics,
@@ -509,7 +505,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     metric_paths = cmd_metrics(cfg, profiles)
     del profiles  # viz reads only the flow files
     viz_level = "area" if cfg.level == "area" else "topic"
-    viz_cfg = replace(cfg, level=viz_level)
+    viz_cfg = cfg._replace(level=viz_level)
     svg_paths = []
     for earlier, later in cfg.grid().label_pairs():
         net_path = out / flow_file_name(viz_level, earlier, later)

@@ -16,26 +16,30 @@ area-level author maps in the same sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .classification import AreaId, ClassificationTable
 from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
 from .ingest import ActivityProfile, SnapshotGrid
-from .util import check_token, fmt_weight, gc_paused, iter_tsv, parse_weight, write_text_atomic
+from .util import (
+    Record, check_token, fmt_weight, gc_paused, iter_tsv, parse_weight, write_text_atomic,
+)
 
 FLOW_HEADER = "#from_snapshot\tto_snapshot\tsource\ttarget\tweight"
 
 
-@dataclass
-class FlowNetwork:
+class FlowNetwork(Record):
     """Author volume moving between nodes across one consecutive snapshot pair."""
 
-    level: str
-    from_snapshot: int
-    to_snapshot: int
-    weights: dict[tuple[str, str], int | float | Fraction] = field(default_factory=dict)
+    __slots__ = ("level", "from_snapshot", "to_snapshot", "weights")
+
+    def __init__(self, level: str, from_snapshot: int, to_snapshot: int,
+                 weights: dict[tuple[str, str], int | float | Fraction] | None = None):
+        self.level = level
+        self.from_snapshot = from_snapshot
+        self.to_snapshot = to_snapshot
+        self.weights = {} if weights is None else weights
 
     def nodes(self) -> set[str]:
         found: set[str] = set()

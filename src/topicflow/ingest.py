@@ -12,31 +12,33 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .classification import AreaId, ClassificationTable, TopicId
 from .errors import InvalidSpec, MalformedRecord, PipelineError
-from .util import gc_paused, is_token, quantile_cutoff
+from .util import Checked, Record, gc_paused, is_token, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
 
 
-@dataclass(frozen=True)
-class SnapshotGrid:
+class _GridFields(NamedTuple):
+    start_year: int
+    end_year: int
+    width_years: int = 5
+
+
+class SnapshotGrid(Checked, _GridFields):
     """Non-overlapping windows of ``width_years``, labeled by start year.
 
     Label 2000 with width 5 covers 2000-2004; the grid 1910-2014 has 21
     labels 1910, 1915, ..., 2010.
     """
 
-    start_year: int
-    end_year: int
-    width_years: int = 5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.width_years < 1:
             raise InvalidSpec(f"snapshot width must be >= 1, got {self.width_years}")
         if self.start_year >= self.end_year:
@@ -57,14 +59,13 @@ class SnapshotGrid:
         return list(zip(labels, labels[1:]))
 
 
-@dataclass(frozen=True, slots=True)
-class ActivityProfile:
+class ActivityProfile(NamedTuple):
     """One author's activity within one snapshot.
 
     ``topic_counts`` counts paper classifications (a paper in a journal
     with three topics counts once per topic); ``area_set`` is every area
     of every journal the author published in during the snapshot.
-    Profiles are slotted, and the loaders share one ``area_set`` object
+    Profiles are tuples, and the loaders share one ``area_set`` object
     per distinct set of areas: there are far fewer sets than profiles.
     """
 
@@ -74,29 +75,31 @@ class ActivityProfile:
     area_set: frozenset[AreaId]
 
 
-@dataclass
-class IngestStats:
-    records_read: int = 0
-    records_kept: int = 0
-    dropped_unclassified: int = 0
-    dropped_year: int = 0
-    authors_excluded: int = 0
-    excluded_by_cut: int = 0  # records passing both filters, of excluded authors
-    duplicates_collapsed: int = 0  # records repeating a kept (author, paper)
-    # The cut applied: the argument, or the one --quantile derived.
-    # Not a counter, so not part of as_dict().
-    max_papers_per_year: int = 0
+class IngestStats(Record):
+    # excluded_by_cut: records passing both filters, of excluded authors;
+    # duplicates_collapsed: records repeating a kept (author, paper); last, the
+    # cut applied (the argument, or the one --quantile derived), not a counter.
+    __slots__ = (
+        "records_read", "records_kept", "dropped_unclassified", "dropped_year",
+        "authors_excluded", "excluded_by_cut", "duplicates_collapsed", "max_papers_per_year",
+    )
+
+    def __init__(
+        self, records_read: int = 0, records_kept: int = 0, dropped_unclassified: int = 0,
+        dropped_year: int = 0, authors_excluded: int = 0, excluded_by_cut: int = 0,
+        duplicates_collapsed: int = 0, max_papers_per_year: int = 0,
+    ):
+        self.records_read = records_read
+        self.records_kept = records_kept
+        self.dropped_unclassified = dropped_unclassified
+        self.dropped_year = dropped_year
+        self.authors_excluded = authors_excluded
+        self.excluded_by_cut = excluded_by_cut
+        self.duplicates_collapsed = duplicates_collapsed
+        self.max_papers_per_year = max_papers_per_year
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "records_read": self.records_read,
-            "records_kept": self.records_kept,
-            "dropped_unclassified": self.dropped_unclassified,
-            "dropped_year": self.dropped_year,
-            "authors_excluded": self.authors_excluded,
-            "excluded_by_cut": self.excluded_by_cut,
-            "duplicates_collapsed": self.duplicates_collapsed,
-        }
+        return {name: getattr(self, name) for name in self.__slots__[:-1]}
 
 
 def _bad_token(value) -> bool:

@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .classification import AreaId, TopicId
 from .errors import EmptySeries, UsageError
 from .flows import FlowNetwork, decompose_area_flows
 from .ingest import ActivityProfile
-from .util import quantile_cutoff
+from .util import Checked, quantile_cutoff
 
 
-@dataclass(frozen=True)
-class ZeroBaselinePolicy:
+class _PolicyFields(NamedTuple):
+    kind: str = "strict"
+    k: float = 0.0
+
+
+class ZeroBaselinePolicy(Checked, _PolicyFields):
     """How to handle vanishing baseline flows in the relative-change sum.
 
     ``strict``    sums only pairs with a nonzero baseline and divides by
@@ -32,10 +35,9 @@ class ZeroBaselinePolicy:
     ``smooth``    adds ``k`` to every baseline before dividing.
     """
 
-    kind: str = "strict"
-    k: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ("strict", "active", "smooth"):
             raise UsageError(f"unknown baseline policy {self.kind!r}")
         if self.kind == "smooth" and self.k <= 0:
@@ -51,16 +53,14 @@ class ZeroBaselinePolicy:
         return cls(text)
 
 
-@dataclass(frozen=True)
-class MigrationIndices:
+class MigrationIndices(NamedTuple):
     iota: float
     epsilon: float
     rho: float
     sigma: float
 
 
-@dataclass(frozen=True)
-class SnapshotIndices:
+class SnapshotIndices(NamedTuple):
     """Per-area indices for the transition arriving at ``snapshot``."""
 
     snapshot: int
@@ -68,15 +68,13 @@ class SnapshotIndices:
     cross_total: int | float | Fraction
 
 
-@dataclass(frozen=True)
-class MostAttractive:
+class MostAttractive(NamedTuple):
     topic: TopicId
     delta: float
     ties: tuple[TopicId, ...]
 
 
-@dataclass
-class MultidisciplinarityDistribution:
+class MultidisciplinarityDistribution(NamedTuple):
     snapshot: int
     histogram: dict[int, int]
     author_volume: int

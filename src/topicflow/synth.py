@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InvalidSpec
 from .flows import FlowNetwork, flow_file_name, write_flow_network
 from .ingest import SnapshotGrid
-from .util import write_text_atomic
+from .util import Checked, write_text_atomic
 
 # Fixed dominant-set pairs guaranteeing that a mobile corpus exercises
 # every transition-counting case: pure move, vanishing topic, full
@@ -32,8 +32,7 @@ _CASE_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class _SpecFields(NamedTuple):
     n_authors: int
     n_topics: int
     n_areas: int
@@ -42,7 +41,11 @@ class SyntheticSpec:
     skew: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
+
+class SyntheticSpec(Checked, _SpecFields):
+    __slots__ = ()
+
+    def _check(self):
         if not 1 <= self.n_areas <= self.n_topics:
             raise InvalidSpec(
                 f"need n_topics >= n_areas >= 1, got {self.n_topics}/{self.n_areas}"
@@ -57,8 +60,7 @@ class SyntheticSpec:
             raise InvalidSpec("seed must be a 64-bit unsigned integer")
 
 
-@dataclass
-class SynthResult:
+class SynthResult(NamedTuple):
     records_path: Path
     journal_topics_path: Path
     topic_areas_path: Path
@@ -217,12 +219,8 @@ def generate_corpus(spec: SyntheticSpec, grid: SnapshotGrid, out_dir) -> SynthRe
 
     manifest_path = out / "synth_manifest.json"
     manifest = {
-        "spec": asdict(spec),
-        "grid": {
-            "start_year": synth_grid.start_year,
-            "end_year": synth_grid.end_year,
-            "width_years": synth_grid.width_years,
-        },
+        "spec": spec._asdict(),
+        "grid": synth_grid._asdict(),
         "snapshot_labels": labels,
         "n_records": len(lines),
         "assumes": {"appearing_weight": "unit", "area_mode": "mapped"},

@@ -1,5 +1,5 @@
 """Small shared helpers: TSV iteration, token checks, numeric formatting,
-quantile cutoffs, pausing the garbage collector, atomic file writes."""
+quantile cutoffs, pausing the garbage collector, atomic writes, record bases."""
 from __future__ import annotations
 
 import gc
@@ -110,3 +110,35 @@ def write_text_atomic(path, text: str) -> None:
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+class Checked:
+    """Mixin for a ``NamedTuple`` subclass: its ``_check`` runs on
+    construction and on every ``_replace`` copy (built by ``_make``)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        self._check()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Record:
+    """Base of the mutable slotted classes: a dataclass's ``__eq__`` (same
+    class, equal fields) and ``__repr__``, over ``__slots__`` in order."""
+
+    __slots__ = ()
+    __hash__ = None  # mutable, so unhashable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

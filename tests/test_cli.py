@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -237,7 +236,7 @@ def test_config_file_sets_every_field_with_its_annotated_type(tmp_path):
         "area_mode": "argmax", "viz_config": "v.cfg", "min_weight": "2",
         "sector_order": "strength", "canvas_size": "400", "seed": "7", "threads": "2",
     }
-    assert set(values) == {f.name for f in fields(PipelineConfig)}
+    assert set(values) == set(PipelineConfig._fields)
     config = write_lines(tmp_path / "all.cfg", [f"{k}={v}" for k, v in values.items()])
     args = _build_parser().parse_args(["ingest", "--config", str(config)])
     cfg = _resolve_config(args)
@@ -428,6 +427,28 @@ def test_flow_weight_not_finite_exits_two(tmp_path, capsys, weight, command):
     assert f"{network}:2: weights must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,config,message",
+    [
+        (["--canvas-size", "0"], None, "canvas size must be >= 1, got 0"),
+        (["--canvas-size", "-10"], None, "canvas size must be >= 1, got -10"),
+        (["--min-weight", "nan"], None, "rendering settings must be finite numbers"),
+        ([], "canvas_size=0", "canvas size must be >= 1, got 0"),
+        ([], "radius_frac=0", "radius fraction must be positive"),
+        ([], "label_radius=nan", "rendering settings must be finite numbers"),
+        ([], "font_size=inf", "rendering settings must be finite numbers"),
+    ],
+)
+def test_viz_rejects_bad_sizes_and_non_finite_settings(tmp_path, capsys, flags, config, message):
+    out, args = _ingest_and_flows(tmp_path)
+    if config is not None:
+        flags = [*flags, "--viz-config", str(write_lines(tmp_path / "viz.cfg", [config]))]
+    capsys.readouterr()
+    assert main(["viz", *args, "--pair", "1910", "1915", *flags]) == 1
+    assert f"topicflow: error: {message}" in capsys.readouterr().err
+    assert not (out / "viz_topic_1910_1915.svg").exists()
+
+
 def test_flows_rejects_profiles_off_the_grid(tmp_path, capsys):
     out, args = _ingest_and_flows(tmp_path)  # width 5: profiles at 1910 and 1915
     capsys.readouterr()
@@ -559,7 +580,7 @@ def test_shuffled_profiles_give_the_same_flows_and_metrics(tmp_path, flags):
 def test_cli_import_loads_no_pool_or_network_modules():
     unwanted = [
         "concurrent.futures", "multiprocessing", "urllib.request", "http.client",
-        "email", "ssl", "xml.sax",
+        "email", "ssl", "xml.sax", "dataclasses", "inspect", "topicflow.synth",
     ]
     code = (
         "import sys, topicflow.cli; "

@@ -15,15 +15,18 @@ from topicflow import (
     VizConfig,
     layout,
     render_svg,
-    route_cross_edge,
     route_intra_edge,
     write_flow_network,
 )
 from topicflow.bundleviz import (
+    _cross_mid_point,
+    _cross_source_points,
+    _cross_target_points,
     _greedy_modularity_order,
+    _knot_schedule,
+    _replay,
     _symmetrized_area_graph,
     arc_midpoint,
-    bspline_beziers,
     edge_width,
     load_viz_config,
     mix_colors,
@@ -92,6 +95,33 @@ def de_casteljau(segment, t):
             for p, q in zip(points, points[1:])
         ]
     return points[0]
+
+
+# Reference helpers over the product's own spline and routing pieces:
+# render_svg splits the same schedule and control points per node.
+
+
+def bspline_beziers(points):
+    """Clamped uniform cubic B-spline over the control polygon, converted
+    to cubic Bezier segments by raising interior knots to full multiplicity."""
+    if len(points) < 4:
+        raise UsageError("cubic B-spline needs at least 4 control points")
+    lerps, segments, _ = _knot_schedule(len(points))
+    pool = _replay([tuple(p) for p in points], lerps)
+    return [[pool[k] for k in seg] for seg in segments]
+
+
+def route_cross_edge(lay, source, target):
+    """The seven control points of a cross-area edge."""
+    src_area = lay.node_area[source]
+    dst_area = lay.node_area[target]
+    if src_area == dst_area:
+        raise UsageError(f"{source}->{target} stays inside {src_area}; route as intra-area")
+    return [
+        *_cross_source_points(lay, source),
+        _cross_mid_point(lay, source, target),
+        *_cross_target_points(lay, target),
+    ]
 
 
 CONTROL_POLYGON = [(0, 0), (1, 2), (2, -1), (3, 3), (4, 0), (5, 2), (6, 1)]
