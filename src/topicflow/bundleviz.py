@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .classification import AreaId, ClassificationTable
 from .errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
 from .flows import FlowNetwork
-from .util import Checked, Record, iter_tsv
+from .util import Checked, Record, iter_key_values
 
 Point = tuple[float, float]
 
@@ -116,11 +116,7 @@ def load_viz_config(path, base: VizConfig | None = None) -> VizConfig:
     cfg = base or VizConfig()
     updates: dict[str, object] = {}
     palette = dict(cfg.palette)
-    for lineno, parts in iter_tsv(path):
-        line = "\t".join(parts)
-        if "=" not in line:
-            raise MalformedLine(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for lineno, key, value in iter_key_values(path):
         if key in VizConfig._fields and key != "palette":
             current = getattr(cfg, key)
             try:
@@ -316,8 +312,7 @@ class VizLayout(Record):
     node_angle: dict[str, float]
     node_radius: dict[str, float]
     node_area: dict[str, AreaId]
-    node_strength: dict[str, int | Fraction]
-    sector_arc: dict[AreaId, tuple[float, float]]
+    sector_arc: dict[AreaId, tuple[float, float]]  # in sector_order
     sector_color: dict[AreaId, str]
     node_point: dict[str, Point]  # on the node circle
     zero_point: dict[str, Point]  # the node's radial projection onto r_zero
@@ -481,7 +476,6 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
         node_angle=node_angle,
         node_radius=node_radius,
         node_area=node_area,
-        node_strength=strength,
         sector_arc=sector_arc,
         sector_color=_sector_colors(order, cfg.color_overrides()),
         node_point={
@@ -575,22 +569,21 @@ def edge_width(cfg: VizConfig, weight) -> float:
     return cfg.width_min + cfg.width_scale * float(weight)
 
 
-def _sector_elements(lay: VizLayout) -> list[str]:
-    cfg = lay.cfg
-    out = []
-    for area in lay.sector_order:
-        a0, a1 = lay.sector_arc[area]
-        path = _annulus_path(
-            lay.center,
-            cfg.sector_inner * lay.circle_radius,
-            cfg.sector_outer * lay.circle_radius,
-            a0,
-            a1,
-        )
-        out.append(
-            f'<path class="sector" fill="{lay.sector_color[area]}" d="{path}"/>'
-        )
-    return out
+def _sector_elements(
+    cfg: VizConfig,
+    center: Point,
+    circle_radius: float,
+    arcs: dict[AreaId, tuple[float, float]],
+    colors: dict[AreaId, str],
+) -> list[str]:
+    """One annulus path per area of ``arcs``, in its order."""
+    r_in = cfg.sector_inner * circle_radius
+    r_out = cfg.sector_outer * circle_radius
+    return [
+        f'<path class="sector" fill="{colors[area]}" '
+        f'd="{_annulus_path(center, r_in, r_out, a0, a1)}"/>'
+        for area, (a0, a1) in arcs.items()
+    ]
 
 
 def _escape(text: str) -> str:
@@ -633,20 +626,13 @@ def _sectors_only(table: ClassificationTable, cfg: VizConfig) -> str:
     circle_radius = cfg.canvas_size * cfg.radius_frac
     gap = min(math.radians(cfg.sector_gap_deg), math.pi / max(1, len(areas)))
     span = (2.0 * math.pi - gap * len(areas)) / len(areas)
-    colors = _sector_colors(areas, cfg.color_overrides())
-    body = []
+    arcs = {}
     theta = -math.pi / 2.0
     for area in areas:
-        path = _annulus_path(
-            center,
-            cfg.sector_inner * circle_radius,
-            cfg.sector_outer * circle_radius,
-            theta,
-            theta + span,
-        )
-        body.append(f'<path class="sector" fill="{colors[area]}" d="{path}"/>')
+        arcs[area] = (theta, theta + span)
         theta += span + gap
-    return _document(cfg, body)
+    colors = _sector_colors(areas, cfg.color_overrides())
+    return _document(cfg, _sector_elements(cfg, center, circle_radius, arcs, colors))
 
 
 def render_svg(
@@ -718,4 +704,7 @@ def render_svg(
         if cfg.show_labels
         else []
     )
-    return _document(cfg, [*_sector_elements(lay), *intra, *cross, *nodes, *labels])
+    sectors = _sector_elements(
+        cfg, lay.center, lay.circle_radius, lay.sector_arc, lay.sector_color
+    )
+    return _document(cfg, [*sectors, *intra, *cross, *nodes, *labels])

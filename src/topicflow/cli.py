@@ -51,7 +51,9 @@ from .metrics import (
     most_attractive_topics,
     multidisciplinarity,
 )
-from .util import Checked, fmt_float, gc_paused, iter_tsv, write_text_atomic
+from .util import (
+    Checked, fmt_float, gc_paused, iter_key_values, iter_tsv, write_text_atomic,
+)
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
 
@@ -171,11 +173,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if config_path:
         if not Path(config_path).is_file():
             raise MissingInput(f"config file not found: {config_path}")
-        for lineno, parts in iter_tsv(config_path):
-            line = "\t".join(parts)
-            if "=" not in line:
-                raise MalformedLine(f"{config_path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
+        for lineno, key, value in iter_key_values(config_path):
             key = key.replace("-", "_")
             if key not in _FIELD_TYPES:
                 raise MalformedLine(f"{config_path}:{lineno}: unknown setting {key!r}")
@@ -237,13 +235,12 @@ def load_profiles(
     the pair changes from the previous row. The loaded profiles are as
     compact as the ones ingest builds: topic keys are the classification
     table's own strings, every profile of a snapshot holds the same int,
-    an author's consecutive rows share one author string, and profiles
-    with equal area sets share one set object. Like ``ingest_records``,
-    the load runs with garbage collection paused (none of these objects
-    is part of a cycle) and restores its previous state, also on error.
+    and an author's consecutive rows share one author string. Like
+    ``ingest_records``, the load runs with garbage collection paused (none
+    of these objects is part of a cycle) and restores its previous state,
+    also on error.
     """
-    topic_area = table.topic_area
-    topics = {t: t for t in topic_area}
+    topics = {t: t for t in table.topic_area}
     # A label's own text, and the label itself, map to one shared int.
     labels: dict[str | int, int] = {}
     for label in grid.labels():
@@ -281,21 +278,7 @@ def load_profiles(
             if topic in bucket:
                 raise MalformedLine(f"{path}:{lineno}: duplicate topic row {topic!r}")
             bucket[topic] = count
-        area_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
-        profiles = []
-        for key in sorted(grouped):
-            author, snapshot = key
-            counts = grouped[key]
-            areas = frozenset(topic_area[t] for t in counts)
-            profiles.append(
-                ActivityProfile(
-                    author_id=author,
-                    snapshot=snapshot,
-                    topic_counts=counts,
-                    area_set=area_sets.setdefault(areas, areas),
-                )
-            )
-    return profiles
+        return [ActivityProfile(*key, grouped[key]) for key in sorted(grouped)]
 
 
 # -- commands --
@@ -384,7 +367,7 @@ def cmd_metrics(
     # Only the histogram is kept, so profiles read here are freed before
     # the networks load (a lower peak RSS).
     distributions = multidisciplinarity(
-        profiles if profiles is not None else _read_profiles(cfg, out, table)
+        profiles if profiles is not None else _read_profiles(cfg, out, table), table
     )
     nets = {level: _load_networks(cfg, out, level) for level in cfg.levels()}
     written: list[Path] = []
@@ -506,17 +489,14 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     del profiles  # viz reads only the flow files
     viz_level = "area" if cfg.level == "area" else "topic"
     viz_cfg = cfg._replace(level=viz_level)
-    svg_paths = []
-    for earlier, later in cfg.grid().label_pairs():
-        net_path = out / flow_file_name(viz_level, earlier, later)
-        if net_path.is_file():
-            svg_paths.append(str(cmd_viz(viz_cfg, (earlier, later))))
+    # cmd_flows wrote every pair of the level, so each one is drawn.
+    svg_paths = [cmd_viz(viz_cfg, pair) for pair in cfg.grid().label_pairs()]
     summary = {
         "ingest_stats": stats.as_dict(),
         "snapshot_labels": cfg.grid().labels(),
         "flow_files": sorted(p.name for p in flow_paths),
         "metric_files": sorted(p.name for p in metric_paths),
-        "viz_files": sorted(Path(p).name for p in svg_paths),
+        "viz_files": sorted(p.name for p in svg_paths),
     }
     report_path = out / "report.json"
     write_text_atomic(report_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -15,7 +15,7 @@ import sys
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .classification import AreaId, ClassificationTable, TopicId
+from .classification import ClassificationTable, TopicId
 from .errors import InvalidSpec, MalformedRecord, PipelineError
 from .util import Checked, Record, gc_paused, is_token, quantile_cutoff
 
@@ -63,16 +63,13 @@ class ActivityProfile(NamedTuple):
     """One author's activity within one snapshot.
 
     ``topic_counts`` counts paper classifications (a paper in a journal
-    with three topics counts once per topic); ``area_set`` is every area
-    of every journal the author published in during the snapshot.
-    Profiles are tuples, and the loaders share one ``area_set`` object
-    per distinct set of areas: there are far fewer sets than profiles.
+    with three topics counts once per topic). The areas an author touched
+    are not stored: they are the table's areas of these topics.
     """
 
     author_id: str
     snapshot: int
     topic_counts: dict[TopicId, int]
-    area_set: frozenset[AreaId]
 
 
 class IngestStats(Record):
@@ -310,8 +307,6 @@ def ingest_records(
     labels = {year: grid.snapshot_of(year) for year in range(grid.start_year, grid.end_year + 1)}
     count_dropped = cut_scope == "all"
     stats = IngestStats()
-    topic_area = table.topic_area
-    area_sets: dict[frozenset[AreaId], frozenset[AreaId]] = {}
     profiles: list[ActivityProfile] = []
     kept = collapsed = excluded = excluded_records = 0
     with gc_paused():
@@ -368,15 +363,7 @@ def ingest_records(
                     counts[topic] = counts.get(topic, 0) + 1
             kept += len(seen)
             for snapshot, counts in by_snapshot.items():
-                areas = frozenset(topic_area[t] for t in counts)
-                profiles.append(
-                    ActivityProfile(
-                        author_id=author,
-                        snapshot=snapshot,
-                        topic_counts=counts,
-                        area_set=area_sets.setdefault(areas, areas),
-                    )
-                )
+                profiles.append(ActivityProfile(author, snapshot, counts))
     stats.max_papers_per_year = threshold
     stats.records_kept = kept
     stats.duplicates_collapsed = collapsed

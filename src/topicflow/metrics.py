@@ -9,12 +9,13 @@ convention: an area with no population and no flow is a non-participant.
 """
 from __future__ import annotations
 
+import math
 import statistics
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .classification import AreaId, TopicId
+from .classification import AreaId, ClassificationTable, TopicId
 from .errors import EmptySeries, UsageError
 from .flows import FlowNetwork, decompose_area_flows
 from .ingest import ActivityProfile
@@ -40,8 +41,8 @@ class ZeroBaselinePolicy(Checked, _PolicyFields):
     def _check(self):
         if self.kind not in ("strict", "active", "smooth"):
             raise UsageError(f"unknown baseline policy {self.kind!r}")
-        if self.kind == "smooth" and self.k <= 0:
-            raise UsageError("smooth policy needs k > 0")
+        if self.kind == "smooth" and not 0 < self.k < math.inf:  # nan fails too
+            raise UsageError(f"smooth policy needs a finite k > 0, got {self.k}")
 
     @classmethod
     def parse(cls, text: str) -> "ZeroBaselinePolicy":
@@ -258,17 +259,21 @@ def median_sink_source(
 
 def multidisciplinarity(
     profiles: Iterable[ActivityProfile],
+    table: ClassificationTable,
     q: float = 0.99,
 ) -> list[MultidisciplinarityDistribution]:
     """Distribution of the number of distinct areas touched per author.
 
-    Uses the full per-snapshot area set of each author (every area of
-    every journal published in), not the dominant set. The cutoff is the
-    smallest count covering at least a fraction q of the authors.
+    An author's areas in a snapshot are the table's areas of every topic
+    in the profile (every area of every journal published in), not the
+    dominant set. The cutoff is the smallest count covering at least a
+    fraction q of the authors.
     """
+    topic_area = table.topic_area
     by_snapshot: dict[int, Counter[int]] = {}
     for profile in profiles:
-        by_snapshot.setdefault(profile.snapshot, Counter())[len(profile.area_set)] += 1
+        n_areas = len({topic_area[t] for t in profile.topic_counts})
+        by_snapshot.setdefault(profile.snapshot, Counter())[n_areas] += 1
     out = []
     for snapshot in sorted(by_snapshot):
         hist = by_snapshot[snapshot]

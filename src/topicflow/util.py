@@ -1,5 +1,6 @@
-"""Small shared helpers: TSV iteration, token checks, numeric formatting,
-quantile cutoffs, pausing the garbage collector, atomic writes, record bases."""
+"""Small shared helpers: TSV and key=value iteration, token checks, numeric
+formatting, quantile cutoffs, pausing the garbage collector, atomic writes,
+record bases."""
 from __future__ import annotations
 
 import gc
@@ -24,6 +25,17 @@ def iter_tsv(path) -> Iterator[tuple[int, list[str]]]:
             if not line or line.startswith("#"):
                 continue
             yield lineno, line.split("\t")
+
+
+def iter_key_values(path) -> Iterator[tuple[int, str, str]]:
+    """Yield (lineno, key, value), both stripped, for every line of a flat
+    ``key=value`` file; comments and blank lines are skipped as by ``iter_tsv``."""
+    for lineno, parts in iter_tsv(path):
+        line = "\t".join(parts)
+        if "=" not in line:
+            raise MalformedLine(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()
 
 
 def is_token(text: str) -> bool:

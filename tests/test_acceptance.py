@@ -245,7 +245,7 @@ def test_criterion_6_multidisciplinarity_point_mass(tmp_path, make_table, k):
             tmp_path / f"records_{k}.tsv", [f"{a}\t{p}\t{j}\t{y}" for a, p, j, y in rows]
         )
         profiles, _ = ingest_records(records, table, SnapshotGrid(1910, 2014, 5))
-        dist = multidisciplinarity(profiles, q=0.99)[0]
+        dist = multidisciplinarity(profiles, table, q=0.99)[0]
         assert dist.histogram == {k: 9}
         assert dist.q_cutoff == k
         assert dist.author_volume == 9

@@ -252,6 +252,12 @@ def test_config_file_sets_every_field_with_its_annotated_type(tmp_path):
         assert got == kind(text)
 
 
+def test_config_file_line_without_equals_names_the_line(tmp_path, capsys):
+    config = write_lines(tmp_path / "bad.cfg", ["width 5"])
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert f"{config}:1: expected key=value, got 'width 5'" in capsys.readouterr().err
+
+
 def test_config_file_bad_value_exits_two(tmp_path, capsys):
     config = write_lines(tmp_path / "bad.cfg", ["width=five"])
     assert main(["ingest", "--config", str(config)]) == 2
@@ -502,6 +508,61 @@ def test_metrics_failure_leaves_metric_files_untouched(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert {name: (out / name).read_bytes() for name in METRIC_FILES} == before
+
+
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_non_finite_smoothing_constant_exits_one_and_writes_nothing(tmp_path, capsys, k):
+    setup_inputs(tmp_path, [
+        ("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916), ("y", "p3", "J2", 1912),
+        ("y", "p4", "J1", 1917),
+    ])
+    out = tmp_path / "out"
+    args = base_args(tmp_path, out) + ["--start-year", "1910", "--end-year", "1919"]
+    for command in ("ingest", "flows", "metrics"):
+        assert main([command, *args]) == 0
+    before = {name: (out / name).read_bytes() for name in METRIC_FILES}
+    capsys.readouterr()
+    assert main(["metrics", *args, "--baseline-policy", f"smooth:{k}"]) == 1
+    assert f"smooth policy needs a finite k > 0, got {k}" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in METRIC_FILES} == before
+
+
+@pytest.mark.parametrize("skew", ["nan", "600"])
+def test_synth_rejects_unusable_skew(tmp_path, capsys, skew):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--skew", skew]) == 1
+    assert "skew must be in [0, 8]" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+def test_standalone_metrics_matches_report_multidisciplinarity(tmp_path):
+    # Journals span areas and share topics; standalone metrics reloads
+    # profiles.tsv and derives each author's areas from the table again.
+    paths = {
+        "journal_topics.tsv": ["J1\tT1", "J1\tT2", "J2\tT2", "J2\tT3", "J3\tT4"],
+        "topic_areas.tsv": ["T1\tA1", "T2\tA2", "T3\tA3", "T4\tA1"],
+        "records.tsv": [
+            f"{a}\t{p}\t{j}\t{y}" for a, p, j, y in (
+                ("x", "p1", "J1", 1911), ("x", "p2", "J2", 1912), ("x", "p3", "J3", 1917),
+                ("y", "p4", "J3", 1911), ("y", "p5", "J1", 1916), ("z", "p6", "J2", 1913),
+                ("z", "p7", "J2", 1918), ("z", "p8", "J3", 1918),
+            )
+        ],
+    }
+    for name, lines in paths.items():
+        write_lines(tmp_path / name, lines)
+    args = base_args(tmp_path, tmp_path / "stages")
+    args += ["--start-year", "1910", "--end-year", "1919"]
+    for command in ("ingest", "flows", "metrics"):
+        assert main([command, *args]) == 0
+    report = tmp_path / "report"
+    assert main(["report", *args, "--out", str(report)]) == 0
+    for name in ("multidisciplinarity.tsv", "multidisciplinarity_summary.tsv"):
+        assert (tmp_path / "stages" / name).read_bytes() == (report / name).read_bytes()
+    # x touches A1-A3 in 1910 through T2 in both J1 and J2, z in 1915
+    assert data_lines(report / "multidisciplinarity.tsv") == [
+        f"{snapshot}\t{n}\t1" for snapshot in (1910, 1915) for n in (1, 2, 3)
+    ]
 
 
 @pytest.mark.parametrize("flags", [

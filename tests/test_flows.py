@@ -22,8 +22,8 @@ from topicflow.cli import main
 from topicflow.errors import EmptySet, MalformedLine, UsageError
 
 
-def profile(author, snapshot, counts, areas=()):
-    return ActivityProfile(author, snapshot, counts, frozenset(areas))
+def profile(author, snapshot, counts):
+    return ActivityProfile(author, snapshot, counts)
 
 
 def ds(author, snapshot, topics):

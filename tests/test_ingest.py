@@ -20,6 +20,7 @@ from topicflow import (
     generate_corpus,
     ingest_records,
     load_classification,
+    multidisciplinarity,
 )
 from topicflow.cli import PipelineConfig, _load_networks, load_profiles, write_profiles
 from topicflow.errors import EmptySet, InvalidSpec, MalformedLine, MalformedRecord, PipelineError
@@ -74,7 +75,7 @@ def test_multiplex_replication(table, make_records, grid_1910_2014):
     profile = profiles[0]
     assert profile.snapshot == 2000
     assert profile.topic_counts == {"T1": 1, "T2": 1}
-    assert profile.area_set == frozenset({"A1", "A2"})
+    assert multidisciplinarity(profiles, table)[0].histogram == {2: 1}  # A1 and A2
     assert stats.records_kept == 1
 
 
@@ -336,7 +337,7 @@ def _reference_ingest(rows, grid, threshold, cut_scope, quantile):
         for topic in TABLE[journal]:
             bucket[topic] = bucket.get(topic, 0) + 1
     profiles = [
-        ActivityProfile(author, snapshot, topics, frozenset(AREAS[t] for t in topics))
+        ActivityProfile(author, snapshot, topics)
         for (author, snapshot), topics in sorted(counts.items())
     ]
     return profiles, stats
@@ -408,7 +409,7 @@ def test_ingest_peak_traced_bytes_per_record(tmp_path):
     assert peak / stats.records_read < 160
 
 
-def test_identical_area_sets_are_shared(table, make_records, grid_1910_2014, tmp_path):
+def test_written_profiles_load_back_equal(table, make_records, grid_1910_2014, tmp_path):
     rows = [("X", "p1", "J1", 2003), ("Y", "p2", "J1", 1950), ("Z", "p3", "J2", 1950),
             ("Z", "p4", "J3", 1950), ("W", "p5", "J2", 1950)]
     profiles, _ = ingest_records(make_records(rows), table, grid_1910_2014)
@@ -416,11 +417,10 @@ def test_identical_area_sets_are_shared(table, make_records, grid_1910_2014, tmp
     write_profiles(profiles, path)
     loaded = load_profiles(path, table, grid_1910_2014)
     assert loaded == profiles
-    for got in (profiles, loaded):
-        x, y, z, w = (next(p for p in got if p.author_id == a) for a in "XYZW")
-        assert x.area_set == frozenset({"A1", "A2"})
-        assert x.area_set is y.area_set and x.area_set is z.area_set
-        assert w.area_set == frozenset({"A2"}) and w.area_set is not x.area_set
+    assert [tuple(p) for p in loaded] == [
+        ("W", 1950, {"T2": 1}), ("X", 2000, {"T1": 1, "T2": 1}),
+        ("Y", 1950, {"T1": 1, "T2": 1}), ("Z", 1950, {"T2": 1, "T3": 1}),
+    ]
     assert not hasattr(profiles[0], "__dict__")
 
 
@@ -458,8 +458,8 @@ def test_load_profiles_restores_gc_state(table, grid_1910_2014, tmp_path, enable
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_flow_networks_from_profiles_restores_gc_state(table, grid_1910_2014, enabled):
-    good = [ActivityProfile("X", 1910, {"T1": 1}, frozenset({"A1"}))]
-    bad = [*good, ActivityProfile("X", 1915, {}, frozenset())]
+    good = [ActivityProfile("X", 1910, {"T1": 1})]
+    bad = [*good, ActivityProfile("X", 1915, {})]
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()

@@ -6,9 +6,12 @@ import pytest
 
 from topicflow import (
     ActivityProfile,
+    ClassificationTable,
     FlowNetwork,
+    SnapshotGrid,
     ZeroBaselinePolicy,
     attractiveness_table,
+    ingest_records,
     median_sink_source,
     migration_index_series,
     migration_indices,
@@ -70,6 +73,12 @@ def test_policy_parse():
         ZeroBaselinePolicy.parse("median")
     with pytest.raises(UsageError):
         ZeroBaselinePolicy.parse("smooth:zero")
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "nan", "inf", "-inf"])
+def test_smoothing_constant_must_be_finite_and_positive(k):
+    with pytest.raises(UsageError, match="finite k > 0"):
+        ZeroBaselinePolicy.parse(f"smooth:{k}")
 
 
 def test_delta_hand_example_active_policy():
@@ -340,38 +349,57 @@ def test_median_empty_series_errors():
 
 # -- multidisciplinarity --
 
+# Every area a0-a4 holds two topics, "<area>x" and "<area>y".
+AREA_TABLE = ClassificationTable(
+    {"J": tuple(f"a{i}{s}" for i in range(5) for s in "xy")},
+    {f"a{i}{s}": f"a{i}" for i in range(5) for s in "xy"},
+)
+
+
 def _profile(author, snapshot, areas):
-    return ActivityProfile(author, snapshot, {"T": 1}, frozenset(areas))
+    """A profile with both topics of every area in ``areas``."""
+    return ActivityProfile(author, snapshot, {f"{a}{s}": 1 for a in areas for s in "xy"})
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_point_mass_distribution(k):
     areas = [f"a{i}" for i in range(k)]
     profiles = [_profile(f"auth{i}", 1910, areas) for i in range(7)]
-    dist = multidisciplinarity(profiles)[0]
+    dist = multidisciplinarity(profiles, AREA_TABLE)[0]
     assert dist.histogram == {k: 7}
     assert dist.author_volume == 7
     assert dist.q_cutoff == k
 
 
 def test_union_of_journal_areas_counts_once():
-    # journals with areas {a1,a2} and {a2,a3} -> author in bin 3
-    profiles = [_profile("x", 1910, {"a1", "a2", "a3"})]
-    assert multidisciplinarity(profiles)[0].histogram == {3: 1}
+    # journals with topics in areas {a1,a2} and {a2,a3} -> author in bin 3
+    profiles = [ActivityProfile("x", 1910, {"a1x": 2, "a2x": 1, "a2y": 3, "a3y": 1})]
+    assert multidisciplinarity(profiles, AREA_TABLE)[0].histogram == {3: 1}
+
+
+def test_topic_in_two_journals_counts_its_area_once(make_table, make_records):
+    # J1 and J2 share topic t2: the author touches areas {a1,a2} and {a2,a3}
+    table = make_table(
+        {"J1": ["t1", "t2"], "J2": ["t2", "t3"]}, {"t1": "a1", "t2": "a2", "t3": "a3"}
+    )
+    records = make_records([("x", "p1", "J1", 1911), ("x", "p2", "J2", 1912)])
+    profiles, _ = ingest_records(records, table, SnapshotGrid(1910, 2014, 5))
+    assert [p.topic_counts for p in profiles] == [{"t1": 1, "t2": 2, "t3": 1}]
+    assert multidisciplinarity(profiles, table)[0].histogram == {3: 1}
 
 
 def test_cutoff_is_smallest_covering_count():
     profiles = [_profile(f"u{i}", 1910, ["a0"]) for i in range(99)]
     profiles.append(_profile("wide", 1910, [f"a{i}" for i in range(4)]))
-    dist = multidisciplinarity(profiles, q=0.99)[0]
+    dist = multidisciplinarity(profiles, AREA_TABLE, q=0.99)[0]
     assert dist.q_cutoff == 1
-    dist_higher = multidisciplinarity(profiles, q=0.995)[0]
+    dist_higher = multidisciplinarity(profiles, AREA_TABLE, q=0.995)[0]
     assert dist_higher.q_cutoff == 4
 
 
 def test_snapshots_kept_separate():
     profiles = [_profile("x", 1910, ["a0"]), _profile("x", 1915, ["a0", "a1"])]
-    dists = multidisciplinarity(profiles)
+    dists = multidisciplinarity(profiles, AREA_TABLE)
     assert [d.snapshot for d in dists] == [1910, 1915]
     assert dists[0].histogram == {1: 1}
     assert dists[1].histogram == {2: 1}

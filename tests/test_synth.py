@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -68,6 +69,15 @@ def test_invalid_specs_rejected():
         spec(n_authors=0)
     with pytest.raises(InvalidSpec):
         spec(seed=-1)
+
+
+@pytest.mark.parametrize("skew", [-1.0, math.nan, math.inf, 8.5, 600.0])
+def test_skew_outside_finite_range_rejected(skew):
+    # Checked by the spec, before any sampling: with skew inf every weight
+    # but the first is 0 and the topic draw never ends; nan and 600 fail
+    # inside random.choices and the power.
+    with pytest.raises(InvalidSpec, match=r"skew must be in \[0, 8\]"):
+        spec(skew=skew)
 
 
 def test_too_many_snapshots_for_grid(tmp_path):

@@ -258,10 +258,10 @@ def test_sector_orders(three_area_table, three_area_net):
     alpha = layout(three_area_net, three_area_table, VizConfig(sector_order="alphabetical"))
     assert alpha.sector_order == ["a0", "a1", "a2"]
     strength = layout(three_area_net, three_area_table, VizConfig(sector_order="strength"))
-    totals = {
-        area: sum(alpha.node_strength[n] for n in alpha.node_angle if alpha.node_area[n] == area)
-        for area in alpha.sector_order
-    }
+    totals = dict.fromkeys(alpha.sector_order, 0)
+    for (source, target), weight in three_area_net.weights.items():
+        totals[alpha.node_area[source]] += weight
+        totals[alpha.node_area[target]] += weight
     assert strength.sector_order == sorted(totals, key=lambda a: (-totals[a], a))
 
 
