@@ -216,12 +216,10 @@ def _out_dir(cfg: PipelineConfig) -> Path:
 
 def write_profiles(profiles: list[ActivityProfile], path) -> None:
     lines = [PROFILE_HEADER]
-    for profile in profiles:
-        for topic in sorted(profile.topic_counts):
-            lines.append(
-                f"{profile.author_id}\t{profile.snapshot}\t{topic}\t"
-                f"{profile.topic_counts[topic]}"
-            )
+    for author, snapshot, counts in profiles:
+        prefix = f"{author}\t{snapshot}\t"
+        for topic in sorted(counts):
+            lines.append(f"{prefix}{topic}\t{counts[topic]}")
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -241,10 +239,11 @@ def load_profiles(
     also on error.
     """
     topics = {t: t for t in table.topic_area}
-    # A label's own text, and the label itself, map to one shared int.
+    # A label, and each label or count text that passed, map to one shared int.
     labels: dict[str | int, int] = {}
     for label in grid.labels():
         labels[str(label)] = labels[label] = label
+    counts: dict[str, int] = {}
     grouped: dict[tuple[str, int], dict[str, int]] = {}
     author = group_snapshot = bucket = None
     with gc_paused():
@@ -256,20 +255,22 @@ def load_profiles(
             if topic is None:
                 raise MalformedLine(f"{path}:{lineno}: unknown topic {topic_text!r}")
             snapshot = labels.get(snapshot_text)
-            try:
-                count = int(count_text)
-                if snapshot is None:  # other spellings, such as "01915", parse
-                    parsed = int(snapshot_text)
-            except ValueError:
-                raise MalformedLine(
-                    f"{path}:{lineno}: snapshot and count must be integers"
-                ) from None
-            if snapshot is None:
+            count = counts.get(count_text)
+            if snapshot is None or count is None:  # a text not seen yet: check it in full
+                try:
+                    count = int(count_text)
+                    parsed = int(snapshot_text)  # other spellings, such as "01915", parse
+                except ValueError:
+                    raise MalformedLine(
+                        f"{path}:{lineno}: snapshot and count must be integers"
+                    ) from None
                 snapshot = labels.get(parsed)
                 if snapshot is None:
                     raise MalformedLine(f"{path}:{lineno}: snapshot {parsed} is not on the grid")
-            if count < 1:
-                raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
+                if count < 1:
+                    raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
+                labels[snapshot_text] = snapshot
+                counts[count_text] = count
             if author_text != author:
                 author, bucket = author_text, None
             if bucket is None or snapshot != group_snapshot:
@@ -482,6 +483,7 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
 
 
 def cmd_report(cfg: PipelineConfig) -> Path:
+    ZeroBaselinePolicy.parse(cfg.baseline_policy)  # a bad policy fails before any write
     out = _out_dir(cfg)
     profiles, stats = cmd_ingest(cfg)
     flow_paths = cmd_flows(cfg, profiles)

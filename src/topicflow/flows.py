@@ -286,32 +286,47 @@ def load_flow_network(
     to_snapshot: int | None = None,
 ) -> FlowNetwork:
     """Read a serialized network; snapshot labels fall back to the arguments
-    for header-only (empty) files."""
+    for header-only (empty) files. Label texts are checked when they change
+    from row to row, and each distinct node or weight text once per file."""
     weights: dict[tuple[str, str], int | float] = {}
     seen_from, seen_to = from_snapshot, to_snapshot
+    from_text = to_text = None
+    nodes: dict[str, str] = {}  # checked text -> the one copy every edge holds
+    values: dict[str, int | float] = {}  # checked text -> weight
     for lineno, fields in iter_tsv(path):
         if len(fields) != 5:
             raise MalformedLine(f"{path}:{lineno}: expected 5 columns, got {len(fields)}")
-        try:
-            row_from, row_to = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MalformedLine(f"{path}:{lineno}: snapshot labels must be integers") from None
-        if (seen_from is not None and row_from != seen_from) or (
-            seen_to is not None and row_to != seen_to
-        ):
-            raise MalformedLine(f"{path}:{lineno}: inconsistent snapshot labels")
-        seen_from, seen_to = row_from, row_to
-        source = check_token(fields[2], path, lineno, "source")
-        target = check_token(fields[3], path, lineno, "target")
-        try:
-            weight = parse_weight(fields[4])
-        except ValueError:
-            raise MalformedLine(f"{path}:{lineno}: bad weight {fields[4]!r}") from None
-        if not math.isfinite(weight) or weight <= 0:
-            raise MalformedLine(f"{path}:{lineno}: weights must be finite and strictly positive")
-        if (source, target) in weights:
+        if fields[0] != from_text or fields[1] != to_text:
+            from_text, to_text = fields[0], fields[1]
+            try:
+                row_from, row_to = int(from_text), int(to_text)
+            except ValueError:
+                raise MalformedLine(f"{path}:{lineno}: snapshot labels must be integers") from None
+            if (seen_from is not None and row_from != seen_from) or (
+                seen_to is not None and row_to != seen_to
+            ):
+                raise MalformedLine(f"{path}:{lineno}: inconsistent snapshot labels")
+            seen_from, seen_to = row_from, row_to
+        source, target, text = fields[2], fields[3], fields[4]
+        if source not in nodes:
+            nodes[source] = check_token(source, path, lineno, "source")
+        if target not in nodes:
+            nodes[target] = check_token(target, path, lineno, "target")
+        weight = values.get(text)
+        if weight is None:
+            try:
+                weight = parse_weight(text)
+            except ValueError:
+                raise MalformedLine(f"{path}:{lineno}: bad weight {text!r}") from None
+            if not math.isfinite(weight) or weight <= 0:
+                raise MalformedLine(
+                    f"{path}:{lineno}: weights must be finite and strictly positive"
+                )
+            values[text] = weight
+        edge = nodes[source], nodes[target]
+        if edge in weights:
             raise MalformedLine(f"{path}:{lineno}: duplicate edge {source}->{target}")
-        weights[(source, target)] = weight
+        weights[edge] = weight
     if seen_from is None or seen_to is None:
         raise MalformedLine(f"{path}: empty network file needs explicit snapshot labels")
     return FlowNetwork(

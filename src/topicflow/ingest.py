@@ -2,16 +2,17 @@
 
 Records are ``author<TAB>paper<TAB>journal<TAB>year`` lines (or
 newline-delimited JSON objects with the same four fields, auto-detected).
-Ingestion reads the file once, grouping distinct papers by author and
-calendar year. The disambiguation cut and the ``--quantile`` threshold
-are counted from those groups; the authors under the cut are then
-deduplicated to one (year, journal) per paper and their topic activity
-accumulated per (author, snapshot).
+Ingestion reads the file once, checking each distinct author id, journal
+id and year text only where it first appears (a repeat is one lookup in
+a per-read memo), and groups distinct papers by author and calendar year.
+The disambiguation cut and the ``--quantile`` threshold are counted from
+those groups; the authors under the cut are then deduplicated to one
+(year, journal) per paper and their topic activity accumulated per
+(author, snapshot).
 """
 from __future__ import annotations
 
 import json
-import sys
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -21,6 +22,7 @@ from .util import Checked, Record, gc_paused, is_token, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
+_BAD_IDS = "author/paper/journal ids must be non-empty tokens without whitespace"
 
 
 class _GridFields(NamedTuple):
@@ -99,21 +101,13 @@ class IngestStats(Record):
         return {name: getattr(self, name) for name in self.__slots__[:-1]}
 
 
-def _bad_token(value) -> bool:
-    return not isinstance(value, str) or not is_token(value)
-
-
 def _parse_year(value, path, lineno) -> int:
-    if isinstance(value, bool):
-        raise MalformedRecord(f"{path}:{lineno}: year must be an integer, got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:  # not a bool, whose text does not parse either
         return value
     try:
         return int(str(value))
-    except (TypeError, ValueError):
-        raise MalformedRecord(
-            f"{path}:{lineno}: year must be an integer, got {value!r}"
-        ) from None
+    except ValueError:
+        raise MalformedRecord(f"{path}:{lineno}: year must be an integer, got {value!r}") from None
 
 
 def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
@@ -121,9 +115,14 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
 
     The format is sniffed from the first non-comment line: ``{`` means
     newline-delimited JSON, anything else is four-column TSV. Comment
-    lines (``#``) and blank lines are skipped in both modes.
+    lines (``#``) and blank lines are skipped in both modes. Each distinct
+    author or journal id and TSV year text is checked once per read: ``ids``
+    maps an id that passed to the copy every later record shares, and
+    ``years`` a year text to its int. Paper ids are checked on every record.
     """
     json_mode = None
+    ids: dict[str, str] = {}
+    years: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -134,7 +133,7 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
             if json_mode:
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also an integer too long to convert
                     raise MalformedRecord(f"{path}:{lineno}: invalid JSON record: {exc}") from None
                 if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
                     raise MalformedRecord(
@@ -143,22 +142,26 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
                     )
                 author, paper, journal = obj["author_id"], obj["paper_id"], obj["journal_id"]
                 year = _parse_year(obj["year"], path, lineno)
+                # Only text enters the memo: a JSON list is unhashable.
+                if not type(author) is type(paper) is type(journal) is str:
+                    raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
             else:
                 fields = line.split("\t")
                 if len(fields) != 4:
                     raise MalformedRecord(
                         f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
                     )
-                author, paper, journal = fields[0], fields[1], fields[2]
-                year = _parse_year(fields[3], path, lineno)
-            if _bad_token(author) or _bad_token(paper) or _bad_token(journal):
-                raise MalformedRecord(
-                    f"{path}:{lineno}: author/paper/journal ids must be non-empty "
-                    f"tokens without whitespace"
-                )
-            # Author and journal ids repeat across millions of lines;
-            # interning collapses them to one object each.
-            yield lineno, sys.intern(author), paper, sys.intern(journal), year
+                author, paper, journal, text = fields
+                year = years.get(text)
+                if year is None:
+                    year = years[text] = _parse_year(text, path, lineno)
+            if not (  # an id enters ``ids`` (as itself, a truthy text) once it passes
+                (author in ids or is_token(author) and ids.setdefault(author, author))
+                and is_token(paper)
+                and (journal in ids or is_token(journal) and ids.setdefault(journal, journal))
+            ):
+                raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
+            yield lineno, ids[author], paper, ids[journal], year
 
 
 # Journal entered for a paper seen only in records the filters drop.

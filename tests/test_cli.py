@@ -527,6 +527,55 @@ def test_non_finite_smoothing_constant_exits_one_and_writes_nothing(tmp_path, ca
     assert {name: (out / name).read_bytes() for name in METRIC_FILES} == before
 
 
+@pytest.mark.parametrize("policy,message", [
+    ("bogus", "unknown baseline policy 'bogus'"),
+    ("smooth:nan", "smooth policy needs a finite k > 0, got nan"),
+])
+def test_report_rejects_bad_baseline_policy_before_any_write(tmp_path, capsys, policy, message):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["metrics", *base_args(tmp_path, tmp_path / "m"), "--baseline-policy", policy]) == 1
+    expected = capsys.readouterr().err
+    assert main(["report", *base_args(tmp_path, out), "--baseline-policy", policy]) == 1
+    assert capsys.readouterr().err == expected == f"topicflow: error: {message}\n"
+    assert not out.exists()
+
+
+_GOOD_RECORD = {"author_id": "x", "paper_id": "p1", "journal_id": "J1", "year": 1912}
+
+
+@pytest.mark.parametrize("field,value", [
+    *[(field, value) for field in ("author_id", "paper_id", "journal_id")
+      for value in (5, None, ["a"], {}, True)],
+    *[("year", value) for value in (True, [1912], 1912.5, "MMXX")],
+])
+def test_ndjson_bad_field_exits_two_naming_the_line(tmp_path, capsys, field, value):
+    # The bad value follows a valid record, whose texts the memos then hold.
+    message = (
+        f"year must be an integer, got {value!r}" if field == "year"
+        else "author/paper/journal ids must be non-empty tokens without whitespace"
+    )
+    setup_inputs(tmp_path, [])
+    records = write_lines(tmp_path / "records.ndjson", [
+        json.dumps(_GOOD_RECORD), json.dumps({**_GOOD_RECORD, "paper_id": "p2", field: value}),
+    ])
+    args = base_args(tmp_path, tmp_path / "out") + ["--records", str(records)]
+    capsys.readouterr()
+    assert main(["ingest", *args]) == 2
+    assert f"topicflow: error: {records}:2: {message}\n" == capsys.readouterr().err
+
+
+def test_ndjson_integer_too_long_to_convert_exits_two(tmp_path, capsys):
+    setup_inputs(tmp_path, [])
+    too_long = json.dumps(_GOOD_RECORD).replace("1912", "1" * 5000)
+    records = write_lines(tmp_path / "records.ndjson", [json.dumps(_GOOD_RECORD), too_long])
+    args = base_args(tmp_path, tmp_path / "out") + ["--records", str(records)]
+    capsys.readouterr()
+    assert main(["ingest", *args]) == 2
+    assert f"topicflow: error: {records}:2: invalid JSON record: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("skew", ["nan", "600"])
 def test_synth_rejects_unusable_skew(tmp_path, capsys, skew):
     corpus = tmp_path / "corpus"

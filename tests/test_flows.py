@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -407,4 +408,30 @@ def test_load_rejects_inconsistent_labels(tmp_path):
     path = tmp_path / "net.tsv"
     path.write_text("1910\t1915\tA\tB\t1\n1915\t1920\tB\tC\t1\n")
     with pytest.raises(MalformedLine):
+        load_flow_network(path, level="topic")
+
+
+def test_load_label_spellings_give_the_same_network(tmp_path):
+    rows = [("A", "A", 3), ("A", "B", 1), ("B", "A", 2), ("B", "C", 2)]
+    plain, mixed = tmp_path / "plain.tsv", tmp_path / "mixed.tsv"
+    plain.write_text("".join(f"1910\t1915\t{s}\t{t}\t{w}\n" for s, t, w in rows))
+    mixed.write_text("".join(
+        f"{'01910' if i % 2 else '1910'}\t{'1915' if i % 3 else '01915'}\t{s}\t{t}\t{w}\n"
+        for i, (s, t, w) in enumerate(rows)
+    ))
+    expected = load_flow_network(plain, level="topic")
+    assert len(expected.weights) == 4
+    assert load_flow_network(mixed, level="topic") == expected
+
+
+@pytest.mark.parametrize("last,message", [
+    ("1910\t1915\tB\tC\t0", "weights must be finite and strictly positive"),
+    ("1910\t1915\tB\tC\t2.0x", "bad weight '2.0x'"),
+    ("1910\t1915\tB\tA\u00a0\t2", "target must be a non-empty token"),
+    ("1910\t1915.0\tB\tC\t2", "snapshot labels must be integers"),
+])
+def test_load_checks_a_new_text_after_remembered_ones(tmp_path, last, message):
+    path = tmp_path / "net.tsv"
+    path.write_text(f"1910\t1915\tA\tA\t2\n1910\t1915\tA\tB\t2\n{last}\n")
+    with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: {message}")):
         load_flow_network(path, level="topic")

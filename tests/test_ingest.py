@@ -25,6 +25,7 @@ from topicflow import (
 from topicflow.cli import PipelineConfig, _load_networks, load_profiles, write_profiles
 from topicflow.errors import EmptySet, InvalidSpec, MalformedLine, MalformedRecord, PipelineError
 from topicflow.flows import FLOW_HEADER, flow_file_name, flow_networks_from_profiles
+import topicflow.ingest as ingest_module
 from topicflow.ingest import iter_records
 from conftest import write_lines
 
@@ -180,6 +181,47 @@ def test_ndjson_rejects_records_without_exactly_the_fields(tmp_path, second):
     path = write_lines(tmp_path / "r.ndjson", [json.dumps(_GOOD_RECORD), second])
     with pytest.raises(MalformedRecord, match=re.escape(f"{path}:2: {_FIELDS_MESSAGE}")):
         list(iter_records(path))
+
+
+# -- per-file memo of checked ids and years --
+
+@pytest.mark.parametrize("bad", ["X\u00a0\tp4\tJ1\t1912", "X\tp4\tJ1\u00a0\t1912"],
+                         ids=["author", "journal"])
+def test_new_variant_of_a_checked_id_is_checked(table, tmp_path, grid_1910_2014, bad):
+    records = write_lines(tmp_path / "r.tsv", [f"X\tp{i}\tJ1\t1912" for i in (1, 2, 3)] + [bad])
+    message = f"{records}:4: author/paper/journal ids must be non-empty tokens without whitespace"
+    with pytest.raises(MalformedRecord, match=re.escape(message)):
+        ingest_records(records, table, grid_1910_2014)
+
+
+def test_year_spellings_give_the_same_profiles(table, make_records, grid_1910_2014):
+    rows = [("X", "p1", "J1", 1912), ("X", "p2", "J2", 1912), ("Y", "p3", "J3", 1912),
+            ("Y", "p4", "J1", 1912)]
+    plain = make_records(rows, name="plain.tsv")
+    mixed = make_records(
+        [(a, p, j, "01912" if i % 2 else y) for i, (a, p, j, y) in enumerate(rows)],
+        name="mixed.tsv",
+    )
+    expected = ingest_records(plain, table, grid_1910_2014)
+    assert len(expected[0]) == 2
+    assert ingest_records(mixed, table, grid_1910_2014) == expected
+
+
+def test_ids_checked_once_per_distinct_text(table, make_records, grid_1910_2014, monkeypatch):
+    rows = _random_rows(random.Random(7), 300)
+    records = make_records(rows)
+    checked = []
+    real = ingest_module.is_token
+
+    def counting(text):
+        checked.append(text)
+        return real(text)
+
+    monkeypatch.setattr(ingest_module, "is_token", counting)
+    _, stats = ingest_records(records, table, grid_1910_2014)
+    distinct = {a for a, _, _, _ in rows} | {j for _, _, j, _ in rows}
+    assert stats.records_read == len(rows)
+    assert len(checked) == len(distinct) + len(rows)
 
 
 def _random_rows(rng, n):
@@ -564,6 +606,10 @@ def test_load_profiles_row_order_does_not_matter(table, grid_1910_2014, tmp_path
     (["X\t01915\tT1\t0"], "1: counts must be >= 1"),
     (["X\t1915\tT9\tone"], "1: unknown topic 'T9'"),
     (["X\t1915\tT1\t1", "X\t01915\tT1\t1"], "2: duplicate topic row 'T1'"),
+    # A text that passed once is remembered; a new text is still checked.
+    (["X\t1915\tT1\t2", "Y\t1915\tT2\t0"], "2: counts must be >= 1"),
+    (["W\t01915\tT1\t1", "X\t01915\tT2\tx"], "2: snapshot and count must be integers"),
+    (["W\t01915\tT1\t1", "X\t01916\tT2\t1"], "2: snapshot 1916 is not on the grid"),
 ])
 def test_load_profiles_snapshot_spellings(table, grid_1910_2014, tmp_path, lines, expected):
     path = write_lines(tmp_path / "profiles.tsv", lines)
