@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classification import AreaId, ClassificationTable
 from .errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
 from .flows import FlowNetwork
 from .util import Checked, Record, iter_key_values
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Point = tuple[float, float]
 
@@ -326,6 +328,11 @@ class VizLayout(Record):
             setattr(self, name, value)
 
 
+def _fraction(weight) -> Fraction:
+    from fractions import Fraction  # loaded only for a network with a non-int weight
+    return Fraction(weight)
+
+
 def _symmetrized_area_graph(net: FlowNetwork, node_area: dict[str, str]):
     # Exact accumulation (ints, or rationals once a weight is not an int):
     # iteration order cannot perturb the modularity comparisons.
@@ -333,7 +340,7 @@ def _symmetrized_area_graph(net: FlowNetwork, node_area: dict[str, str]):
     for (source, target), weight in net.weights.items():
         a, b = node_area[source], node_area[target]
         key = (a, b) if a <= b else (b, a)
-        sym[key] = sym.get(key, 0) + (weight if type(weight) is int else Fraction(weight))
+        sym[key] = sym.get(key, 0) + (weight if type(weight) is int else _fraction(weight))
     return sym
 
 
@@ -413,7 +420,7 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
     # with the hash seed.
     strength: dict[str, int | Fraction] = {}
     for (source, target), weight in net.weights.items():
-        w = weight if type(weight) is int else Fraction(weight)
+        w = weight if type(weight) is int else _fraction(weight)
         strength[source] = strength.get(source, 0) + w
         strength[target] = strength.get(target, 0) + w
 

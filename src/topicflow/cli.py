@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage, 2 input format, 3 internal invariant.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -56,6 +55,14 @@ from .util import (
 )
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
+# The values each of these settings takes, from a flag or a config file.
+_CHOICES = {
+    "cut_scope": ("classified", "all"),
+    "level": ("topic", "area", "both"),
+    "appearing_weight": ("unit", "uniform"),
+    "area_mode": ("mapped", "argmax"),
+    "sector_order": ("modularity", "strength", "alphabetical"),
+}
 
 
 class _PipelineFields(NamedTuple):
@@ -89,16 +96,16 @@ class PipelineConfig(Checked, _PipelineFields):
             raise InvalidSpec("seed must be a 64-bit unsigned integer")
         if self.threads is not None and self.threads < 1:
             raise UsageError("--threads must be >= 1")
+        for name, allowed in _CHOICES.items():  # checked before any stage writes
+            value = getattr(self, name)
+            if value is not None and value not in allowed:  # None: sector_order unset
+                raise UsageError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
 
     def grid(self) -> SnapshotGrid:
         return SnapshotGrid(self.start_year, self.end_year, self.width)
 
     def levels(self) -> list[str]:
-        if self.level == "both":
-            return ["topic", "area"]
-        if self.level in ("topic", "area"):
-            return [self.level]
-        raise UsageError(f"level must be topic, area or both, got {self.level!r}")
+        return ["topic", "area"] if self.level == "both" else [self.level]
 
 
 # Config-file parser per setting, read off the annotations ("int | None" -> int).
@@ -127,16 +134,16 @@ def _build_parser() -> _Parser:
                         help="disambiguation cut, 0 disables (default 17)")
     shared.add_argument("--quantile", type=float,
                         help="derive the cut from this yearly paper-count quantile instead")
-    shared.add_argument("--cut-scope", choices=["classified", "all"],
+    shared.add_argument("--cut-scope", choices=_CHOICES["cut_scope"],
                         help="count classified in-range papers only, or all records")
-    shared.add_argument("--level", choices=["topic", "area", "both"])
+    shared.add_argument("--level", choices=_CHOICES["level"])
     shared.add_argument("--baseline-policy",
                         help="strict | active | smooth:<k> (default strict)")
-    shared.add_argument("--appearing-weight", choices=["unit", "uniform"])
-    shared.add_argument("--area-mode", choices=["mapped", "argmax"])
+    shared.add_argument("--appearing-weight", choices=_CHOICES["appearing_weight"])
+    shared.add_argument("--area-mode", choices=_CHOICES["area_mode"])
     shared.add_argument("--viz-config", help="key=value file with rendering settings")
     shared.add_argument("--min-weight", type=float, help="omit edges lighter than this")
-    shared.add_argument("--sector-order", choices=["modularity", "strength", "alphabetical"])
+    shared.add_argument("--sector-order", choices=_CHOICES["sector_order"])
     shared.add_argument("--canvas-size", type=int)
     shared.add_argument("--seed", type=int)
     shared.add_argument("--threads", type=int,
@@ -233,10 +240,7 @@ def load_profiles(
     the pair changes from the previous row. The loaded profiles are as
     compact as the ones ingest builds: topic keys are the classification
     table's own strings, every profile of a snapshot holds the same int,
-    and an author's consecutive rows share one author string. Like
-    ``ingest_records``, the load runs with garbage collection paused (none
-    of these objects is part of a cycle) and restores its previous state,
-    also on error.
+    and an author's consecutive rows share one author string.
     """
     topics = {t: t for t in table.topic_area}
     # A label, and each label or count text that passed, map to one shared int.
@@ -246,46 +250,46 @@ def load_profiles(
     counts: dict[str, int] = {}
     grouped: dict[tuple[str, int], dict[str, int]] = {}
     author = group_snapshot = bucket = None
-    with gc_paused():
-        for lineno, parts in iter_tsv(path):
-            if len(parts) != 4:
-                raise MalformedLine(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            author_text, snapshot_text, topic_text, count_text = parts
-            topic = topics.get(topic_text)
-            if topic is None:
-                raise MalformedLine(f"{path}:{lineno}: unknown topic {topic_text!r}")
-            snapshot = labels.get(snapshot_text)
-            count = counts.get(count_text)
-            if snapshot is None or count is None:  # a text not seen yet: check it in full
-                try:
-                    count = int(count_text)
-                    parsed = int(snapshot_text)  # other spellings, such as "01915", parse
-                except ValueError:
-                    raise MalformedLine(
-                        f"{path}:{lineno}: snapshot and count must be integers"
-                    ) from None
-                snapshot = labels.get(parsed)
-                if snapshot is None:
-                    raise MalformedLine(f"{path}:{lineno}: snapshot {parsed} is not on the grid")
-                if count < 1:
-                    raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
-                labels[snapshot_text] = snapshot
-                counts[count_text] = count
-            if author_text != author:
-                author, bucket = author_text, None
-            if bucket is None or snapshot != group_snapshot:
-                group_snapshot = snapshot
-                bucket = grouped.setdefault((author, snapshot), {})
-            if topic in bucket:
-                raise MalformedLine(f"{path}:{lineno}: duplicate topic row {topic!r}")
-            bucket[topic] = count
-        return [ActivityProfile(*key, grouped[key]) for key in sorted(grouped)]
+    for lineno, parts in iter_tsv(path):
+        if len(parts) != 4:
+            raise MalformedLine(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+        author_text, snapshot_text, topic_text, count_text = parts
+        topic = topics.get(topic_text)
+        if topic is None:
+            raise MalformedLine(f"{path}:{lineno}: unknown topic {topic_text!r}")
+        snapshot = labels.get(snapshot_text)
+        count = counts.get(count_text)
+        if snapshot is None or count is None:  # a text not seen yet: check it in full
+            try:
+                count = int(count_text)
+                parsed = int(snapshot_text)  # other spellings, such as "01915", parse
+            except ValueError:
+                raise MalformedLine(
+                    f"{path}:{lineno}: snapshot and count must be integers"
+                ) from None
+            snapshot = labels.get(parsed)
+            if snapshot is None:
+                raise MalformedLine(f"{path}:{lineno}: snapshot {parsed} is not on the grid")
+            if count < 1:
+                raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
+            labels[snapshot_text] = snapshot
+            counts[count_text] = count
+        if author_text != author:
+            author, bucket = author_text, None
+        if bucket is None or snapshot != group_snapshot:
+            group_snapshot = snapshot
+            bucket = grouped.setdefault((author, snapshot), {})
+        if topic in bucket:
+            raise MalformedLine(f"{path}:{lineno}: duplicate topic row {topic!r}")
+        bucket[topic] = count
+    return [ActivityProfile(*key, grouped[key]) for key in sorted(grouped)]
 
 
 # -- commands --
 
 
 def cmd_ingest(cfg: PipelineConfig) -> tuple[list[ActivityProfile], IngestStats]:
+    import json
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
     out = _out_dir(cfg)
@@ -339,17 +343,13 @@ def cmd_flows(
 
 
 def _load_networks(cfg: PipelineConfig, out: Path, level: str) -> list[FlowNetwork]:
-    """Every network of ``level`` on the grid, read with garbage collection
-    paused (the weight maps hold no cycles); its state is restored, also on error."""
+    """Every network of ``level`` on the grid."""
     nets = []
-    with gc_paused():
-        for earlier, later in cfg.grid().label_pairs():
-            path = out / flow_file_name(level, earlier, later)
-            if not path.is_file():
-                raise MissingInput(f"network file not found: {path} (run flows first)")
-            nets.append(
-                load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later)
-            )
+    for earlier, later in cfg.grid().label_pairs():
+        path = out / flow_file_name(level, earlier, later)
+        if not path.is_file():
+            raise MissingInput(f"network file not found: {path} (run flows first)")
+        nets.append(load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later))
     return nets
 
 
@@ -483,6 +483,7 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
 
 
 def cmd_report(cfg: PipelineConfig) -> Path:
+    import json
     ZeroBaselinePolicy.parse(cfg.baseline_policy)  # a bad policy fails before any write
     out = _out_dir(cfg)
     profiles, stats = cmd_ingest(cfg)
@@ -510,18 +511,20 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        if args.command == "ingest":
-            cmd_ingest(cfg)
-        elif args.command == "flows":
-            cmd_flows(cfg)
-        elif args.command == "metrics":
-            cmd_metrics(cfg)
-        elif args.command == "viz":
-            cmd_viz(cfg, tuple(args.pair))
-        elif args.command == "synth":
-            cmd_synth(cfg, args)
-        elif args.command == "report":
-            cmd_report(cfg)
+        # The stages build many objects and no cycles, so collection would only walk them.
+        with gc_paused():
+            if args.command == "ingest":
+                cmd_ingest(cfg)
+            elif args.command == "flows":
+                cmd_flows(cfg)
+            elif args.command == "metrics":
+                cmd_metrics(cfg)
+            elif args.command == "viz":
+                cmd_viz(cfg, tuple(args.pair))
+            elif args.command == "synth":
+                cmd_synth(cfg, args)
+            elif args.command == "report":
+                cmd_report(cfg)
         return EXIT_OK
     except PipelineError as exc:
         print(f"topicflow: error: {exc}", file=sys.stderr)

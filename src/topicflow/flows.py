@@ -15,16 +15,18 @@ area-level author maps in the same sweep.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable
+import sys
+from typing import TYPE_CHECKING, Iterable
 
 from .classification import AreaId, ClassificationTable
 from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
 from .ingest import ActivityProfile, SnapshotGrid
 from .util import (
-    Record, check_token, fmt_weight, gc_paused, iter_tsv, parse_weight, write_text_atomic,
+    Record, check_token, fmt_weight, iter_tsv, parse_weight, write_text_atomic,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FLOW_HEADER = "#from_snapshot\tto_snapshot\tsource\ttarget\tweight"
 
@@ -97,6 +99,7 @@ def count_transitions(
     if appearing_weight == "unit":
         share: int | Fraction = 1
     elif appearing_weight == "uniform":
+        from fractions import Fraction
         share = Fraction(1, len(source_set))
     else:
         raise UsageError(f"appearing_weight must be 'unit' or 'uniform', got {appearing_weight!r}")
@@ -198,9 +201,7 @@ def flow_networks_from_profiles(
     dominant topic set is computed once and feeds every requested level.
     ``area_mode='mapped'`` (default) maps that set through the
     topic->area table; ``'argmax'`` re-runs the argmax on per-area
-    aggregated counts instead. Garbage collection is paused while the sets
-    and networks are built (none of them is part of a cycle), and its
-    previous state is restored, also on error.
+    aggregated counts instead.
     """
     if level not in ("topic", "area", "both"):
         raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
@@ -214,29 +215,28 @@ def flow_networks_from_profiles(
     # Most dominant sets recur across profiles, so the maps hold one shared
     # frozenset per distinct topic set and per mapped area set.
     shared: dict[frozenset[str], tuple[frozenset[str], frozenset[str] | None]] = {}
-    with gc_paused():
-        for profile in profiles:
-            author, snapshot = profile.author_id, profile.snapshot
-            if by_topic is not None or not argmax:
-                topics = dominant_topics(profile)
-                entry = shared.get(topics)
-                if entry is None:
-                    areas = None
-                    if by_area is not None and not argmax:
-                        areas = frozenset(_area_of(t, table) for t in topics)
-                    entry = shared[topics] = (topics, areas)
-                topics, areas = entry
-                if by_topic is not None:
-                    _add_set(by_topic, author, snapshot, topics)
-            if by_area is not None:
-                if argmax:
-                    areas = dominant_area_set(profile, table)
-                _add_set(by_area, author, snapshot, areas)
-        nets = []
-        if by_topic is not None:
-            nets += _networks(by_topic, grid, "topic", appearing_weight)
+    for profile in profiles:
+        author, snapshot = profile.author_id, profile.snapshot
+        if by_topic is not None or not argmax:
+            topics = dominant_topics(profile)
+            entry = shared.get(topics)
+            if entry is None:
+                areas = None
+                if by_area is not None and not argmax:
+                    areas = frozenset(_area_of(t, table) for t in topics)
+                entry = shared[topics] = (topics, areas)
+            topics, areas = entry
+            if by_topic is not None:
+                _add_set(by_topic, author, snapshot, topics)
         if by_area is not None:
-            nets += _networks(by_area, grid, "area", appearing_weight)
+            if argmax:
+                areas = dominant_area_set(profile, table)
+            _add_set(by_area, author, snapshot, areas)
+    nets = []
+    if by_topic is not None:
+        nets += _networks(by_topic, grid, "topic", appearing_weight)
+    if by_area is not None:
+        nets += _networks(by_area, grid, "area", appearing_weight)
     return nets
 
 
@@ -318,7 +318,7 @@ def load_flow_network(
                 weight = parse_weight(text)
             except ValueError:
                 raise MalformedLine(f"{path}:{lineno}: bad weight {text!r}") from None
-            if not math.isfinite(weight) or weight <= 0:
+            if not 0 < weight <= sys.float_info.max:  # exact, so a huge int fails too
                 raise MalformedLine(
                     f"{path}:{lineno}: weights must be finite and strictly positive"
                 )

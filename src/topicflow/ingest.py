@@ -1,24 +1,23 @@
 """Streaming ingestion of publication records into per-snapshot activity profiles.
 
 Records are ``author<TAB>paper<TAB>journal<TAB>year`` lines (or
-newline-delimited JSON objects with the same four fields, auto-detected).
-Ingestion reads the file once, checking each distinct author id, journal
-id and year text only where it first appears (a repeat is one lookup in
-a per-read memo), and groups distinct papers by author and calendar year.
-The disambiguation cut and the ``--quantile`` threshold are counted from
-those groups; the authors under the cut are then deduplicated to one
-(year, journal) per paper and their topic activity accumulated per
-(author, snapshot).
+newline-delimited JSON objects with the same four fields, auto-detected
+and read by one reused decoder). Ingestion reads the file once, checking
+each distinct author id, journal id and year text only where it first
+appears (a repeat is one lookup in a per-read memo), and groups distinct
+papers by author and calendar year. The disambiguation cut and the
+``--quantile`` threshold are counted from those groups; the authors under
+the cut are then deduplicated to one (year, journal) per paper and their
+topic activity accumulated per (author, snapshot).
 """
 from __future__ import annotations
 
-import json
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .classification import ClassificationTable, TopicId
 from .errors import InvalidSpec, MalformedRecord, PipelineError
-from .util import Checked, Record, gc_paused, is_token, quantile_cutoff
+from .util import Checked, Record, is_token, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
@@ -115,7 +114,9 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
 
     The format is sniffed from the first non-comment line: ``{`` means
     newline-delimited JSON, anything else is four-column TSV. Comment
-    lines (``#``) and blank lines are skipped in both modes. Each distinct
+    lines (``#``) and blank lines are skipped in both modes. One reused
+    ``JSONDecoder`` reads JSON lines; ``json.loads`` judges any it does not
+    take whole, such as one with spaces around the object. Each distinct
     author or journal id and TSV year text is checked once per read: ``ids``
     maps an id that passed to the copy every later record shares, and
     ``years`` a year text to its int. Paper ids are checked on every record.
@@ -130,9 +131,17 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
                 continue
             if json_mode is None:
                 json_mode = line.lstrip()[:1] == "{"
+                if json_mode:
+                    import json
+                    decode = json.JSONDecoder().raw_decode
             if json_mode:
                 try:
-                    obj = json.loads(line)
+                    obj, end = decode(line)
+                except ValueError:
+                    end = None
+                try:
+                    if end != len(line):
+                        obj = json.loads(line)
                 except ValueError as exc:  # also an integer too long to convert
                     raise MalformedRecord(f"{path}:{lineno}: invalid JSON record: {exc}") from None
                 if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
@@ -290,12 +299,6 @@ def ingest_records(
     paper from the first year that keeps it. So the cut counts a paper
     once in every year it appears, and the profile counts it once.
 
-    Profiles are the only objects built here in bulk that the cyclic
-    garbage collector tracks, and none is part of a cycle. With
-    collection on, every full collection would walk all the profiles
-    built so far; so collection is paused for the whole call and
-    restored to its previous state on return, also when it raises.
-
     Returns profiles sorted by (author, snapshot) plus ingest statistics,
     whose ``max_papers_per_year`` is the cut applied.
     """
@@ -312,61 +315,55 @@ def ingest_records(
     stats = IngestStats()
     profiles: list[ActivityProfile] = []
     kept = collapsed = excluded = excluded_records = 0
-    with gc_paused():
-        groups, repeats = _group_papers(
-            records_file,
-            journals,
-            labels,
-            quantile is not None or (count_dropped and max_papers_per_year > 0),
-            stats,
-        )
-        # Each author's largest per-year count, when the quantile pass has
-        # already tallied what the cut counts; else tallied below as needed.
-        peaks: dict[str, int] | None = None
-        if quantile is None:
-            threshold = max_papers_per_year
-        else:
-            threshold, peaks = _yearly_quantile(groups, quantile, records_file)
-            if not count_dropped:
-                peaks = None
-        for author in sorted(groups):
-            entries = groups.pop(author)
-            if (
-                threshold
-                and len(entries) > threshold  # else no year can exceed it
-                and (
-                    peaks[author] > threshold
-                    if peaks is not None
-                    else any(n > threshold for n in _year_counts(entries, not count_dropped))
-                )
-            ):
-                excluded += 1
-                excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
+    track_dropped = quantile is not None or (count_dropped and max_papers_per_year > 0)
+    groups, repeats = _group_papers(records_file, journals, labels, track_dropped, stats)
+    # Each author's largest per-year count, when the quantile pass has
+    # already tallied what the cut counts; else tallied below as needed.
+    peaks: dict[str, int] | None = None
+    if quantile is None:
+        threshold = max_papers_per_year
+    else:
+        threshold, peaks = _yearly_quantile(groups, quantile, records_file)
+        if not count_dropped:
+            peaks = None
+    for author in sorted(groups):
+        entries = groups.pop(author)
+        if (
+            threshold
+            and len(entries) > threshold  # else no year can exceed it
+            and (
+                peaks[author] > threshold
+                if peaks is not None
+                else any(n > threshold for n in _year_counts(entries, not count_dropped))
+            )
+        ):
+            excluded += 1
+            excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
+            continue
+        collapsed += repeats.get(author, 0)
+        walk = []
+        for key, journal in entries.items():
+            if journal:  # kept entries, whose years are all on the grid
+                year, _, paper = key.partition("\t")
+                walk.append((int(year), paper, journal))
+        # A stable sort by year keeps each year's papers in record order.
+        walk.sort(key=itemgetter(0))
+        seen: set[str] = set()
+        by_snapshot: dict[int, dict[TopicId, int]] = {}
+        for year, paper, journal in walk:
+            if paper in seen:
+                collapsed += 1
                 continue
-            collapsed += repeats.get(author, 0)
-            walk = []
-            for key, journal in entries.items():
-                if journal:  # kept entries, whose years are all on the grid
-                    year, _, paper = key.partition("\t")
-                    walk.append((int(year), paper, journal))
-            # A stable sort by year keeps each year's papers in record order.
-            walk.sort(key=itemgetter(0))
-            seen: set[str] = set()
-            by_snapshot: dict[int, dict[TopicId, int]] = {}
-            for year, paper, journal in walk:
-                if paper in seen:
-                    collapsed += 1
-                    continue
-                seen.add(paper)
-                label = labels[year]
-                counts = by_snapshot.get(label)
-                if counts is None:
-                    counts = by_snapshot[label] = {}
-                for topic in journals[journal]:
-                    counts[topic] = counts.get(topic, 0) + 1
-            kept += len(seen)
-            for snapshot, counts in by_snapshot.items():
-                profiles.append(ActivityProfile(author, snapshot, counts))
+            seen.add(paper)
+            label = labels[year]
+            counts = by_snapshot.get(label)
+            if counts is None:
+                counts = by_snapshot[label] = {}
+            for topic in journals[journal]:
+                counts[topic] = counts.get(topic, 0) + 1
+        kept += len(seen)
+        for snapshot, counts in by_snapshot.items():
+            profiles.append(ActivityProfile(author, snapshot, counts))
     stats.max_papers_per_year = threshold
     stats.records_kept = kept
     stats.duplicates_collapsed = collapsed

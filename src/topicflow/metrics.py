@@ -10,16 +10,17 @@ convention: an area with no population and no flow is a non-participant.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .classification import AreaId, ClassificationTable, TopicId
 from .errors import EmptySeries, UsageError
 from .flows import FlowNetwork, decompose_area_flows
 from .ingest import ActivityProfile
 from .util import Checked, quantile_cutoff
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _PolicyFields(NamedTuple):
@@ -86,6 +87,7 @@ def _ratio(numerator, denominator) -> float:
     """Exact quotient rounded once to float; 0/0 -> 0."""
     if not denominator:
         return 0.0
+    from fractions import Fraction
     return float(Fraction(numerator) / Fraction(denominator))
 
 
@@ -238,6 +240,7 @@ def median_sink_source(
     A snapshot defines the indices only when it has positive cross flow;
     the median of an even count is the mean of the middle two.
     """
+    import statistics
     entries = list(series)
     if not entries:
         raise EmptySeries("no snapshots supplied")

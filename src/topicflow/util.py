@@ -7,7 +7,6 @@ import gc
 import math
 import os
 from contextlib import contextmanager, suppress
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import MalformedLine
@@ -80,6 +79,7 @@ def quantile_cutoff(values: Iterable[int], q: float) -> int:
     Exact rational arithmetic on the decimal rendering of q, so boundary
     cases like q=0.9 over ten values do not drift on float rounding.
     """
+    from fractions import Fraction
     vals = sorted(values)
     if not vals:
         raise ValueError("quantile of an empty collection")

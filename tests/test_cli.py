@@ -419,7 +419,11 @@ def test_profiles_duplicate_topic_away_from_its_group_exits_two(tmp_path, capsys
     assert f"{profiles}:5: duplicate topic row 'T2'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("weight,command", [("inf", "viz"), ("nan", "metrics")])
+@pytest.mark.parametrize("weight,command", [
+    ("inf", "viz"), ("nan", "metrics"),  # and an integer beyond float range:
+    pytest.param("9" * 401, "viz", id="401-digits-viz"),
+    pytest.param("9" * 401, "metrics", id="401-digits-metrics"),
+])
 def test_flow_weight_not_finite_exits_two(tmp_path, capsys, weight, command):
     out, args = _ingest_and_flows(tmp_path)
     network = out / "flows_topic_1910_1915.tsv"
@@ -539,6 +543,17 @@ def test_report_rejects_bad_baseline_policy_before_any_write(tmp_path, capsys, p
     expected = capsys.readouterr().err
     assert main(["report", *base_args(tmp_path, out), "--baseline-policy", policy]) == 1
     assert capsys.readouterr().err == expected == f"topicflow: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["level", "appearing_weight", "area_mode", "sector_order"])
+def test_report_rejects_bad_config_choice_before_any_write(tmp_path, capsys, setting):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
+    out = tmp_path / "out"
+    config = write_lines(tmp_path / "run.cfg", [f"{setting}=bogus"])
+    capsys.readouterr()
+    assert main(["report", *base_args(tmp_path, out), "--config", str(config)]) == 1
+    assert f"topicflow: error: {setting} must be one of " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -691,6 +706,7 @@ def test_cli_import_loads_no_pool_or_network_modules():
     unwanted = [
         "concurrent.futures", "multiprocessing", "urllib.request", "http.client",
         "email", "ssl", "xml.sax", "dataclasses", "inspect", "topicflow.synth",
+        "json", "fractions", "statistics",
     ]
     code = (
         "import sys, topicflow.cli; "

@@ -22,7 +22,8 @@ from topicflow import (
     load_classification,
     multidisciplinarity,
 )
-from topicflow.cli import PipelineConfig, _load_networks, load_profiles, write_profiles
+import topicflow.cli as cli_module
+from topicflow.cli import PipelineConfig, _load_networks, load_profiles, main, write_profiles
 from topicflow.errors import EmptySet, InvalidSpec, MalformedLine, MalformedRecord, PipelineError
 from topicflow.flows import FLOW_HEADER, flow_file_name, flow_networks_from_profiles
 import topicflow.ingest as ingest_module
@@ -181,6 +182,58 @@ def test_ndjson_rejects_records_without_exactly_the_fields(tmp_path, second):
     path = write_lines(tmp_path / "r.ndjson", [json.dumps(_GOOD_RECORD), second])
     with pytest.raises(MalformedRecord, match=re.escape(f"{path}:2: {_FIELDS_MESSAGE}")):
         list(iter_records(path))
+
+
+class _RejectEveryLine(json.JSONDecoder):
+    """A decoder that takes no line, so ``iter_records`` hands every one to
+    ``json.loads``: the reference reader, one ``json.loads`` call per line."""
+
+    def raw_decode(self, s, idx=0):
+        raise json.JSONDecodeError("rejected", s, idx)
+
+
+def _read(path):
+    try:
+        return list(iter_records(path))
+    except MalformedRecord as exc:
+        return str(exc)
+
+
+_GOOD = json.dumps(_GOOD_RECORD)
+_OTHER = json.dumps({**_GOOD_RECORD, "paper_id": "p2"})
+
+
+@pytest.mark.parametrize("second,accepted", [
+    (f"  {_GOOD}", True), (f"\t{_GOOD}", True), (f"{_GOOD}  ", True), (f"{_GOOD}\t", True),
+    (f" \t{_GOOD}\t ", True), (f"{_GOOD}\r", True),
+    (f"{_GOOD} {_OTHER}", False), (f"{_GOOD}x", False), (_GOOD[:-9], False),
+    (_GOOD.replace("1912", "1" * 5000), False), (json.dumps(list(_GOOD_RECORD.values())), False),
+    (json.dumps("X p1 J1 1912"), False), (_GOOD.replace("1912", "NaN"), False), (" \t ", False),
+], ids=["lead-spaces", "lead-tab", "trail-spaces", "trail-tab", "both", "crlf", "two-objects",
+        "trailing-x", "truncated", "5000-digits", "array", "string", "nan-year", "blank-ish"])
+def test_ndjson_decoder_matches_json_loads_per_line(tmp_path, monkeypatch, second, accepted):
+    path = tmp_path / "r.ndjson"
+    path.write_bytes(f"{_GOOD}\r\n{second}\n{_OTHER}\r\n".encode())
+    got = _read(path)
+    if accepted:
+        assert [r[0] for r in got] == [1, 2, 3]
+    else:
+        assert got.startswith(f"{path}:2: ")
+    monkeypatch.setattr(json, "JSONDecoder", _RejectEveryLine)
+    assert _read(path) == got
+
+
+def test_canonical_ndjson_lines_never_reach_json_loads(tmp_path, monkeypatch):
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
+    lines = [json.dumps({**_GOOD_RECORD, "paper_id": f"p{i}"}) for i in range(50)]
+    path = write_lines(tmp_path / "r.ndjson", ["# header", *lines])
+    assert len(list(iter_records(path))) == 50
+    assert calls == []
+    write_lines(path, [*lines, f" {lines[0]}"])
+    assert len(list(iter_records(path))) == 51
+    assert calls == [f" {lines[0]}"]
 
 
 # -- per-file memo of checked ids and years --
@@ -528,6 +581,25 @@ def test_load_networks_restores_gc_state(tmp_path, enabled):
         assert gc.isenabled() is enabled
         with pytest.raises(MalformedLine):
             _load_networks(cfg, bad, "topic")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_gc_for_the_command_and_restores_it(tmp_path, monkeypatch, enabled):
+    during = []
+    synth = cli_module.cmd_synth
+    monkeypatch.setattr(
+        cli_module, "cmd_synth", lambda *args: during.append(gc.isenabled()) or synth(*args)
+    )
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert main(["synth", "--authors", "5", "--out", str(tmp_path / "corpus")]) == 0
+        assert during == [False]
+        assert gc.isenabled() is enabled
+        assert main(["flows", "--out", str(tmp_path / "out")]) == 1  # no tables given
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
