@@ -9,22 +9,20 @@ points on concentric guide circles that gather outgoing flow near the
 source sector and incoming flow near the circle center, which is what
 produces the visual bundling.
 
-Per-edge work is kept small: ``layout`` computes the node, r_zero and
-area gather points once, and the B-spline to Bezier conversion replays a
-knot-insertion schedule memoized per control-polygon length, with the
-same float operations as inserting the knots anew. The schedule records
-which control points each of its points depends on, so ``render_svg``
-replays the lerps over one endpoint's control points only (1 of 18 for
-the source, 6 for the target) once per node, and formats the first and
-last three path points once per node; each edge replays the other 11
-lerps and formats 7 points. The sector order's modularity merge compares
-exact integer-scaled gains and keeps community sums as they merge.
+Per-edge work is kept small. ``layout`` computes the node, r_zero and
+area gather points once. The B-spline to Bezier conversion is the
+knot-insertion schedule of the one polygon length drawn, seven points,
+written out as straight-line lerps: ``render_svg`` runs the 1 lerp over
+a source node's points and the 6 over a target node's once per node,
+with the path text they fix, and each edge runs the other 11 and builds
+its ``<path>`` with one format. The sector order's modularity merge
+compares exact integer-scaled gains and keeps community sums as they
+merge.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from functools import cache
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classification import AreaId, ClassificationTable
@@ -44,6 +42,8 @@ DEFAULT_PALETTE = (
     "#dbdb8d", "#9edae5", "#393b79", "#637939", "#8c6d31", "#843c39",
     "#7b4173", "#5254a3", "#bd9e39",
 )
+
+_FLOAT32_MAX = 3.4028234663852886e38  # the largest single-precision float
 
 
 class _VizFields(NamedTuple):
@@ -99,6 +99,15 @@ class VizConfig(Checked, _VizFields):
             raise UsageError("alpha must stay within (0, 1]")
         if self.width_min <= 0 or self.width_scale <= 0:
             raise UsageError("stroke widths must be positive and strictly increasing")
+        # No coordinate drawn exceeds ``extent`` in magnitude. SVG viewers
+        # need only single precision, where a larger number is infinite.
+        reach = max(self.sector_outer, abs(self.label_radius), self.r_first + abs(self.radial_nudge))
+        try:
+            extent = self.canvas_size * (0.5 + self.radius_frac * reach)
+        except OverflowError:  # a canvas size beyond float range
+            extent = math.inf
+        if not extent <= _FLOAT32_MAX:
+            raise UsageError("canvas size and radii put the drawing beyond SVG's number range")
 
     def color_overrides(self) -> dict[str, str]:
         return dict(self.palette)
@@ -172,134 +181,6 @@ def arc_midpoint(a: float, b: float) -> float:
     if diff > math.pi:
         diff -= 2.0 * math.pi
     return a + diff / 2.0
-
-
-@cache
-def _knot_schedule(n: int) -> tuple[
-    tuple[tuple[int, int, float], ...],
-    tuple[tuple[int, ...], ...],
-    tuple[frozenset[int], ...],
-]:
-    """Knot insertion raising every interior knot to multiplicity 3, replayed
-    on indices: lerp ``(i, j, alpha)`` appends pool[i] + (pool[j] - pool[i])
-    * alpha to a pool that starts as the n control points. Also returns the
-    pool indices of each Bezier segment, and for every pool entry the
-    control points it depends on."""
-    degree = 3
-    spans = n - 3
-    knots = [0.0] * 4 + [float(i) for i in range(1, spans)] + [float(spans)] * 4
-    ctrl = list(range(n))
-    lerps: list[tuple[int, int, float]] = []
-    deps = [frozenset([k]) for k in range(n)]
-    for value in range(1, spans):
-        u = float(value)
-        for _ in range(2):
-            span = bisect_right(knots, u) - 1
-            new = []
-            for i in range(span - degree + 1, span + 1):
-                denom = knots[i + degree] - knots[i]
-                alpha = (u - knots[i]) / denom if denom else 0.0
-                new.append(n + len(lerps))
-                lerps.append((ctrl[i - 1], ctrl[i], alpha))
-                deps.append(deps[ctrl[i - 1]] | deps[ctrl[i]])
-            ctrl[span - degree + 1 : span] = new
-            knots.insert(span + 1, u)
-    segments = tuple(tuple(ctrl[3 * i : 3 * i + 4]) for i in range(spans))
-    return tuple(lerps), segments, tuple(deps)
-
-
-def _replay(pool: list[Point], lerps) -> list[Point]:
-    """Append each lerp's point to ``pool``; the one float expression every
-    spline point comes from (alpha 0.0 included: not a no-op on inf)."""
-    append = pool.append
-    for i, j, t in lerps:
-        (px, py), (qx, qy) = pool[i], pool[j]
-        append((px + (qx - px) * t, py + (qy - py) * t))
-    return pool
-
-
-def _path_format(seps, indices) -> str:
-    """Format string over a pool of points: ``seps[n]`` then the point at
-    pool index ``indices[n]``, each coordinate to 3 decimals (as ``_pt``)."""
-    return "".join(f"{sep}{{{k}[0]:.3f}} {{{k}[1]:.3f}}" for sep, k in zip(seps, indices))
-
-
-class _SidePlan(NamedTuple):
-    """The part of a cross edge's spline fixed by one endpoint node."""
-
-    lerps: tuple[tuple[int, int, float], ...]  # over the side's own control points
-    text: str  # path text of the points only this side fixes, as a _path_format
-    exports: tuple[int, ...]  # the pool entries the per-edge lerps and text read
-
-    def part(self, points: list[Point]) -> tuple[str, list[Point]]:
-        pool = _replay(points, self.lerps)
-        return self.text.format(*pool), [pool[k] for k in self.exports]
-
-
-class _CrossPlan(NamedTuple):
-    source: _SidePlan  # control points 0-2; its text is the path's head
-    target: _SidePlan  # control points 4-6; its text is the path's tail
-    lerps: tuple[tuple[int, int, float], ...]  # over source exports, target exports, point 3
-    middle: str  # path text between head and tail, as a _path_format
-
-    def path(self, head, tail, mid: Point) -> str:
-        """Path text of one edge from its endpoints' parts and its point 3."""
-        (head_text, head_points), (tail_text, tail_points) = head, tail
-        pool = _replay([*head_points, *tail_points, mid], self.lerps)
-        return head_text + self.middle.format(*pool) + tail_text
-
-
-# Control points of a cross edge fixed by its source node and by its target
-# node (see "edge routing"); only point 3 depends on the pair.
-_CROSS_SIDES = (frozenset({0, 1, 2}), frozenset({4, 5, 6}))
-
-
-@cache
-def _cross_edge_plan() -> _CrossPlan:
-    """Split the seven-point schedule by what each pool entry depends on.
-
-    The lerps over one side's control points only are replayed once per
-    node, and the path points at the start (source) or end (target) of the
-    path that only that side fixes are formatted once per node. Each edge
-    replays the remaining lerps, with the same operands and alphas, and
-    formats the remaining points.
-    """
-    n_points = 7
-    lerps, segments, deps = _knot_schedule(n_points)
-    path = [segments[0][0], *(k for seg in segments for k in seg[1:])]
-    seps = ["M "] + [" C " if n % 3 == 1 else " " for n in range(1, len(path))]
-    head = next(n for n, k in enumerate(path) if not deps[k] <= _CROSS_SIDES[0])
-    end = len(path) - next(
-        n for n, k in enumerate(reversed(path)) if not deps[k] <= _CROSS_SIDES[1]
-    )
-    owned = [[k for k in range(len(deps)) if deps[k] <= side] for side in _CROSS_SIDES]
-    (pair_point,) = (k for k in range(n_points) if not any(k in side for side in owned))
-    edge_lerps = [k for k in range(n_points, len(deps)) if not any(k in side for side in owned)]
-    read = set(path[head:end]).union(*(lerps[k - n_points][:2] for k in edge_lerps))
-
-    sides = []
-    exports: list[int] = []
-    for entries, shown in zip(owned, (range(head), range(end, len(path)))):
-        local = {k: n for n, k in enumerate(entries)}
-        side_exports = [k for k in entries if k in read]
-        exports += side_exports
-        sides.append(_SidePlan(
-            lerps=tuple(
-                (local[i], local[j], t)
-                for i, j, t in (lerps[k - n_points] for k in entries if k >= n_points)
-            ),
-            text=_path_format([seps[n] for n in shown], [local[path[n]] for n in shown]),
-            exports=tuple(local[k] for k in side_exports),
-        ))
-    index = {k: n for n, k in enumerate([*exports, pair_point, *edge_lerps])}
-    return _CrossPlan(
-        source=sides[0],
-        target=sides[1],
-        lerps=tuple(
-            (index[i], index[j], t) for i, j, t in (lerps[k - n_points] for k in edge_lerps)
-        ),
-        middle=_path_format(seps[head:end], [index[k] for k in path[head:end]]),
-    )
 
 
 # -- layout --
@@ -466,10 +347,11 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
             node_angle[node] = theta + span * (i + 0.5) / len(nodes)
         theta += span + gap
 
+    largest = sys.float_info.max  # what an exact strength beyond float range counts as
     node_radius = {
         node: min(
             cfg.node_radius_max,
-            max(cfg.node_radius_min, cfg.node_radius_scale * math.log1p(s)),
+            max(cfg.node_radius_min, cfg.node_radius_scale * math.log1p(min(s, largest))),
         )
         for node, s in strength.items()
     }
@@ -505,23 +387,73 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
 
 # -- edge routing --
 
-# A cross-area edge has seven control points: 0-2 from its source node, 3
-# from the pair, 4-6 from its target node. Outgoing flow gathers beside the
-# source sector's barycenter just outside the first-level circle, incoming
-# flow beside the target's just inside it, so direction stays readable.
+# A cross-area edge is a clamped uniform cubic B-spline (knots 0,0,0,0,1,2,
+# 3,4,4,4,4) over seven control points: 0-2 from its source node (its node
+# point, its projection onto r_zero, its area's outgoing gather point), 3
+# from the pair (the shorter arc's midpoint on r_second), 4-6 from its
+# target node (its area's incoming gather point, r_zero projection, node
+# point). Outgoing flow gathers beside the source sector's barycenter just
+# outside the first-level circle, incoming flow beside the target's just
+# inside it, so direction stays readable.
+#
+# Raising each interior knot to multiplicity 3 (Boehm insertion) turns the
+# spline into the Bezier path M p0 C p1 p7 p10 C p11 p13 p16 C p17 p19 p22
+# C p23 p24 p6. The insertion's 18 lerps are written out below as
+# ``p + (q - p) * alpha`` with its operands and alphas, p7-p24 numbered in
+# insertion order; the lerps at alpha 0.0 stay, as they are not no-ops on
+# -0.0, inf or nan. One lerp reads only the source node's points and six
+# only the target's, so those, and the path text they fix, are computed
+# once per node; each edge computes the other eleven.
 
 
-def _cross_source_points(lay: VizLayout, source: str) -> list[Point]:
-    return [lay.node_point[source], lay.zero_point[source], lay.gather_out[lay.node_area[source]]]
+def _cross_head(p0: Point, p1: Point, p2: Point) -> tuple:
+    """A source node's part of its cross edges: the path text up to p7,
+    then the points the edge's lerps read (p2, p7)."""
+    (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
+    x7, y7 = x1 + (x2 - x1) * 0.5, y1 + (y2 - y1) * 0.5
+    return "M %.3f %.3f C %.3f %.3f %.3f %.3f" % (x0, y0, x1, y1, x7, y7), x2, y2, x7, y7
 
 
-def _cross_mid_point(lay: VizLayout, source: str, target: str) -> Point:
-    mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
-    return _polar(lay.center, mid_angle, lay.cfg.r_second * lay.circle_radius)
+def _cross_tail(p4: Point, p5: Point, p6: Point) -> tuple:
+    """A target node's part of its cross edges: the path text from p23,
+    then the points the edge's lerps read (p4, p15, p18, p20)."""
+    (x4, y4), (x5, y5), (x6, y6) = p4, p5, p6
+    x15, y15 = x4 + (x5 - x4) * 0.0, y4 + (y5 - y4) * 0.0
+    x18, y18 = x15 + (x5 - x15) * 0.0, y15 + (y5 - y15) * 0.0
+    x20, y20 = x18 + (x5 - x18) * 0.5, y18 + (y5 - y18) * 0.5
+    x21, y21 = x5 + (x6 - x5) * 0.0, y5 + (y6 - y5) * 0.0
+    x23, y23 = x20 + (x21 - x20) * 0.0, y20 + (y21 - y20) * 0.0
+    x24, y24 = x21 + (x6 - x21) * 0.0, y21 + (y6 - y21) * 0.0
+    text = " C %.3f %.3f %.3f %.3f %.3f %.3f" % (x23, y23, x24, y24, x6, y6)
+    return text, x4, y4, x15, y15, x18, y18, x20, y20
 
 
-def _cross_target_points(lay: VizLayout, target: str) -> list[Point]:
-    return [lay.gather_in[lay.node_area[target]], lay.zero_point[target], lay.node_point[target]]
+_CROSS_ELEMENT = (
+    '<path class="edge-cross" fill="none" stroke="%s" stroke-width="%.6g" '
+    'stroke-opacity="%.4f" d="%s %.3f %.3f C %.3f %.3f %.3f %.3f %.3f %.3f '
+    'C %.3f %.3f %.3f %.3f %.3f %.3f%s"/>'
+)
+
+
+def _cross_element(head: tuple, tail: tuple, x3, y3, color: str, width, alpha) -> str:
+    """One cross edge's ``<path>``: the eleven lerps that read its point 3."""
+    head_text, x2, y2, x7, y7 = head
+    tail_text, x4, y4, x15, y15, x18, y18, x20, y20 = tail
+    x8, y8 = x2 + (x3 - x2) * (1 / 3), y2 + (y3 - y2) * (1 / 3)
+    x9, y9 = x3 + (x4 - x3) * 0.0, y3 + (y4 - y3) * 0.0
+    x10, y10 = x7 + (x8 - x7) * 0.5, y7 + (y8 - y7) * 0.5
+    x11, y11 = x8 + (x9 - x8) * 0.0, y8 + (y9 - y8) * 0.0
+    x12, y12 = x9 + (x4 - x9) * 0.0, y9 + (y4 - y9) * 0.0
+    x13, y13 = x11 + (x12 - x11) * 0.5, y11 + (y12 - y11) * 0.5
+    x14, y14 = x12 + (x4 - x12) * (1 / 3), y12 + (y4 - y12) * (1 / 3)
+    x16, y16 = x13 + (x14 - x13) * 0.5, y13 + (y14 - y13) * 0.5
+    x17, y17 = x14 + (x15 - x14) * 0.0, y14 + (y15 - y14) * 0.0
+    x19, y19 = x17 + (x18 - x17) * 0.5, y17 + (y18 - y17) * 0.5
+    x22, y22 = x19 + (x20 - x19) * 0.5, y19 + (y20 - y19) * 0.5
+    return _CROSS_ELEMENT % (
+        color, width, alpha, head_text, x10, y10, x11, y11, x13, y13, x16, y16,
+        x17, y17, x19, y19, x22, y22, tail_text,
+    )
 
 
 def route_intra_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
@@ -564,16 +496,6 @@ def _annulus_path(center: Point, r_in: float, r_out: float, a0: float, a1: float
         f"L {_pt(p_in1)} "
         f"A {_fmt(r_in)} {_fmt(r_in)} 0 {large} 0 {_pt(p_in0)} Z"
     )
-
-
-def _edge_alpha(cfg: VizConfig, p: Point, q: Point, circle_radius: float) -> float:
-    distance = math.hypot(q[0] - p[0], q[1] - p[1])
-    normalized = distance / (2.0 * circle_radius)
-    return min(1.0, max(cfg.alpha_floor, cfg.alpha_max - cfg.alpha_slope * normalized))
-
-
-def edge_width(cfg: VizConfig, weight) -> float:
-    return cfg.width_min + cfg.width_scale * float(weight)
 
 
 def _sector_elements(
@@ -656,50 +578,55 @@ def render_svg(
             raise EmptyNetwork("nothing to render: empty network and no table")
         return _sectors_only(table, cfg)
     lay = layout(net, table, cfg)
+    cx, cy = lay.center
+    # Each edge reads the settings, and what its two nodes fix, from locals.
+    intra_radius = (cfg.r_node + cfg.sector_inner) / 2.0 * lay.circle_radius  # route_intra_edge's
+    mid_radius = cfg.r_second * lay.circle_radius
+    diameter = 2.0 * lay.circle_radius
+    min_weight, width_min, width_scale = cfg.min_weight, cfg.width_min, cfg.width_scale
+    alpha_floor, alpha_max, alpha_slope = cfg.alpha_floor, cfg.alpha_max, cfg.alpha_slope
+    colors = lay.sector_color
+    parts = {}
+    for node, angle in lay.node_angle.items():
+        area, point, zero = lay.node_area[node], lay.node_point[node], lay.zero_point[node]
+        parts[node] = (
+            area, *point, angle,
+            _cross_head(point, zero, lay.gather_out[area]),
+            _cross_tail(lay.gather_in[area], zero, point),
+        )
+    cos, sin, hypot = math.cos, math.sin, math.hypot
     intra: list[str] = []
     cross: list[str] = []
     cross_colors: dict[tuple[AreaId, AreaId], str] = {}
-    # A cross edge's path starts and ends with what its source and its
-    # target node alone fix: computed once per node.
-    plan = _cross_edge_plan()
-    heads: dict[str, tuple[str, list[Point]]] = {}
-    tails: dict[str, tuple[str, list[Point]]] = {}
     for (source, target), weight in net.sorted_items():
-        if source == target or float(weight) < cfg.min_weight:
+        if source == target:
             continue
-        width = edge_width(cfg, weight)
-        alpha = _edge_alpha(
-            cfg, lay.node_point[source], lay.node_point[target], lay.circle_radius
-        )
-        src_area = lay.node_area[source]
-        dst_area = lay.node_area[target]
+        weight = float(weight)
+        if weight < min_weight:
+            continue
+        src_area, sx, sy, src_angle, head, _ = parts[source]
+        dst_area, tx, ty, dst_angle, _, tail = parts[target]
+        width = width_min + width_scale * weight
+        normalized = hypot(tx - sx, ty - sy) / diameter
+        alpha = min(1.0, max(alpha_floor, alpha_max - alpha_slope * normalized))
+        mid_angle = arc_midpoint(src_angle, dst_angle)
         if src_area == dst_area:
-            p0, ctrl, p1 = route_intra_edge(lay, source, target)
             intra.append(
-                f'<path class="edge-intra" fill="none" '
-                f'stroke="{lay.sector_color[src_area]}" '
-                f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" '
-                f'd="M {_pt(p0)} Q {_pt(ctrl)} {_pt(p1)}"/>'
+                '<path class="edge-intra" fill="none" stroke="%s" stroke-width="%.6g" '
+                'stroke-opacity="%.4f" d="M %.3f %.3f Q %.3f %.3f %.3f %.3f"/>' % (
+                    colors[src_area], width, alpha, sx, sy,
+                    cx + intra_radius * cos(mid_angle), cy + intra_radius * sin(mid_angle),
+                    tx, ty,
+                )
             )
         else:
             color = cross_colors.get((src_area, dst_area))
             if color is None:
                 color = cross_colors[src_area, dst_area] = mix_colors(
-                    lay.sector_color[src_area],
-                    lay.sector_color[dst_area],
-                    cfg.dest_color_weight,
+                    colors[src_area], colors[dst_area], cfg.dest_color_weight
                 )
-            head = heads.get(source)
-            if head is None:
-                head = heads[source] = plan.source.part(_cross_source_points(lay, source))
-            tail = tails.get(target)
-            if tail is None:
-                tail = tails[target] = plan.target.part(_cross_target_points(lay, target))
-            d = plan.path(head, tail, _cross_mid_point(lay, source, target))
-            cross.append(
-                f'<path class="edge-cross" fill="none" stroke="{color}" '
-                f'stroke-width="{width:.6g}" stroke-opacity="{alpha:.4f}" d="{d}"/>'
-            )
+            x3, y3 = cx + mid_radius * cos(mid_angle), cy + mid_radius * sin(mid_angle)
+            cross.append(_cross_element(head, tail, x3, y3, color, width, alpha))
     nodes = [
         f'<circle class="node" cx="{_fmt(lay.node_point[n][0])}" '
         f'cy="{_fmt(lay.node_point[n][1])}" r="{_fmt(lay.node_radius[n])}" '

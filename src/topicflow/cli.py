@@ -484,7 +484,9 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
 
 def cmd_report(cfg: PipelineConfig) -> Path:
     import json
-    ZeroBaselinePolicy.parse(cfg.baseline_policy)  # a bad policy fails before any write
+    # A bad policy or rendering setting fails before any write.
+    ZeroBaselinePolicy.parse(cfg.baseline_policy)
+    _viz_config(cfg)
     out = _out_dir(cfg)
     profiles, stats = cmd_ingest(cfg)
     flow_paths = cmd_flows(cfg, profiles)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -437,6 +438,9 @@ def test_flow_weight_not_finite_exits_two(tmp_path, capsys, weight, command):
     assert f"{network}:2: weights must be finite" in capsys.readouterr().err
 
 
+BEYOND_SVG = "canvas size and radii put the drawing beyond SVG's number range"
+
+
 @pytest.mark.parametrize(
     "flags,config,message",
     [
@@ -447,6 +451,10 @@ def test_flow_weight_not_finite_exits_two(tmp_path, capsys, weight, command):
         ([], "radius_frac=0", "radius fraction must be positive"),
         ([], "label_radius=nan", "rendering settings must be finite numbers"),
         ([], "font_size=inf", "rendering settings must be finite numbers"),
+        # geometry beyond SVG's number range; 401 digits are beyond float range too
+        pytest.param(["--canvas-size", "9" * 401], None, BEYOND_SVG, id="canvas-flag-401-digits"),
+        pytest.param([], "canvas_size=" + "9" * 401, BEYOND_SVG, id="canvas-config-401-digits"),
+        pytest.param([], "radius_frac=1e300", BEYOND_SVG, id="radius-frac-1e300"),
     ],
 )
 def test_viz_rejects_bad_sizes_and_non_finite_settings(tmp_path, capsys, flags, config, message):
@@ -555,6 +563,47 @@ def test_report_rejects_bad_config_choice_before_any_write(tmp_path, capsys, set
     assert main(["report", *base_args(tmp_path, out), "--config", str(config)]) == 1
     assert f"topicflow: error: {setting} must be one of " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_report_rejects_bad_rendering_setting_before_any_write(tmp_path, capsys):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["report", *base_args(tmp_path, out), "--canvas-size", "9" * 401]) == 1
+    assert f"topicflow: error: {BEYOND_SVG}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_viz_draws_node_strengths_beyond_float_range(tmp_path):
+    # Each weight is within float range; a node's exact strength is not.
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--authors", "50", "--seed", "3"]) == 0
+    args = [
+        "--records", str(corpus / "records.tsv"),
+        "--journal-topics", str(corpus / "journal_topics.tsv"),
+        "--topic-areas", str(corpus / "topic_areas.tsv"),
+        "--out", str(corpus / "out"),
+    ]
+    assert main(["ingest", *args]) == 0
+    assert main(["flows", *args]) == 0
+    topic_area = dict(
+        line.split("\t") for line in data_lines(corpus / "topic_areas.tsv")
+    )
+    network = corpus / "out" / "flows_topic_1910_1915.tsv"
+    header, *rows = network.read_text().splitlines()
+    sources = []
+    for n, row in enumerate(rows):
+        fields = row.split("\t")
+        if topic_area[fields[2]] != topic_area[fields[3]]:
+            rows[n] = "\t".join([*fields[:4], str(10**308)])
+            sources.append(fields[2])
+    assert len(sources) > len(set(sources))  # some node's strength exceeds float range
+    write_lines(network, [header, *rows])
+    assert main(["viz", *args, "--level", "topic", "--pair", "1910", "1915"]) == 0
+    svg = (corpus / "out" / "viz_topic_1910_1915.svg").read_text(encoding="utf-8")
+    root = ET.fromstring(svg)
+    radii = [float(el.get("r")) for el in root.iter("{http://www.w3.org/2000/svg}circle")]
+    assert max(radii) == 9.0  # clamped to node_radius_max
 
 
 _GOOD_RECORD = {"author_id": "x", "paper_id": "p1", "journal_id": "J1", "year": 1912}

@@ -2,6 +2,7 @@
 first use (PEP 562), so ``import topicflow`` alone loads no stage."""
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -44,3 +45,34 @@ def test_dir_lists_every_name_before_any_is_loaded():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert result.stdout.strip() == "True []"
+
+
+_DYNAMIC = ("exec", "eval", "compile")
+
+
+def _dynamic_code_calls(tree):
+    """Lines that call the builtin ``exec``, ``eval`` or ``compile``, by name
+    or as an attribute of ``builtins`` (``re.compile`` is not one of them)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _DYNAMIC or (
+            isinstance(func, ast.Attribute) and func.attr in _DYNAMIC
+            and isinstance(func.value, ast.Name) and func.value.id == "builtins"
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_generates_code_at_run_time():
+    # Every line that runs is source a reader can review, such as the spline kernel.
+    package = Path(topicflow.__file__).parent
+    offenders = {}
+    for module in sorted(package.glob("*.py")):
+        lines = _dynamic_code_calls(ast.parse(module.read_text(encoding="utf-8")))
+        if lines:
+            offenders[module.name] = lines
+    assert offenders == {}
+    assert _dynamic_code_calls(ast.parse("exec(t)\nre.compile(p)\nbuiltins.eval(t)")) == [1, 3]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from fractions import Fraction
@@ -19,15 +20,13 @@ from topicflow import (
     write_flow_network,
 )
 from topicflow.bundleviz import (
-    _cross_mid_point,
-    _cross_source_points,
-    _cross_target_points,
+    _cross_element,
+    _cross_head,
+    _cross_tail,
     _greedy_modularity_order,
-    _knot_schedule,
-    _replay,
+    _polar,
     _symmetrized_area_graph,
     arc_midpoint,
-    edge_width,
     load_viz_config,
     mix_colors,
     parse_hex,
@@ -97,8 +96,42 @@ def de_casteljau(segment, t):
     return points[0]
 
 
-# Reference helpers over the product's own spline and routing pieces:
-# render_svg splits the same schedule and control points per node.
+# The knot-insertion schedule the cross-edge kernel writes out, replayed on
+# indices for any control-polygon length: the reference for its lerps.
+
+
+def _knot_schedule(n):
+    """Knot insertion raising every interior knot to multiplicity 3, replayed
+    on indices: lerp ``(i, j, alpha)`` appends pool[i] + (pool[j] - pool[i])
+    * alpha to a pool that starts as the n control points. Also returns the
+    pool indices of each Bezier segment."""
+    degree = 3
+    spans = n - 3
+    knots = [0.0] * 4 + [float(i) for i in range(1, spans)] + [float(spans)] * 4
+    ctrl = list(range(n))
+    lerps = []
+    for value in range(1, spans):
+        u = float(value)
+        for _ in range(2):
+            span = bisect_right(knots, u) - 1
+            new = []
+            for i in range(span - degree + 1, span + 1):
+                denom = knots[i + degree] - knots[i]
+                alpha = (u - knots[i]) / denom if denom else 0.0
+                new.append(n + len(lerps))
+                lerps.append((ctrl[i - 1], ctrl[i], alpha))
+            ctrl[span - degree + 1 : span] = new
+            knots.insert(span + 1, u)
+    segments = tuple(tuple(ctrl[3 * i : 3 * i + 4]) for i in range(spans))
+    return tuple(lerps), segments
+
+
+def _replay(pool, lerps):
+    """Append each lerp's point to ``pool`` (alpha 0.0 included)."""
+    for i, j, t in lerps:
+        (px, py), (qx, qy) = pool[i], pool[j]
+        pool.append((px + (qx - px) * t, py + (qy - py) * t))
+    return pool
 
 
 def bspline_beziers(points):
@@ -106,7 +139,7 @@ def bspline_beziers(points):
     to cubic Bezier segments by raising interior knots to full multiplicity."""
     if len(points) < 4:
         raise UsageError("cubic B-spline needs at least 4 control points")
-    lerps, segments, _ = _knot_schedule(len(points))
+    lerps, segments = _knot_schedule(len(points))
     pool = _replay([tuple(p) for p in points], lerps)
     return [[pool[k] for k in seg] for seg in segments]
 
@@ -117,11 +150,20 @@ def route_cross_edge(lay, source, target):
     dst_area = lay.node_area[target]
     if src_area == dst_area:
         raise UsageError(f"{source}->{target} stays inside {src_area}; route as intra-area")
+    mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
     return [
-        *_cross_source_points(lay, source),
-        _cross_mid_point(lay, source, target),
-        *_cross_target_points(lay, target),
+        lay.node_point[source],
+        lay.zero_point[source],
+        lay.gather_out[src_area],
+        _polar(lay.center, mid_angle, lay.cfg.r_second * lay.circle_radius),
+        lay.gather_in[dst_area],
+        lay.zero_point[target],
+        lay.node_point[target],
     ]
+
+
+def edge_width(cfg, weight):
+    return cfg.width_min + cfg.width_scale * float(weight)
 
 
 CONTROL_POLYGON = [(0, 0), (1, 2), (2, -1), (3, 3), (4, 0), (5, 2), (6, 1)]
@@ -532,8 +574,41 @@ def test_cross_edge_paths_match_spline_of_routed_points(graph, order, size, offs
         for (source, target), _ in net.sorted_items()
         if lay.node_area[source] != lay.node_area[target]
     ]
-    got = [el.get("d") for el in svg_elements(render_svg(net, table, cfg), "path", "edge-cross")]
+    svg = render_svg(net, table, cfg)
+    got = [el.get("d") for el in svg_elements(svg, "path", "edge-cross")]
     assert got == want
+    # render_svg places intra-area edges inline, with route_intra_edge's float operations
+    want_intra = [
+        "M {0[0]:.3f} {0[1]:.3f} Q {1[0]:.3f} {1[1]:.3f} {2[0]:.3f} {2[1]:.3f}".format(
+            *route_intra_edge(lay, source, target)
+        )
+        for (source, target), _ in net.sorted_items()
+        if source != target and lay.node_area[source] == lay.node_area[target]
+    ]
+    assert [el.get("d") for el in svg_elements(svg, "path", "edge-intra")] == want_intra
+
+
+# Any finite coordinate; signed zeros and magnitudes whose differences
+# overflow to inf (and on to nan) are drawn often.
+kernel_coordinate = finite | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, sys.float_info.max, -sys.float_info.max]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(kernel_coordinate, kernel_coordinate), min_size=7, max_size=7))
+def test_cross_kernel_path_is_the_knot_insertion_spline(points):
+    p0, p1, p2, (x3, y3), p4, p5, p6 = points
+    head, tail = _cross_head(p0, p1, p2), _cross_tail(p4, p5, p6)
+    element = _cross_element(head, tail, x3, y3, "#123456", 1.5, 0.25)
+    prefix = (
+        '<path class="edge-cross" fill="none" stroke="#123456" stroke-width="1.5" '
+        'stroke-opacity="0.2500" d="'
+    )
+    assert element.startswith(prefix) and element.endswith('"/>')
+    path = element[len(prefix):-3]
+    assert path.startswith(head[0]) and path.endswith(tail[0])
+    assert path == reference_spline_path(points)
 
 
 def test_labels_with_markup_characters_round_trip(make_table):
