@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "bundleviz": ("VizConfig", "layout", "render_svg", "route_intra_edge"),
+        "bundleviz": ("VizConfig", "layout", "render_svg"),
         "classification": ("ClassificationTable", "load_classification"),
         "flows": (
             "FlowNetwork", "build_flow_networks", "count_transitions", "decompose_area_flows",

@@ -456,23 +456,6 @@ def _cross_element(head: tuple, tail: tuple, x3, y3, color: str, width, alpha) -
     )
 
 
-def route_intra_edge(lay: VizLayout, source: str, target: str) -> list[Point]:
-    """Endpoints plus one control point at the angular midpoint, placed in
-    the band between the node circle and the sector."""
-    src_area = lay.node_area[source]
-    dst_area = lay.node_area[target]
-    if src_area != dst_area:
-        raise UsageError(f"{source}->{target} crosses {src_area}->{dst_area}")
-    cfg = lay.cfg
-    mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
-    mid_radius = (cfg.r_node + cfg.sector_inner) / 2.0 * lay.circle_radius
-    return [
-        lay.node_point[source],
-        _polar(lay.center, mid_angle, mid_radius),
-        lay.node_point[target],
-    ]
-
-
 # -- rendering --
 
 
@@ -580,7 +563,8 @@ def render_svg(
     lay = layout(net, table, cfg)
     cx, cy = lay.center
     # Each edge reads the settings, and what its two nodes fix, from locals.
-    intra_radius = (cfg.r_node + cfg.sector_inner) / 2.0 * lay.circle_radius  # route_intra_edge's
+    # An intra-area edge bends at its angular midpoint, between node circle and sectors.
+    intra_radius = (cfg.r_node + cfg.sector_inner) / 2.0 * lay.circle_radius
     mid_radius = cfg.r_second * lay.circle_radius
     diameter = 2.0 * lay.circle_radius
     min_weight, width_min, width_scale = cfg.min_weight, cfg.width_min, cfg.width_scale
@@ -607,6 +591,8 @@ def render_svg(
         src_area, sx, sy, src_angle, head, _ = parts[source]
         dst_area, tx, ty, dst_angle, _, tail = parts[target]
         width = width_min + width_scale * weight
+        if width > _FLOAT32_MAX:  # an edge too heavy for SVG's number range
+            width = _FLOAT32_MAX
         normalized = hypot(tx - sx, ty - sy) / diameter
         alpha = min(1.0, max(alpha_floor, alpha_max - alpha_slope * normalized))
         mid_angle = arc_midpoint(src_angle, dst_angle)

@@ -5,14 +5,14 @@ newline-delimited JSON objects with the same four fields, auto-detected
 and read by one reused decoder). Ingestion reads the file once, checking
 each distinct author id, journal id and year text only where it first
 appears (a repeat is one lookup in a per-read memo), and groups distinct
-papers by author and calendar year. The disambiguation cut and the
-``--quantile`` threshold are counted from those groups; the authors under
-the cut are then deduplicated to one (year, journal) per paper and their
-topic activity accumulated per (author, snapshot).
+papers by author, keyed by a one-character calendar year code plus the
+paper. The disambiguation cut and the ``--quantile`` threshold are counted
+from those groups; the authors under the cut are then deduplicated to one
+(year, journal) per paper, in their sorted keys' order, and their topic
+activity accumulated per (author, snapshot).
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .classification import ClassificationTable, TopicId
@@ -177,24 +177,26 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
 # Journal ids are non-empty tokens, so the empty string cannot collide.
 _NOT_KEPT = ""
 
-# author -> "<calendar year><TAB>paper" -> smallest kept journal, or _NOT_KEPT
+# author -> year code + paper -> smallest kept journal, or _NOT_KEPT. The grid's year
+# start_year + i has the one-character code chr(i) (ASCII up to 128 years), so sorted keys run
+# in year order; off-grid years take the next free code points, in the order first seen.
 PaperGroups = dict[str, dict[str, str]]
+_CODE_POINTS = 0x110000  # the code points a str holds: the most years one read can code
 
 
 def _group_papers(
-    records_file, journals, years, track_dropped: bool, stats: IngestStats
+    records_file, journals, codes: dict[int, str], track_dropped: bool, stats: IngestStats
 ) -> tuple[PaperGroups, dict[str, int]]:
     """Read the records file once, grouping papers by author and calendar year.
 
-    Each author holds one dict keyed by ``"<year><TAB><paper>"``: most
-    author-years hold a single paper, so a dict per author-year would
-    mostly be a dict per record. Paper ids hold no whitespace, so the
-    key splits back at its first tab. A string key also keeps no
-    separate paper string alive, and, unlike a (year, paper) tuple, is
-    not tracked by the cyclic garbage collector, so the grouping holds
-    no tracked object per record.
+    Each author holds one dict keyed by year code plus paper id, ``key[0]``
+    and ``key[1:]``: most author-years hold a single paper, so a dict per
+    author-year would mostly be a dict per record. A string key also keeps
+    no separate paper string alive, and, unlike a (year, paper) tuple, is
+    not tracked by the cyclic garbage collector, so the grouping holds no
+    tracked object per record.
 
-    A record whose year is in ``years`` and whose journal is in
+    A record whose year is in ``codes`` and whose journal is in
     ``journals`` is kept: its key maps to the smallest journal any kept
     record gives it. Other records are counted as dropped in ``stats``
     and, when ``track_dropped``, still enter their key as ``_NOT_KEPT``,
@@ -204,20 +206,29 @@ def _group_papers(
     """
     groups: PaperGroups = {}
     repeats: dict[str, int] = {}
+    off_grid: dict[int, str] = {}
     read = dropped_year = dropped_unclassified = 0
-    for _, author, paper, journal, year in iter_records(records_file):
+    for lineno, author, paper, journal, year in iter_records(records_file):
         read += 1
-        if year not in years:
+        code = codes.get(year)
+        if code is None:
             dropped_year += 1
             if not track_dropped:
                 continue
+            code = off_grid.get(year)
+            if code is None:
+                if len(codes) + len(off_grid) == _CODE_POINTS:
+                    raise PipelineError(
+                        f"{records_file}:{lineno}: more than {_CODE_POINTS} distinct years"
+                    )
+                code = off_grid[year] = chr(len(codes) + len(off_grid))
             journal = _NOT_KEPT
         elif journal not in journals:
             dropped_unclassified += 1
             if not track_dropped:
                 continue
             journal = _NOT_KEPT
-        key = f"{year}\t{paper}"
+        key = code + paper
         entries = groups.get(author)
         if entries is None:
             groups[author] = {key: journal}
@@ -242,8 +253,8 @@ def _year_counts(entries: dict[str, str], kept_only: bool) -> Iterable[int]:
     counts: dict[str, int] = {}
     for key, journal in entries.items():
         if journal or not kept_only:
-            year = key[: key.index("\t")]  # str(int): equal years, equal text
-            counts[year] = counts.get(year, 0) + 1
+            code = key[0]
+            counts[code] = counts.get(code, 0) + 1
     return counts.values()
 
 
@@ -292,12 +303,13 @@ def ingest_records(
     well-formed record, are <= k.
 
     The file is read once, into one dict per author of its distinct
-    (calendar year, paper) entries (see ``_group_papers``); dropped
-    records enter too when the cut or the quantile counts them. The cut
-    and the quantile are per-year tallies of these entries, and the
-    dedupe walks each kept author's entries by ascending year, taking a
-    paper from the first year that keeps it. So the cut counts a paper
-    once in every year it appears, and the profile counts it once.
+    (calendar year, paper) entries, keyed by year code plus paper (see
+    ``PaperGroups``); dropped records enter too when the cut or the
+    quantile counts them. The cut and the quantile are per-year tallies
+    of these entries, and the dedupe walks each kept author's sorted keys,
+    so by ascending year, taking a paper from the first year that keeps
+    it. So the cut counts a paper once in every year it appears, and the
+    profile counts it once.
 
     Returns profiles sorted by (author, snapshot) plus ingest statistics,
     whose ``max_papers_per_year`` is the cut applied.
@@ -310,13 +322,17 @@ def ingest_records(
         raise InvalidSpec(f"cut_scope must be 'classified' or 'all', got {cut_scope!r}")
 
     journals = table.journal_topics
-    labels = {year: grid.snapshot_of(year) for year in range(grid.start_year, grid.end_year + 1)}
+    span = grid.end_year - grid.start_year + 1
+    if span > _CODE_POINTS:
+        raise InvalidSpec(f"ingest takes grids of at most {_CODE_POINTS} years, got {span}")
+    codes = {grid.start_year + i: chr(i) for i in range(span)}
+    labels = {code: grid.snapshot_of(year) for year, code in codes.items()}
     count_dropped = cut_scope == "all"
     stats = IngestStats()
     profiles: list[ActivityProfile] = []
     kept = collapsed = excluded = excluded_records = 0
     track_dropped = quantile is not None or (count_dropped and max_papers_per_year > 0)
-    groups, repeats = _group_papers(records_file, journals, labels, track_dropped, stats)
+    groups, repeats = _group_papers(records_file, journals, codes, track_dropped, stats)
     # Each author's largest per-year count, when the quantile pass has
     # already tallied what the cut counts; else tallied below as needed.
     peaks: dict[str, int] | None = None
@@ -341,21 +357,18 @@ def ingest_records(
             excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
             continue
         collapsed += repeats.get(author, 0)
-        walk = []
-        for key, journal in entries.items():
-            if journal:  # kept entries, whose years are all on the grid
-                year, _, paper = key.partition("\t")
-                walk.append((int(year), paper, journal))
-        # A stable sort by year keeps each year's papers in record order.
-        walk.sort(key=itemgetter(0))
         seen: set[str] = set()
         by_snapshot: dict[int, dict[TopicId, int]] = {}
-        for year, paper, journal in walk:
+        for key in sorted(entries):  # by year code, so by year
+            journal = entries[key]
+            if not journal:  # a dropped record's entry
+                continue
+            paper = key[1:]
             if paper in seen:
                 collapsed += 1
                 continue
             seen.add(paper)
-            label = labels[year]
+            label = labels[key[0]]
             counts = by_snapshot.get(label)
             if counts is None:
                 counts = by_snapshot[label] = {}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -604,6 +605,36 @@ def test_viz_draws_node_strengths_beyond_float_range(tmp_path):
     root = ET.fromstring(svg)
     radii = [float(el.get("r")) for el in root.iter("{http://www.w3.org/2000/svg}circle")]
     assert max(radii) == 9.0  # clamped to node_radius_max
+
+
+def test_viz_draws_edge_width_beyond_float_range_finite(tmp_path):
+    # width_min + width_scale * 1e308 overflows to inf unless clamped.
+    corpus = tmp_path / "corpus"
+    assert main([
+        "synth", "--out", str(corpus), "--authors", "300", "--snapshots", "4", "--seed", "3",
+    ]) == 0
+    args = [
+        "--records", str(corpus / "records.tsv"),
+        "--journal-topics", str(corpus / "journal_topics.tsv"),
+        "--topic-areas", str(corpus / "topic_areas.tsv"),
+        "--out", str(corpus / "out"),
+    ]
+    assert main(["report", *args, "--end-year", "1929"]) == 0
+    network = corpus / "out" / "flows_topic_1910_1915.tsv"
+    header, *rows = network.read_text().splitlines()
+    n = next(n for n, row in enumerate(rows) if row.split("\t")[2] != row.split("\t")[3])
+    rows[n] = "\t".join([*rows[n].split("\t")[:4], str(10**308)])
+    write_lines(network, [header, *rows])
+    viz_cfg = write_lines(tmp_path / "viz.cfg", ["width_scale=2"])
+    assert main([
+        "viz", *args, "--level", "topic", "--pair", "1910", "1915", "--viz-config", str(viz_cfg),
+    ]) == 0
+    svg = (corpus / "out" / "viz_topic_1910_1915.svg").read_text(encoding="utf-8")
+    root = ET.fromstring(svg)
+    widths = [float(el.get("stroke-width")) for el in root.iter("{http://www.w3.org/2000/svg}path")
+              if el.get("stroke-width") is not None]
+    assert max(widths) == 3.40282e38  # clamped to the largest single-precision float
+    assert re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE) is None
 
 
 _GOOD_RECORD = {"author_id": "x", "paper_id": "p1", "journal_id": "J1", "year": 1912}

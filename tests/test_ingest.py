@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from topicflow import (
     ActivityProfile,
@@ -22,6 +22,7 @@ from topicflow import (
     load_classification,
     multidisciplinarity,
 )
+from topicflow.classification import ClassificationTable
 import topicflow.cli as cli_module
 from topicflow.cli import PipelineConfig, _load_networks, load_profiles, main, write_profiles
 from topicflow.errors import EmptySet, InvalidSpec, MalformedLine, MalformedRecord, PipelineError
@@ -457,6 +458,83 @@ def test_single_pass_matches_two_pass_reference(
         )
 
 
+@st.composite
+def _grid_and_rows(draw):
+    """A grid (at times wider than the 128 ASCII year codes) and rows over
+    few authors and papers, in years on it and off it on both sides, so
+    that papers recur in other years and (year, paper)s in other journals."""
+    start = draw(st.integers(1800, 1950))
+    end = start + draw(st.sampled_from([9, 104, 127, 128, 300])) - 1
+    grid = SnapshotGrid(start, end, draw(st.integers(1, 9)))
+    years = st.sampled_from([start - 40, start - 1, start, start + 1, (start + end) // 2,
+                             end - 1, end, end + 1, end + 300])
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["a0", "a1", "a2"]), st.sampled_from(["p0", "p1", "p2", "p3"]),
+        st.sampled_from(["J1", "J2", "J3", "unknown"]), years,
+    ), min_size=1, max_size=40))
+    return grid, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _grid_and_rows(),
+    st.sampled_from(["classified", "all"]),
+    st.sampled_from([0, 1, 17]),
+    st.sampled_from([None, 0.6]),
+)
+def test_ingest_matches_reference_on_any_grid(tmp_path_factory, grid_rows, cut_scope,
+                                              threshold, quantile):
+    grid, rows = grid_rows
+    table = ClassificationTable(
+        journal_topics={j: tuple(ts) for j, ts in TABLE.items()}, topic_area=AREAS
+    )
+    folder = tmp_path_factory.mktemp("rows")
+    tsv = write_lines(folder / "r.tsv", [f"{a}\t{p}\t{j}\t{y}" for a, p, j, y in rows])
+    ndjson = write_lines(folder / "r.ndjson", [
+        json.dumps(dict(zip(ingest_module.RECORD_FIELDS, row))) for row in rows
+    ])
+    want = _reference_ingest(rows, grid, threshold, cut_scope, quantile)
+    for records in (tsv, ndjson):
+        got = ingest_records(
+            records, table, grid, threshold, cut_scope=cut_scope, quantile=quantile
+        )
+        assert got == want
+    if quantile is not None:
+        assert compute_yearly_paper_quantile(tsv, quantile) == want[1].max_papers_per_year
+
+
+def test_grid_wider_than_the_year_codes_exits_one_before_reading(tmp_path, capsys):
+    # The grid is refused before the records are read: their line would exit 2.
+    write_lines(tmp_path / "journal_topics.tsv", ["J1\tT1"])
+    write_lines(tmp_path / "topic_areas.tsv", ["T1\tA1"])
+    write_lines(tmp_path / "records.tsv", ["only\ttwo"])
+    capsys.readouterr()
+    assert main([
+        "ingest", "--records", str(tmp_path / "records.tsv"),
+        "--journal-topics", str(tmp_path / "journal_topics.tsv"),
+        "--topic-areas", str(tmp_path / "topic_areas.tsv"), "--out", str(tmp_path / "out"),
+        "--start-year", "0", "--end-year", "1114112",
+    ]) == 1
+    assert "ingest takes grids of at most 1114112 years, got 1114113" in capsys.readouterr().err
+
+
+def test_more_distinct_years_than_codes_exit_two_naming_the_line(
+    table, make_records, monkeypatch
+):
+    # 10 on-grid years leave 2 codes for years off the grid; a third is refused.
+    monkeypatch.setattr(ingest_module, "_CODE_POINTS", 12)
+    rows = [("a", "p", "J1", year) for year in (1912, 1800, 1801, 1800, 1911, 3000)]
+    records = make_records(rows)
+    grid = SnapshotGrid(1910, 1919, 5)
+    profiles, _ = ingest_records(records, table, grid, cut_scope="all", max_papers_per_year=0)
+    assert len(profiles) == 1  # off-grid years take no code unless counted
+    with pytest.raises(PipelineError, match=re.escape(f"{records}:6: more than 12 distinct years")):
+        ingest_records(records, table, grid, cut_scope="all")
+    monkeypatch.setattr(ingest_module, "_CODE_POINTS", 10)
+    with pytest.raises(InvalidSpec, match="at most 10 years, got 11"):
+        ingest_records(records, table, SnapshotGrid(1910, 1920, 5))
+
+
 @pytest.mark.parametrize(
     "cut_scope,quantile", [("classified", None), ("all", None), ("classified", 0.5), ("all", 0.9)]
 )
@@ -490,7 +568,9 @@ def test_ingest_peak_traced_bytes_per_record(tmp_path):
     # record read, measured under pytest: 283 with a dict per (author,
     # year), a __dict__ and an own area set per profile; 112 with one
     # dict per author keyed by "year<TAB>paper", slotted profiles and
-    # shared area sets (194 with (year, paper) tuple keys instead).
+    # shared area sets (194 with (year, paper) tuple keys instead); 110
+    # with keys of a one-character year code plus the paper, against 114
+    # for "year<TAB>paper" keys re-measured alongside.
     spec = SyntheticSpec(n_authors=2000, n_topics=40, n_areas=8, n_snapshots=4, seed=8)
     corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), tmp_path)
     table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)

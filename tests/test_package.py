@@ -29,8 +29,9 @@ def test_star_import_binds_exactly_all():
 
 
 def test_unknown_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="has no attribute 'route_cross_edge'"):
-        topicflow.route_cross_edge  # noqa: B018 - moved into the tests
+    for moved in ("route_cross_edge", "route_intra_edge"):  # both now live in the tests
+        with pytest.raises(AttributeError, match=f"has no attribute '{moved}'"):
+            getattr(topicflow, moved)
     assert not hasattr(topicflow, "no_such_name")
 
 

@@ -16,7 +16,6 @@ from topicflow import (
     VizConfig,
     layout,
     render_svg,
-    route_intra_edge,
     write_flow_network,
 )
 from topicflow.bundleviz import (
@@ -158,6 +157,23 @@ def route_cross_edge(lay, source, target):
         _polar(lay.center, mid_angle, lay.cfg.r_second * lay.circle_radius),
         lay.gather_in[dst_area],
         lay.zero_point[target],
+        lay.node_point[target],
+    ]
+
+
+def route_intra_edge(lay, source, target):
+    """Endpoints plus one control point at the angular midpoint, placed in
+    the band between the node circle and the sector."""
+    src_area = lay.node_area[source]
+    dst_area = lay.node_area[target]
+    if src_area != dst_area:
+        raise UsageError(f"{source}->{target} crosses {src_area}->{dst_area}")
+    cfg = lay.cfg
+    mid_angle = arc_midpoint(lay.node_angle[source], lay.node_angle[target])
+    mid_radius = (cfg.r_node + cfg.sector_inner) / 2.0 * lay.circle_radius
+    return [
+        lay.node_point[source],
+        _polar(lay.center, mid_angle, mid_radius),
         lay.node_point[target],
     ]
 
