@@ -10,8 +10,9 @@ yields a weighted directed network per consecutive snapshot pair, at
 topic or area granularity.
 
 Everything runs in the calling process. ``flow_networks_from_profiles``
-computes each profile's dominant set once and fills the topic-level and
-area-level author maps in the same sweep.
+computes each profile's dominant set once for every requested level, and
+``build_flow_networks`` counts each level in one fold over those sets in
+(author, snapshot) order, the order ingest and the profile reader return.
 """
 from __future__ import annotations
 
@@ -113,76 +114,41 @@ def count_transitions(
     return out
 
 
-def _add_set(
-    by_author: dict[str, dict[int, frozenset[str]]],
-    author: str,
-    snapshot: int,
-    nodes: frozenset[str],
-) -> None:
-    snaps = by_author.setdefault(author, {})
-    if snapshot in snaps:
-        raise InvariantViolation(
-            f"duplicate dominant set for author {author!r} at snapshot {snapshot}"
-        )
-    snaps[snapshot] = nodes
-
-
-def _networks(
-    by_author: dict[str, dict[int, frozenset[str]]],
-    grid: SnapshotGrid,
-    level: str,
-    appearing_weight: str,
-) -> list[FlowNetwork]:
-    """Sum every author's transitions into one network per consecutive grid pair."""
-    pairs = grid.label_pairs()
-    acc: dict[tuple[int, int], dict[tuple[str, str], int | Fraction]] = {
-        pair: {} for pair in pairs
-    }
-    for snaps in by_author.values():
-        if len(snaps) < 2:
-            continue
-        for pair in pairs:
-            earlier = snaps.get(pair[0])
-            later = snaps.get(pair[1])
-            if earlier is None or later is None:
-                continue
-            bucket = acc[pair]
-            for edge, weight in count_transitions(earlier, later, appearing_weight).items():
-                bucket[edge] = bucket.get(edge, 0) + weight
-    return [
-        FlowNetwork(level=level, from_snapshot=a, to_snapshot=b, weights=acc[(a, b)])
-        for a, b in pairs
-    ]
-
-
 def build_flow_networks(
     dominant_sets: Iterable[tuple[str, int, frozenset[str]]],
     grid: SnapshotGrid,
     *,
     level: str = "topic",
-    table: ClassificationTable | None = None,
     appearing_weight: str = "unit",
 ) -> list[FlowNetwork]:
     """Sum per-author transitions into one network per consecutive grid pair.
 
     ``dominant_sets`` holds one ``(author, snapshot, nodes)`` tuple per
-    profile, ``nodes`` being its dominant topics. Only authors present in
-    both snapshots of a pair contribute; skipped snapshots never bridge
-    (1910->1920 without 1915 yields nothing). With ``level='area'`` each
-    dominant topic set is mapped through the topic->area table and
-    deduplicated before counting. Weights are exact: integers, or
+    profile, ``nodes`` being its dominant topics or areas, in strictly
+    ascending (author, snapshot) order, the order ``ingest_records`` and
+    ``load_profiles`` return; a set out of that order raises
+    ``InvariantViolation``. One fold counts each set against the previous
+    one when both are the same author's and the snapshot is the grid label
+    after the previous one: skipped snapshots never bridge (1910->1920
+    without 1915 yields nothing). Weights are exact: integers, or
     ``Fraction``s under ``appearing_weight='uniform'``.
     """
     if level not in ("topic", "area"):
         raise UsageError(f"level must be 'topic' or 'area', got {level!r}")
-    if level == "area" and table is None:
-        raise UsageError("area-level flows need a classification table")
-    by_author: dict[str, dict[int, frozenset[str]]] = {}
+    pairs = grid.label_pairs()
+    following = dict(pairs)
+    acc: dict[tuple[int, int], dict[tuple[str, str], int | Fraction]] = {p: {} for p in pairs}
+    last_author = last_snapshot = last_nodes = None
     for author, snapshot, nodes in dominant_sets:
-        if level == "area":
-            nodes = frozenset(_area_of(t, table) for t in nodes)
-        _add_set(by_author, author, snapshot, nodes)
-    return _networks(by_author, grid, level, appearing_weight)
+        if last_author is not None and (author, snapshot) <= (last_author, last_snapshot):
+            raise InvariantViolation(f"dominant set {author!r}@{snapshot} does not follow "
+                                     f"{last_author!r}@{last_snapshot} in (author, snapshot) order")
+        if author == last_author and following.get(last_snapshot) == snapshot:
+            bucket = acc[last_snapshot, snapshot]
+            for edge, weight in count_transitions(last_nodes, nodes, appearing_weight).items():
+                bucket[edge] = bucket.get(edge, 0) + weight
+        last_author, last_snapshot, last_nodes = author, snapshot, nodes
+    return [FlowNetwork(level, a, b, acc[(a, b)]) for a, b in pairs]
 
 
 def flow_networks_from_profiles(
@@ -194,11 +160,13 @@ def flow_networks_from_profiles(
     area_mode: str = "mapped",
     appearing_weight: str = "unit",
 ) -> list[FlowNetwork]:
-    """Profiles -> dominant sets -> flow networks, in one sweep.
+    """Profiles -> dominant sets -> flow networks.
 
-    ``level`` is ``'topic'``, ``'area'`` or ``'both'``; with ``'both'`` the
-    topic networks come first, then the area networks. Each profile's
-    dominant topic set is computed once and feeds every requested level.
+    ``profiles`` come in (author, snapshot) order, as for
+    ``build_flow_networks``, which counts each requested level. ``level``
+    is ``'topic'``, ``'area'`` or ``'both'``; with ``'both'`` the topic
+    networks come first, then the area networks. Each profile's dominant
+    topic set is computed once and feeds every requested level.
     ``area_mode='mapped'`` (default) maps that set through the
     topic->area table; ``'argmax'`` re-runs the argmax on per-area
     aggregated counts instead.
@@ -209,35 +177,34 @@ def flow_networks_from_profiles(
         raise UsageError(f"area_mode must be 'mapped' or 'argmax', got {area_mode!r}")
     if level != "topic" and table is None:
         raise UsageError("area-level flows need a classification table")
-    by_topic: dict[str, dict[int, frozenset[str]]] | None = None if level == "area" else {}
-    by_area: dict[str, dict[int, frozenset[str]]] | None = None if level == "topic" else {}
-    argmax = area_mode == "argmax"
-    # Most dominant sets recur across profiles, so the maps hold one shared
-    # frozenset per distinct topic set and per mapped area set.
+    levels = ("topic", "area") if level == "both" else (level,)
+    sets: dict[str, list[frozenset[str]]] = {name: [] for name in levels}
+    topic_sets, area_sets = sets.get("topic"), sets.get("area")
+    mapped = area_sets is not None and area_mode == "mapped"
+    # One pointer per profile and level, to one shared frozenset per distinct
+    # topic set and per mapped area set: most dominant sets recur.
     shared: dict[frozenset[str], tuple[frozenset[str], frozenset[str] | None]] = {}
     for profile in profiles:
-        author, snapshot = profile.author_id, profile.snapshot
-        if by_topic is not None or not argmax:
+        if topic_sets is not None or mapped:
             topics = dominant_topics(profile)
             entry = shared.get(topics)
             if entry is None:
-                areas = None
-                if by_area is not None and not argmax:
-                    areas = frozenset(_area_of(t, table) for t in topics)
+                areas = frozenset(_area_of(t, table) for t in topics) if mapped else None
                 entry = shared[topics] = (topics, areas)
             topics, areas = entry
-            if by_topic is not None:
-                _add_set(by_topic, author, snapshot, topics)
-        if by_area is not None:
-            if argmax:
-                areas = dominant_area_set(profile, table)
-            _add_set(by_area, author, snapshot, areas)
-    nets = []
-    if by_topic is not None:
-        nets += _networks(by_topic, grid, "topic", appearing_weight)
-    if by_area is not None:
-        nets += _networks(by_area, grid, "area", appearing_weight)
-    return nets
+            if topic_sets is not None:
+                topic_sets.append(topics)
+        if area_sets is not None:
+            area_sets.append(areas if mapped else dominant_area_set(profile, table))
+    authors = [p.author_id for p in profiles]
+    snapshots = [p.snapshot for p in profiles]
+    return [
+        net
+        for name, found in sets.items()
+        for net in build_flow_networks(
+            zip(authors, snapshots, found), grid, level=name, appearing_weight=appearing_weight
+        )
+    ]
 
 
 def decompose_area_flows(net: FlowNetwork, area: AreaId):

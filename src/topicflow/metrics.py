@@ -14,7 +14,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .classification import AreaId, ClassificationTable, TopicId
-from .errors import EmptySeries, UsageError
+from .errors import EmptySeries, PipelineError, UsageError
 from .flows import FlowNetwork, decompose_area_flows
 from .ingest import ActivityProfile
 from .util import Checked, quantile_cutoff
@@ -144,7 +144,8 @@ def attractiveness_table(
     """(snapshot, topic) -> (delta, pairs_used) for every observed topic.
 
     One shared incoming index per network pair, so sweeping all topics
-    stays linear in the number of edges.
+    stays linear in the number of edges. A delta beyond float range
+    raises ``PipelineError`` naming the snapshot and the topic.
     """
     nets = list(nets)
     pairs = _consecutive_pairs(nets)
@@ -160,9 +161,13 @@ def attractiveness_table(
         prev_idx = _incoming_index(prev)
         cur_idx = _incoming_index(cur)
         for topic in sorted(prev.nodes() | cur.nodes()):
-            table[(cur.to_snapshot, topic)] = _delta_for_topic(
+            entry = table[(cur.to_snapshot, topic)] = _delta_for_topic(
                 topic, prev_idx.get(topic, {}), cur_idx.get(topic, {}), policy, n_topics
             )
+            if not math.isfinite(entry[0]):
+                raise PipelineError(
+                    f"attractiveness of topic {topic!r} at snapshot {cur.to_snapshot} is not"
+                    " finite: a baseline flow or the smoothing constant is too small")
     return table
 
 

@@ -637,6 +637,38 @@ def test_viz_draws_edge_width_beyond_float_range_finite(tmp_path):
     assert re.search(r"\b(?:inf|nan)\b", svg, re.IGNORECASE) is None
 
 
+@pytest.mark.parametrize("route", ["smooth-constant", "tiny-weight"])
+def test_metrics_delta_beyond_float_range_exits_two_before_any_write(tmp_path, capsys, route):
+    # 1/1e-320 overflows, so the relative change of that baseline would read inf.
+    corpus = tmp_path / "corpus"
+    assert main([
+        "synth", "--out", str(corpus), "--authors", "300", "--snapshots", "4", "--seed", "3",
+    ]) == 0
+    out = corpus / "out"
+    args = [
+        "--records", str(corpus / "records.tsv"),
+        "--journal-topics", str(corpus / "journal_topics.tsv"),
+        "--topic-areas", str(corpus / "topic_areas.tsv"),
+        "--out", str(out), "--end-year", "1929",
+    ]
+    assert main(["report", *args]) == 0
+    if route == "smooth-constant":
+        args += ["--baseline-policy", "smooth:1e-320"]
+    else:
+        network = out / "flows_topic_1910_1915.tsv"
+        header, *rows = network.read_text().splitlines()
+        n = next(n for n, row in enumerate(rows) if row.split("\t")[2] != row.split("\t")[3])
+        rows[n] = "\t".join([*rows[n].split("\t")[:4], "1e-320"])
+        write_lines(network, [header, *rows])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["metrics", *args]) == 2
+    assert re.search(
+        r"attractiveness of topic 't\d+' at snapshot 1920 is not finite", capsys.readouterr().err
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 _GOOD_RECORD = {"author_id": "x", "paper_id": "p1", "journal_id": "J1", "year": 1912}
 
 

@@ -5,10 +5,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from topicflow import (
     ActivityProfile,
+    ClassificationTable,
     FlowNetwork,
     SnapshotGrid,
     build_flow_networks,
@@ -20,7 +21,7 @@ from topicflow import (
     write_flow_network,
 )
 from topicflow.cli import main
-from topicflow.errors import EmptySet, MalformedLine, UsageError
+from topicflow.errors import EmptySet, InvariantViolation, MalformedLine, UsageError
 
 
 def profile(author, snapshot, counts):
@@ -153,8 +154,20 @@ def test_gap_snapshots_do_not_bridge():
     assert all(net.weights == {} for net in nets)
 
 
-def _oracle_build(author_sets, grid, level_map=None):
-    """Per-author recount with independently written counting."""
+def _oracle_dominant(counts, level_map=None):
+    """The argmax set of ``counts``, summed per ``level_map[key]`` first if given."""
+    if level_map:
+        summed = {}
+        for key, count in counts.items():
+            summed[level_map[key]] = summed.get(level_map[key], 0) + count
+        counts = summed
+    top = max(counts.values())
+    return frozenset(key for key, count in counts.items() if count == top)
+
+
+def _oracle_build(author_sets, grid, level_map=None, uniform=False):
+    """Per-author recount with independently written counting; ``uniform``
+    splits each appearing node's unit over the earlier set."""
     totals = {pair: {} for pair in grid.label_pairs()}
     for sets in author_sets.values():
         mapped = {
@@ -170,7 +183,9 @@ def _oracle_build(author_sets, grid, level_map=None):
                 bucket[(t, t)] = bucket.get((t, t), 0) + 1
             for t in dst - src:
                 for s in src:
-                    bucket[(s, t)] = bucket.get((s, t), 0) + 1
+                    bucket[(s, t)] = bucket.get((s, t), 0) + (
+                        Fraction(1, len(src)) if uniform else 1
+                    )
     return totals
 
 
@@ -190,17 +205,22 @@ def test_build_matches_per_author_oracle(seed):
     dominant = [
         ds(a, snap, topics) for a, sets in author_sets.items() for snap, topics in sets.items()
     ]
-    nets = build_flow_networks(dominant, grid)
+    nets = build_flow_networks(sorted(dominant), grid)
     expected = _oracle_build(author_sets, grid)
     for net in nets:
         assert net.weights == expected[(net.from_snapshot, net.to_snapshot)]
         assert all(isinstance(w, int) and w > 0 for w in net.weights.values())
 
 
+def _profiles_with_sets(sets):
+    """Profiles whose dominant topic sets are the given ``(author, snapshot, nodes)``."""
+    return [profile(a, snapshot, dict.fromkeys(nodes, 1)) for a, snapshot, nodes in sets]
+
+
 def test_area_level_maps_then_dedups(make_table):
     table = make_table({"J": ["T1", "T2", "T3"]}, {"T1": "A1", "T2": "A1", "T3": "A2"})
     sets = [ds("x", 1910, {"T1", "T2"}), ds("x", 1915, {"T3"})]
-    nets = build_flow_networks(sets, GRID2, level="area", table=table)
+    nets = flow_networks_from_profiles(_profiles_with_sets(sets), GRID2, level="area", table=table)
     # {T1,T2} -> {A1}; one appearing area from one source area
     assert nets[0].weights == {("A1", "A2"): 1}
 
@@ -224,7 +244,9 @@ def test_area_level_equals_scratch_area_oracle(seed, make_table):
     dominant = [
         ds(a, snap, tset) for a, sets in author_sets.items() for snap, tset in sets.items()
     ]
-    nets = build_flow_networks(dominant, grid, level="area", table=table)
+    nets = flow_networks_from_profiles(
+        _profiles_with_sets(sorted(dominant)), grid, level="area", table=table
+    )
     expected = _oracle_build(author_sets, grid, level_map=table.topic_area)
     for net in nets:
         assert net.weights == expected[(net.from_snapshot, net.to_snapshot)]
@@ -257,11 +279,11 @@ def test_both_levels_share_one_dominant_set_per_profile(make_table, monkeypatch)
         {"J": ["T1", "T2", "T3"]}, {"T1": "A1", "T2": "A2", "T3": "A2"}
     )
     rng = random.Random(3)
-    profiles = [
+    profiles = sorted(
         profile(f"a{i}", label, {t: rng.randint(1, 3) for t in rng.sample(["T1", "T2", "T3"], 2)})
         for i in range(20)
         for label in (1910, 1915)
-    ]
+    )
     calls = []
     original = flows_module.dominant_topics
     monkeypatch.setattr(
@@ -280,6 +302,70 @@ def test_both_levels_share_one_dominant_set_per_profile(make_table, monkeypatch)
         assert [(n.level, n.from_snapshot, n.weights) for n in both] == [
             (n.level, n.from_snapshot, n.weights) for n in separate
         ]
+
+
+@pytest.mark.parametrize("sets", [
+    [ds("x", 1910, "A"), ds("x", 1910, "B")],  # a repeated (author, snapshot)
+    [ds("x", 1915, "A"), ds("x", 1910, "B")],  # a snapshot going backwards
+    [ds("x", 1910, "A"), ds("y", 1910, "A"), ds("x", 1915, "B")],  # x returns after y
+], ids=["repeat", "backwards", "author-returns"])
+def test_sets_out_of_author_snapshot_order_are_an_invariant_violation(sets, make_table):
+    table = make_table({"J": ["A", "B"]}, {"A": "X", "B": "Y"})
+    with pytest.raises(InvariantViolation, match=r"does not follow .* \(author, snapshot\) order"):
+        build_flow_networks(sets, GRID2)
+    for level in ("topic", "area", "both"):
+        with pytest.raises(InvariantViolation):
+            flow_networks_from_profiles(_profiles_with_sets(sets), GRID2, level=level, table=table)
+
+
+_TOPICS = [f"T{i}" for i in range(6)]
+_TABLE = ClassificationTable({"J": tuple(_TOPICS)}, {t: f"A{i % 3}" for i, t in enumerate(_TOPICS)})
+_GRID4 = SnapshotGrid(1900, 1919, 5)  # labels 1900, 1905, 1910, 1915
+# Authors whose lexicographic order differs from their numeric one; each has
+# one to four snapshots, so gaps and single-snapshot authors occur.
+_corpora = st.dictionaries(
+    st.sampled_from(["a", "a1", "a10", "a2", "a9", "b"]),
+    st.dictionaries(
+        st.sampled_from(_GRID4.labels()),
+        st.dictionaries(st.sampled_from(_TOPICS), st.integers(1, 3), min_size=1),
+        min_size=1,
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corpora, st.sampled_from(["mapped", "argmax"]), st.sampled_from(["unit", "uniform"]))
+def test_profiles_match_per_author_oracle(corpus, area_mode, appearing_weight):
+    profiles = sorted(
+        profile(a, snapshot, counts)
+        for a, snaps in corpus.items()
+        for snapshot, counts in snaps.items()
+    )
+    nets = flow_networks_from_profiles(
+        profiles, _GRID4, level="both", table=_TABLE, area_mode=area_mode,
+        appearing_weight=appearing_weight,
+    )
+    uniform = appearing_weight == "uniform"
+    topic_sets = {
+        a: {snapshot: _oracle_dominant(counts) for snapshot, counts in snaps.items()}
+        for a, snaps in corpus.items()
+    }
+    if area_mode == "mapped":
+        area = _oracle_build(topic_sets, _GRID4, level_map=_TABLE.topic_area, uniform=uniform)
+    else:
+        area_sets = {
+            a: {s: _oracle_dominant(counts, _TABLE.topic_area) for s, counts in snaps.items()}
+            for a, snaps in corpus.items()
+        }
+        area = _oracle_build(area_sets, _GRID4, uniform=uniform)
+    expected = {"topic": _oracle_build(topic_sets, _GRID4, uniform=uniform), "area": area}
+    pairs = _GRID4.label_pairs()
+    assert [(n.level, (n.from_snapshot, n.to_snapshot)) for n in nets] == [
+        (level, pair) for level in ("topic", "area") for pair in pairs
+    ]
+    for net in nets:
+        assert net.weights == expected[net.level][(net.from_snapshot, net.to_snapshot)]
 
 
 def _flow_files_at_threads(tmp_path, make_classification, make_records, sets, grid,
@@ -318,7 +404,7 @@ def test_threads_setting_does_not_change_result(tmp_path, make_classification, m
         tmp_path, make_classification, make_records, sets, grid, (1, 3)
     )
     assert trees[1] == trees[3]
-    for net in build_flow_networks(sets, grid):
+    for net in build_flow_networks(sorted(sets), grid):
         path = tmp_path / "run_t3" / f"flows_topic_{net.from_snapshot}_{net.to_snapshot}.tsv"
         assert load_flow_network(path, level="topic").weights == net.weights
 
@@ -330,7 +416,7 @@ def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification,
         ds("y", 1910, {"A", "B", "C"}),
         ds("y", 1915, {"D"}),
     ]
-    profiles = [profile(a, snapshot, dict.fromkeys(nodes, 1)) for a, snapshot, nodes in sets]
+    profiles = _profiles_with_sets(sets)
     exact = flow_networks_from_profiles(profiles, GRID2, appearing_weight="uniform")
     built = build_flow_networks(sets, GRID2, appearing_weight="uniform")
     assert exact[0].weights == built[0].weights
