@@ -5,12 +5,14 @@ Runs ``synth``, then ``ingest``, ``flows``, ``metrics`` and one ``viz
 --level topic --pair 1910 1915``, each as its own ``python -m
 topicflow.cli`` child, the way users run it, and reports each one's wall
 time and max RSS (from ``os.wait4``). So ``flows`` and ``metrics`` show
-what reloading ``profiles.tsv`` costs, and ``viz`` what one redraw costs.
-This script imports no topicflow code and stays small: a child started by
-``subprocess`` reports at least the RSS its parent had when it started,
-so a large parent would hide the stages' own peaks. Ingest's peak is also given per record read (the
-number to watch as the corpus grows). Mirrors the performance gate in
-tests/test_acceptance.py but keeps the artifacts around for inspection.
+what streaming ``profiles.tsv`` through each of them costs, and ``viz``
+what one redraw costs. This script imports no topicflow code and stays
+small: a child started by ``subprocess`` reports at least the RSS its
+parent had when it started, so a large parent would hide the stages' own
+peaks. Ingest's peak is also given per record read, and the peaks of
+``flows`` and ``metrics`` per profile (the numbers to watch as the corpus
+grows). Mirrors the performance gate in tests/test_acceptance.py but
+keeps the artifacts around for inspection.
 
 Usage:
     python3 scripts/benchmark_ingest.py [--out bench_out] [--authors 100000] [--threads N]
@@ -38,6 +40,17 @@ def run_stage(argv: list[str]) -> tuple[int, float, int]:
     )
     _, status, usage = os.wait4(child.pid, 0)
     return os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss
+
+
+def count_profiles(path: Path) -> int:
+    """The (author, snapshot) groups of ``profiles.tsv``, whose rows come grouped."""
+    groups, last = 0, None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            key = line.split("\t", 2)[:2]
+            if not line.startswith("#") and key != last:
+                groups, last = groups + 1, key
+    return groups
 
 
 def run(argv=None) -> int:
@@ -78,6 +91,10 @@ def run(argv=None) -> int:
     per_record = peaks["ingest"] * 1024 / stats["records_read"]
     print(f"{stats['records_read']} records read; "
           f"ingest max rss per record read: {per_record:.0f} bytes")
+    profiles = count_profiles(out / "run" / "profiles.tsv")
+    per_profile = {stage: peaks[stage] * 1024 / profiles for stage in ("flows", "metrics")}
+    print(f"{profiles} profiles; max rss per profile: flows {per_profile['flows']:.0f} bytes, "
+          f"metrics {per_profile['metrics']:.0f} bytes")
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bundleviz import VizConfig, load_viz_config, render_svg
 from .classification import ClassificationTable, load_classification
@@ -31,8 +31,8 @@ from .errors import (
 )
 from .flows import (
     FlowNetwork,
+    _flow_networks,
     flow_file_name,
-    flow_networks_from_profiles,
     load_flow_network,
     write_flow_network,
 )
@@ -232,15 +232,17 @@ def write_profiles(profiles: list[ActivityProfile], path) -> None:
 
 def load_profiles(
     path, table: ClassificationTable, grid: SnapshotGrid
-) -> list[ActivityProfile]:
-    """Read ``profiles.tsv`` back into profiles sorted by (author, snapshot).
+) -> Iterator[ActivityProfile]:
+    """Yield the profiles of ``profiles.tsv`` one (author, snapshot) group at a time.
 
-    Rows may come in any order; ``write_profiles`` writes each (author,
-    snapshot) group's rows together, so a group is looked up only when
-    the pair changes from the previous row. The loaded profiles are as
-    compact as the ones ingest builds: topic keys are the classification
-    table's own strings, every profile of a snapshot holds the same int,
-    and an author's consecutive rows share one author string.
+    Groups must come in strictly ascending (author, snapshot) order, as
+    ``write_profiles`` writes them; a group out of that order, such as one
+    that appears again later, raises ``MalformedLine`` at its first row.
+    A profile is yielded when its group ends, so the caller decides what
+    to keep. Loaded profiles are as compact as the ones ingest builds:
+    topic keys are the classification table's own strings, every profile
+    of a snapshot holds the same int, and an author's groups share one
+    author string.
     """
     topics = {t: t for t in table.topic_area}
     # A label, and each label or count text that passed, map to one shared int.
@@ -248,7 +250,6 @@ def load_profiles(
     for label in grid.labels():
         labels[str(label)] = labels[label] = label
     counts: dict[str, int] = {}
-    grouped: dict[tuple[str, int], dict[str, int]] = {}
     author = group_snapshot = bucket = None
     for lineno, parts in iter_tsv(path):
         if len(parts) != 4:
@@ -274,15 +275,22 @@ def load_profiles(
                 raise MalformedLine(f"{path}:{lineno}: counts must be >= 1")
             labels[snapshot_text] = snapshot
             counts[count_text] = count
-        if author_text != author:
-            author, bucket = author_text, None
-        if bucket is None or snapshot != group_snapshot:
-            group_snapshot = snapshot
-            bucket = grouped.setdefault((author, snapshot), {})
+        if author_text != author or snapshot != group_snapshot:
+            if bucket is not None:
+                if (author_text, snapshot) < (author, group_snapshot):
+                    raise MalformedLine(
+                        f"{path}:{lineno}: profile {author_text!r}@{snapshot} does not "
+                        f"follow {author!r}@{group_snapshot} in (author, snapshot) order"
+                    )
+                yield ActivityProfile(author, group_snapshot, bucket)
+            if author_text != author:
+                author = author_text
+            group_snapshot, bucket = snapshot, {}
         if topic in bucket:
             raise MalformedLine(f"{path}:{lineno}: duplicate topic row {topic!r}")
         bucket[topic] = count
-    return [ActivityProfile(*key, grouped[key]) for key in sorted(grouped)]
+    if bucket is not None:
+        yield ActivityProfile(author, group_snapshot, bucket)
 
 
 # -- commands --
@@ -310,7 +318,7 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[list[ActivityProfile], IngestStats]
 
 def _read_profiles(
     cfg: PipelineConfig, out: Path, table: ClassificationTable
-) -> list[ActivityProfile]:
+) -> Iterator[ActivityProfile]:
     profiles_path = out / "profiles.tsv"
     if not profiles_path.is_file():
         raise MissingInput(f"profiles not found: {profiles_path} (run ingest first)")
@@ -325,13 +333,8 @@ def cmd_flows(
     out = _out_dir(cfg)
     if profiles is None:
         profiles = _read_profiles(cfg, out, table)
-    nets = flow_networks_from_profiles(
-        profiles,
-        cfg.grid(),
-        level=cfg.level,
-        table=table,
-        area_mode=cfg.area_mode,
-        appearing_weight=cfg.appearing_weight,
+    nets = _flow_networks(
+        profiles, cfg.grid(), cfg.level, table, cfg.area_mode, cfg.appearing_weight
     )
     written: list[Path] = []
     for net in nets:
@@ -365,8 +368,8 @@ def cmd_metrics(
     table = _load_table(cfg)
     out = _out_dir(cfg)
     policy = ZeroBaselinePolicy.parse(cfg.baseline_policy)
-    # Only the histogram is kept, so profiles read here are freed before
-    # the networks load (a lower peak RSS).
+    # Only the histogram is kept: profiles read here stream into it one at
+    # a time, before the networks load (a lower peak RSS).
     distributions = multidisciplinarity(
         profiles if profiles is not None else _read_profiles(cfg, out, table), table
     )

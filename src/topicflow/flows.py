@@ -9,10 +9,13 @@ transition from every topic of the earlier side. Summing over authors
 yields a weighted directed network per consecutive snapshot pair, at
 topic or area granularity.
 
-Everything runs in the calling process. ``flow_networks_from_profiles``
-computes each profile's dominant set once for every requested level, and
+Everything runs in the calling process. One pass over the profiles, a
+list or the stream ``load_profiles`` yields, computes each profile's
+dominant set once for every requested level and keeps only the author,
+the snapshot and one pointer per level to a shared set. Then
 ``build_flow_networks`` counts each level in one fold over those sets in
-(author, snapshot) order, the order ingest and the profile reader return.
+(author, snapshot) order, the order ingest returns and ``profiles.tsv``
+must hold.
 """
 from __future__ import annotations
 
@@ -82,6 +85,11 @@ def _area_of(topic: str, table: ClassificationTable) -> str:
         raise UnknownTopic(f"topic {topic!r} not in the topic->area table") from None
 
 
+def _check_appearing_weight(appearing_weight: str) -> None:
+    if appearing_weight not in ("unit", "uniform"):
+        raise UsageError(f"appearing_weight must be 'unit' or 'uniform', got {appearing_weight!r}")
+
+
 def count_transitions(
     source_set: frozenset[str] | set[str],
     target_set: frozenset[str] | set[str],
@@ -125,8 +133,8 @@ def build_flow_networks(
 
     ``dominant_sets`` holds one ``(author, snapshot, nodes)`` tuple per
     profile, ``nodes`` being its dominant topics or areas, in strictly
-    ascending (author, snapshot) order, the order ``ingest_records`` and
-    ``load_profiles`` return; a set out of that order raises
+    ascending (author, snapshot) order, the order ``ingest_records``
+    returns and ``load_profiles`` checks; a set out of that order raises
     ``InvariantViolation``. One fold counts each set against the previous
     one when both are the same author's and the snapshot is the grid label
     after the previous one: skipped snapshots never bridge (1910->1920
@@ -135,6 +143,7 @@ def build_flow_networks(
     """
     if level not in ("topic", "area"):
         raise UsageError(f"level must be 'topic' or 'area', got {level!r}")
+    _check_appearing_weight(appearing_weight)
     pairs = grid.label_pairs()
     following = dict(pairs)
     acc: dict[tuple[int, int], dict[tuple[str, str], int | Fraction]] = {p: {} for p in pairs}
@@ -171,20 +180,33 @@ def flow_networks_from_profiles(
     topic->area table; ``'argmax'`` re-runs the argmax on per-area
     aggregated counts instead.
     """
+    return _flow_networks(profiles, grid, level, table, area_mode, appearing_weight)
+
+
+def _flow_networks(profiles: Iterable[ActivityProfile], grid: SnapshotGrid, level: str,
+                   table: ClassificationTable | None, area_mode: str,
+                   appearing_weight: str) -> list[FlowNetwork]:
+    """``flow_networks_from_profiles`` over any iterable, such as the
+    stream ``load_profiles`` yields: read once, and no profile is kept."""
     if level not in ("topic", "area", "both"):
         raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
     if area_mode not in ("mapped", "argmax"):
         raise UsageError(f"area_mode must be 'mapped' or 'argmax', got {area_mode!r}")
     if level != "topic" and table is None:
         raise UsageError("area-level flows need a classification table")
+    _check_appearing_weight(appearing_weight)
     levels = ("topic", "area") if level == "both" else (level,)
     sets: dict[str, list[frozenset[str]]] = {name: [] for name in levels}
     topic_sets, area_sets = sets.get("topic"), sets.get("area")
     mapped = area_sets is not None and area_mode == "mapped"
+    authors: list[str] = []
+    snapshots: list[int] = []
     # One pointer per profile and level, to one shared frozenset per distinct
     # topic set and per mapped area set: most dominant sets recur.
     shared: dict[frozenset[str], tuple[frozenset[str], frozenset[str] | None]] = {}
     for profile in profiles:
+        authors.append(profile.author_id)
+        snapshots.append(profile.snapshot)
         if topic_sets is not None or mapped:
             topics = dominant_topics(profile)
             entry = shared.get(topics)
@@ -196,8 +218,6 @@ def flow_networks_from_profiles(
                 topic_sets.append(topics)
         if area_sets is not None:
             area_sets.append(areas if mapped else dominant_area_set(profile, table))
-    authors = [p.author_id for p in profiles]
-    snapshots = [p.snapshot for p in profiles]
     return [
         net
         for name, found in sets.items()

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -415,10 +416,11 @@ def test_profiles_duplicate_topic_away_from_its_group_exits_two(tmp_path, capsys
     profiles = out / "profiles.tsv"
     lines = profiles.read_text().splitlines()
     assert lines[1:] == ["x\t1910\tT1\t1", "x\t1910\tT2\t1", "x\t1915\tT3\t1"]
+    # Its group ended at line 3, so the row is out of order, duplicate or not.
     write_lines(profiles, [*lines, "x\t1910\tT2\t5"])
     capsys.readouterr()
     assert main(["flows", *args]) == 2
-    assert f"{profiles}:5: duplicate topic row 'T2'" in capsys.readouterr().err
+    assert f"{profiles}:5: profile 'x'@1910 does not follow 'x'@1915" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight,command", [
@@ -782,7 +784,7 @@ def test_report_tree_equals_separate_stages(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags", [[], ["--appearing-weight", "uniform", "--area-mode", "argmax"]])
-def test_shuffled_profiles_give_the_same_flows_and_metrics(tmp_path, flags):
+def test_shuffled_profiles_exit_two_and_leave_outputs_untouched(tmp_path, capsys, flags):
     corpus = tmp_path / "corpus"
     assert main([
         "synth", "--out", str(corpus), "--authors", "60", "--topics", "8", "--areas", "3",
@@ -794,24 +796,32 @@ def test_shuffled_profiles_give_the_same_flows_and_metrics(tmp_path, flags):
         "--topic-areas", str(corpus / "topic_areas.tsv"),
         "--start-year", "1910", "--end-year", "1929", *flags,
     ]
-    in_order, shuffled = tmp_path / "sorted", tmp_path / "shuffled"
-    assert main(["ingest", *args, "--out", str(in_order)]) == 0
-    header, *rows = (in_order / "profiles.tsv").read_text().splitlines()
-    random.Random(11).shuffle(rows)
-    shuffled.mkdir()
-    write_lines(shuffled / "profiles.tsv", [header, *rows])
-    for out in (in_order, shuffled):
-        for command in ("flows", "metrics"):
-            assert main([command, *args, "--out", str(out)]) == 0
+    in_order, shuffled, report = tmp_path / "sorted", tmp_path / "shuffled", tmp_path / "report"
+    for command in ("ingest", "flows", "metrics"):
+        assert main([command, *args, "--out", str(in_order)]) == 0
+    assert main(["report", *args, "--out", str(report)]) == 0
 
     def tree(directory):
-        return {
-            p.name: p.read_bytes() for p in sorted(directory.iterdir())
-            if p.name not in ("profiles.tsv", "ingest_stats.json")
-        }
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+                if p.name != "profiles.tsv"}
 
-    assert tree(in_order) == tree(shuffled)
-    assert "multidisciplinarity.tsv" in tree(shuffled)
+    # The sorted file streams to the same tree as report's in-memory handoff.
+    written = tree(in_order)
+    assert written == {name: data for name, data in tree(report).items() if name in written}
+    assert "multidisciplinarity.tsv" in written
+
+    header, *rows = (in_order / "profiles.tsv").read_text().splitlines()
+    random.Random(11).shuffle(rows)
+    keys = [(a, int(s)) for a, s, *_ in (row.split("\t") for row in rows)]
+    # Line 1 is the header: the first row starting a group below the previous one.
+    line = next(i + 2 for i in range(1, len(keys)) if keys[i] < keys[i - 1])
+    shutil.copytree(in_order, shuffled)
+    write_lines(shuffled / "profiles.tsv", [header, *rows])
+    for command in ("flows", "metrics"):
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(shuffled)]) == 2
+        assert f"{shuffled / 'profiles.tsv'}:{line}: profile " in capsys.readouterr().err
+    assert tree(shuffled) == written
 
 
 def test_cli_import_loads_no_pool_or_network_modules():

@@ -318,6 +318,16 @@ def test_sets_out_of_author_snapshot_order_are_an_invariant_violation(sets, make
             flow_networks_from_profiles(_profiles_with_sets(sets), GRID2, level=level, table=table)
 
 
+def test_unknown_appearing_weight_is_rejected_even_without_transitions():
+    # A lone set has no transition to count, so the check cannot wait for one.
+    with pytest.raises(UsageError, match="appearing_weight must be 'unit' or 'uniform'"):
+        build_flow_networks([("x", 1910, frozenset("A"))], SnapshotGrid(1910, 1919, 5),
+                            appearing_weight="bogus")
+    with pytest.raises(UsageError, match="appearing_weight must be 'unit' or 'uniform'"):
+        flow_networks_from_profiles([profile("x", 1910, {"A": 1})], SnapshotGrid(1910, 1919, 5),
+                                    appearing_weight="bogus")
+
+
 _TOPICS = [f"T{i}" for i in range(6)]
 _TABLE = ClassificationTable({"J": tuple(_TOPICS)}, {t: f"A{i % 3}" for i, t in enumerate(_TOPICS)})
 _GRID4 = SnapshotGrid(1900, 1919, 5)  # labels 1900, 1905, 1910, 1915

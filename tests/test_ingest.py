@@ -590,7 +590,7 @@ def test_written_profiles_load_back_equal(table, make_records, grid_1910_2014, t
     profiles, _ = ingest_records(make_records(rows), table, grid_1910_2014)
     path = tmp_path / "profiles.tsv"
     write_profiles(profiles, path)
-    loaded = load_profiles(path, table, grid_1910_2014)
+    loaded = list(load_profiles(path, table, grid_1910_2014))
     assert loaded == profiles
     assert [tuple(p) for p in loaded] == [
         ("W", 1950, {"T2": 1}), ("X", 2000, {"T1": 1, "T2": 1}),
@@ -622,10 +622,10 @@ def test_load_profiles_restores_gc_state(table, grid_1910_2014, tmp_path, enable
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        load_profiles(good, table, grid_1910_2014)
+        list(load_profiles(good, table, grid_1910_2014))
         assert gc.isenabled() is enabled
         with pytest.raises(MalformedLine):
-            load_profiles(bad, table, grid_1910_2014)
+            list(load_profiles(bad, table, grid_1910_2014))
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -701,12 +701,45 @@ def test_load_profiles_retained_traced_bytes_per_row(tmp_path):
     del profiles
     tracemalloc.start()
     try:
-        loaded = load_profiles(path, table, corpus.grid)
+        loaded = list(load_profiles(path, table, corpus.grid))
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sum(len(p.topic_counts) for p in loaded) == rows
     assert retained / rows < 140
+
+
+def test_flows_and_metrics_peak_traced_bytes_per_profile(tmp_path):
+    # Seed 8 at 2,000 authors: 4,457 profiles. Peak traced bytes per
+    # profile: 452 for in-process `flows` and 361 for `metrics`' profile
+    # read with the whole profile list loaded; 189 and 6 with profiles.tsv
+    # streamed one (author, snapshot) group at a time.
+    spec = SyntheticSpec(n_authors=2000, n_topics=40, n_areas=8, n_snapshots=4, seed=8)
+    corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), tmp_path / "corpus")
+    table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)
+    out = tmp_path / "out"
+    args = [
+        "--records", str(corpus.records_path),
+        "--journal-topics", str(corpus.journal_topics_path),
+        "--topic-areas", str(corpus.topic_areas_path),
+        "--end-year", str(corpus.grid.labels()[-1] + 4), "--out", str(out),
+    ]
+    assert main(["ingest", *args]) == 0
+    n_profiles = sum(1 for _ in load_profiles(out / "profiles.tsv", table, corpus.grid))
+    peaks = {}
+    for stage in ("flows", "metrics"):
+        tracemalloc.start()
+        try:
+            if stage == "flows":
+                assert main(["flows", *args]) == 0
+            else:
+                multidisciplinarity(load_profiles(out / "profiles.tsv", table, corpus.grid), table)
+            _, peaks[stage] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert n_profiles == 4457
+    assert peaks["flows"] / n_profiles < 250
+    assert peaks["metrics"] / n_profiles < 50
 
 
 def _profile_rows(profiles):
@@ -721,7 +754,7 @@ def test_loaded_profiles_share_table_topics_authors_and_labels(table, grid_1910_
     rows = ["X\t1910\tT1\t2", "X\t1910\tT3\t1", "X\t1915\tT1\t1", "X\t1915\tT2\t4",
             "Y\t1915\tT1\t1", "Y\t2010\tT3\t1"]
     path = write_lines(tmp_path / "profiles.tsv", ["#author\tsnapshot\ttopic\tcount", *rows])
-    loaded = load_profiles(path, table, grid_1910_2014)
+    loaded = list(load_profiles(path, table, grid_1910_2014))
     assert _profile_rows(loaded) == rows
     own = {t: t for t in table.topic_area}
     for p in loaded:
@@ -734,18 +767,30 @@ def test_loaded_profiles_share_table_topics_authors_and_labels(table, grid_1910_
     assert len(labels) == 3 and len(authors) == 2
 
 
-def test_load_profiles_row_order_does_not_matter(table, grid_1910_2014, tmp_path):
-    rows = [f"{a}\t{s}\t{t}\t{n}" for a, s, t, n in (
-        ("X", 1910, "T1", 2), ("X", 1910, "T3", 1), ("X", 1915, "T1", 1), ("X", 1915, "T2", 4),
-        ("Y", 1915, "T1", 1), ("Y", 2010, "T2", 3), ("Y", 2010, "T3", 1), ("Z", 1950, "T2", 1),
-    )]
-    sorted_path = write_lines(tmp_path / "sorted.tsv", rows)
-    expected = load_profiles(sorted_path, table, grid_1910_2014)
-    shuffled = rows[:]
-    random.Random(3).shuffle(shuffled)
-    for order in (shuffled, rows[::-1]):
-        path = write_lines(tmp_path / "shuffled.tsv", order)
-        assert load_profiles(path, table, grid_1910_2014) == expected
+_ORDERED_ROWS = [f"{a}\t{s}\t{t}\t{n}" for a, s, t, n in (
+    ("X", 1910, "T1", 2), ("X", 1910, "T3", 1), ("X", 1915, "T1", 1), ("X", 1915, "T2", 4),
+    ("Y", 1915, "T1", 1), ("Y", 2010, "T2", 3), ("Y", 2010, "T3", 1), ("Z", 1950, "T2", 1),
+)]
+_SHUFFLED_ROWS = _ORDERED_ROWS[:]
+random.Random(3).shuffle(_SHUFFLED_ROWS)
+
+
+@pytest.mark.parametrize("lines,expected", [
+    # X@1910, Y@2010, Z@1950, then X@1915 at line 4.
+    (_SHUFFLED_ROWS, "4: profile 'X'@1915 does not follow 'Z'@1950"),
+    (_ORDERED_ROWS[::-1], "2: profile 'Y'@2010 does not follow 'Z'@1950"),
+    # A group that appears again later: of another author, then of the same one.
+    ([*_ORDERED_ROWS, "X\t1910\tT2\t1"], "9: profile 'X'@1910 does not follow 'Z'@1950"),
+    ([*_ORDERED_ROWS[:4], "X\t1910\tT2\t1"], "5: profile 'X'@1910 does not follow 'X'@1915"),
+], ids=["shuffled", "reversed", "group-returns-after-another-author", "group-returns"])
+def test_load_profiles_rejects_groups_out_of_order(table, grid_1910_2014, tmp_path,
+                                                   lines, expected):
+    path = write_lines(tmp_path / "profiles.tsv", lines)
+    with pytest.raises(MalformedLine) as err:
+        list(load_profiles(path, table, grid_1910_2014))
+    assert str(err.value) == f"{path}:{expected} in (author, snapshot) order"
+    ordered = write_lines(tmp_path / "ordered.tsv", _ORDERED_ROWS)
+    assert _profile_rows(load_profiles(ordered, table, grid_1910_2014)) == _ORDERED_ROWS
 
 
 @pytest.mark.parametrize("lines,expected", [
@@ -766,12 +811,12 @@ def test_load_profiles_row_order_does_not_matter(table, grid_1910_2014, tmp_path
 def test_load_profiles_snapshot_spellings(table, grid_1910_2014, tmp_path, lines, expected):
     path = write_lines(tmp_path / "profiles.tsv", lines)
     if expected is None:
-        loaded = load_profiles(path, table, grid_1910_2014)
+        loaded = list(load_profiles(path, table, grid_1910_2014))
         assert _profile_rows(loaded) == [
             "W\t1915\tT1\t1", "X\t1915\tT2\t2", "Y\t1915\tT3\t1", "Z\t1915\tT1\t1",
         ]
         assert all(p.snapshot is loaded[0].snapshot for p in loaded)
         return
     with pytest.raises(MalformedLine) as err:
-        load_profiles(path, table, grid_1910_2014)
+        list(load_profiles(path, table, grid_1910_2014))
     assert str(err.value) == f"{path}:{expected}"
