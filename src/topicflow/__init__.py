@@ -15,9 +15,8 @@ _EXPORTS = {
         "bundleviz": ("VizConfig", "layout", "render_svg"),
         "classification": ("ClassificationTable", "load_classification"),
         "flows": (
-            "FlowNetwork", "build_flow_networks", "count_transitions", "decompose_area_flows",
-            "dominant_topics", "flow_networks_from_profiles", "load_flow_network",
-            "write_flow_network",
+            "FlowNetwork", "build_flow_networks", "count_transitions", "dominant_topics",
+            "flow_networks_from_profiles", "load_flow_network", "write_flow_network",
         ),
         "ingest": (
             "ActivityProfile", "IngestStats", "SnapshotGrid", "compute_yearly_paper_quantile",

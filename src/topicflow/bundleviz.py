@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .classification import AreaId, ClassificationTable
 from .errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
@@ -101,7 +101,9 @@ class VizConfig(Checked, _VizFields):
             raise UsageError("stroke widths must be positive and strictly increasing")
         # No coordinate drawn exceeds ``extent`` in magnitude. SVG viewers
         # need only single precision, where a larger number is infinite.
-        reach = max(self.sector_outer, abs(self.label_radius), self.r_first + abs(self.radial_nudge))
+        reach = max(
+            self.sector_outer, abs(self.label_radius), self.r_first + abs(self.radial_nudge)
+        )
         try:
             extent = self.canvas_size * (0.5 + self.radius_frac * reach)
         except OverflowError:  # a canvas size beyond float range
@@ -289,6 +291,20 @@ def _sector_colors(order: list[str], overrides: dict[str, str]) -> dict[str, str
     return colors
 
 
+def _sectors(cfg: VizConfig, sizes: dict[AreaId, int]) -> Iterator[tuple[AreaId, float, float]]:
+    """(area, start angle, span) per area of ``sizes``, in its order: a gap
+    follows each sector, and the rest of the circle is shared by size."""
+    gap = math.radians(cfg.sector_gap_deg)
+    gap = min(gap, math.pi / max(1, len(sizes)))
+    available = 2.0 * math.pi - gap * len(sizes)
+    total = sum(sizes.values())
+    theta = -math.pi / 2.0
+    for area, size in sizes.items():
+        span = available * size / total
+        yield area, theta, span
+        theta += span + gap
+
+
 def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) -> VizLayout:
     """Deterministic circular layout: sector order by the configured
     heuristic, node angles inside their sector, radii clamped to the
@@ -331,21 +347,13 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
 
     center = (cfg.canvas_size / 2.0, cfg.canvas_size / 2.0)
     circle_radius = cfg.canvas_size * cfg.radius_frac
-    gap = math.radians(cfg.sector_gap_deg)
-    gap = min(gap, math.pi / max(1, len(order)))
-    available = 2.0 * math.pi - gap * len(order)
-    total_nodes = len(strength)
-
     node_angle: dict[str, float] = {}
     sector_arc: dict[str, tuple[float, float]] = {}
-    theta = -math.pi / 2.0
-    for area in order:
+    for area, theta, span in _sectors(cfg, {area: len(by_area[area]) for area in order}):
         nodes = sorted(by_area[area], key=lambda n: (-strength[n], n))
-        span = available * len(nodes) / total_nodes
         sector_arc[area] = (theta, theta + span)
         for i, node in enumerate(nodes):
             node_angle[node] = theta + span * (i + 0.5) / len(nodes)
-        theta += span + gap
 
     largest = sys.float_info.max  # what an exact strength beyond float range counts as
     node_radius = {
@@ -482,13 +490,11 @@ def _annulus_path(center: Point, r_in: float, r_out: float, a0: float, a1: float
 
 
 def _sector_elements(
-    cfg: VizConfig,
-    center: Point,
-    circle_radius: float,
-    arcs: dict[AreaId, tuple[float, float]],
-    colors: dict[AreaId, str],
+    cfg: VizConfig, arcs: dict[AreaId, tuple[float, float]], colors: dict[AreaId, str]
 ) -> list[str]:
-    """One annulus path per area of ``arcs``, in its order."""
+    """One annulus path per area of ``arcs``, in its order, on the circle ``layout`` uses."""
+    center = (cfg.canvas_size / 2.0, cfg.canvas_size / 2.0)
+    circle_radius = cfg.canvas_size * cfg.radius_frac
     r_in = cfg.sector_inner * circle_radius
     r_out = cfg.sector_outer * circle_radius
     return [
@@ -532,21 +538,6 @@ def _document(cfg: VizConfig, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _sectors_only(table: ClassificationTable, cfg: VizConfig) -> str:
-    areas = list(table.areas())
-    center = (cfg.canvas_size / 2.0, cfg.canvas_size / 2.0)
-    circle_radius = cfg.canvas_size * cfg.radius_frac
-    gap = min(math.radians(cfg.sector_gap_deg), math.pi / max(1, len(areas)))
-    span = (2.0 * math.pi - gap * len(areas)) / len(areas)
-    arcs = {}
-    theta = -math.pi / 2.0
-    for area in areas:
-        arcs[area] = (theta, theta + span)
-        theta += span + gap
-    colors = _sector_colors(areas, cfg.color_overrides())
-    return _document(cfg, _sector_elements(cfg, center, circle_radius, arcs, colors))
-
-
 def render_svg(
     net: FlowNetwork,
     table: ClassificationTable | None,
@@ -556,10 +547,14 @@ def render_svg(
     are never drawn; edges lighter than ``cfg.min_weight`` are omitted.
     Element order: sectors, intra edges, cross edges, nodes, labels.
     """
-    if not net.weights:
+    if not net.weights:  # only the table's sectors
         if table is None:
             raise EmptyNetwork("nothing to render: empty network and no table")
-        return _sectors_only(table, cfg)
+        areas = list(table.areas())
+        sizes = dict.fromkeys(areas, 1)  # equal sizes: every sector spans the same arc
+        arcs = {area: (theta, theta + span) for area, theta, span in _sectors(cfg, sizes)}
+        colors = _sector_colors(areas, cfg.color_overrides())
+        return _document(cfg, _sector_elements(cfg, arcs, colors))
     lay = layout(net, table, cfg)
     cx, cy = lay.center
     # Each edge reads the settings, and what its two nodes fix, from locals.
@@ -624,7 +619,5 @@ def render_svg(
         if cfg.show_labels
         else []
     )
-    sectors = _sector_elements(
-        cfg, lay.center, lay.circle_radius, lay.sector_arc, lay.sector_color
-    )
+    sectors = _sector_elements(cfg, lay.sector_arc, lay.sector_color)
     return _document(cfg, [*sectors, *intra, *cross, *nodes, *labels])

@@ -13,9 +13,10 @@ Exit codes: 0 success, 1 usage, 2 input format, 3 internal invariant.
 from __future__ import annotations
 
 import argparse
+import collections
 import sys
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .bundleviz import VizConfig, load_viz_config, render_svg
 from .classification import ClassificationTable, load_classification
@@ -55,64 +56,67 @@ from .util import (
 )
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
-# The values each of these settings takes, from a flag or a config file.
-_CHOICES = {
-    "cut_scope": ("classified", "all"),
-    "level": ("topic", "area", "both"),
-    "appearing_weight": ("unit", "uniform"),
-    "area_mode": ("mapped", "argmax"),
-    "sector_order": ("modularity", "strength", "alphabetical"),
-}
+# Every pipeline setting, in flag order: (name, flag, type, default, choices, help).
+# A setting is read from its flag or, under its name, from a ``--config`` file,
+# whose text the type parses; ``choices`` limits the values either may give.
+_SETTINGS = (
+    ("out_dir", "--out", str, "out", None, "output directory (default: out)"),
+    ("records", "--records", str, None, None, "publication records TSV or NDJSON"),
+    ("journal_topics", "--journal-topics", str, None, None, "journal->topic TSV"),
+    ("topic_areas", "--topic-areas", str, None, None, "topic->area TSV"),
+    ("start_year", "--start-year", int, 1910, None, None),
+    ("end_year", "--end-year", int, 2014, None, None),
+    ("width", "--width", int, 5, None, "snapshot width in years (default 5)"),
+    ("max_papers_per_year", "--max-papers-per-year", int, 17, None,
+     "disambiguation cut, 0 disables (default 17)"),
+    ("quantile", "--quantile", float, None, None,
+     "derive the cut from this yearly paper-count quantile instead"),
+    ("cut_scope", "--cut-scope", str, "classified", ("classified", "all"),
+     "count classified in-range papers only, or all records"),
+    ("level", "--level", str, "both", ("topic", "area", "both"), None),
+    ("baseline_policy", "--baseline-policy", str, "strict", None,
+     "strict | active | smooth:<k> (default strict)"),
+    ("appearing_weight", "--appearing-weight", str, "unit", ("unit", "uniform"), None),
+    ("area_mode", "--area-mode", str, "mapped", ("mapped", "argmax"), None),
+    ("viz_config", "--viz-config", str, None, None, "key=value file with rendering settings"),
+    ("min_weight", "--min-weight", float, None, None, "omit edges lighter than this"),
+    ("sector_order", "--sector-order", str, None, ("modularity", "strength", "alphabetical"),
+     None),
+    ("canvas_size", "--canvas-size", int, None, None, None),
+    ("seed", "--seed", int, 0, None, None),
+    ("threads", "--threads", int, None, None,
+     "accepted for compatibility (must be >= 1); stages run in "
+     "one process and output is identical at every setting"),
+)
+_CHOICES = {name: choices for name, _, _, _, choices, _ in _SETTINGS if choices}
+# Config-file parser per setting.
+_FIELD_TYPES = {name: kind for name, _, kind, _, _, _ in _SETTINGS}
 
-
-class _PipelineFields(NamedTuple):
-    records: str | None = None
-    journal_topics: str | None = None
-    topic_areas: str | None = None
-    out_dir: str = "out"
-    start_year: int = 1910
-    end_year: int = 2014
-    width: int = 5
-    max_papers_per_year: int = 17
-    quantile: float | None = None
-    cut_scope: str = "classified"
-    level: str = "both"
-    baseline_policy: str = "strict"
-    appearing_weight: str = "unit"
-    area_mode: str = "mapped"
-    viz_config: str | None = None
-    min_weight: float | None = None
-    sector_order: str | None = None
-    canvas_size: int | None = None
-    seed: int = 0
-    threads: int | None = None
+_PipelineFields = collections.namedtuple(
+    "_PipelineFields", [row[0] for row in _SETTINGS], defaults=[row[3] for row in _SETTINGS]
+)
 
 
 class PipelineConfig(Checked, _PipelineFields):
     __slots__ = ()
 
-    def _check(self):
+    def _check(self):  # every check runs before any stage creates --out
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec("seed must be a 64-bit unsigned integer")
         if self.threads is not None and self.threads < 1:
             raise UsageError("--threads must be >= 1")
-        for name, allowed in _CHOICES.items():  # checked before any stage writes
+        for name, allowed in _CHOICES.items():
             value = getattr(self, name)
             if value is not None and value not in allowed:  # None: sector_order unset
                 raise UsageError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+        self.grid()  # raises on a bad grid, as parse does on a bad policy
+        ZeroBaselinePolicy.parse(self.baseline_policy)
 
     def grid(self) -> SnapshotGrid:
         return SnapshotGrid(self.start_year, self.end_year, self.width)
 
     def levels(self) -> list[str]:
         return ["topic", "area"] if self.level == "both" else [self.level]
-
-
-# Config-file parser per setting, read off the annotations ("int | None" -> int).
-_FIELD_TYPES = {
-    name: {"str": str, "int": int, "float": float}[kind.__forward_arg__.removesuffix(" | None")]
-    for name, kind in _PipelineFields.__annotations__.items()
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,32 +127,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key=value file with defaults for any flag")
-    shared.add_argument("--out", dest="out_dir", help="output directory (default: out)")
-    shared.add_argument("--records", help="publication records TSV or NDJSON")
-    shared.add_argument("--journal-topics", help="journal->topic TSV")
-    shared.add_argument("--topic-areas", help="topic->area TSV")
-    shared.add_argument("--start-year", type=int)
-    shared.add_argument("--end-year", type=int)
-    shared.add_argument("--width", type=int, help="snapshot width in years (default 5)")
-    shared.add_argument("--max-papers-per-year", type=int,
-                        help="disambiguation cut, 0 disables (default 17)")
-    shared.add_argument("--quantile", type=float,
-                        help="derive the cut from this yearly paper-count quantile instead")
-    shared.add_argument("--cut-scope", choices=_CHOICES["cut_scope"],
-                        help="count classified in-range papers only, or all records")
-    shared.add_argument("--level", choices=_CHOICES["level"])
-    shared.add_argument("--baseline-policy",
-                        help="strict | active | smooth:<k> (default strict)")
-    shared.add_argument("--appearing-weight", choices=_CHOICES["appearing_weight"])
-    shared.add_argument("--area-mode", choices=_CHOICES["area_mode"])
-    shared.add_argument("--viz-config", help="key=value file with rendering settings")
-    shared.add_argument("--min-weight", type=float, help="omit edges lighter than this")
-    shared.add_argument("--sector-order", choices=_CHOICES["sector_order"])
-    shared.add_argument("--canvas-size", type=int)
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--threads", type=int,
-                        help="accepted for compatibility (must be >= 1); stages run in "
-                             "one process and output is identical at every setting")
+    for name, flag, kind, _, choices, text in _SETTINGS:
+        # No default: an absent flag leaves the config file's value, or the field's.
+        shared.add_argument(flag, dest=name, type=kind, choices=choices, help=text)
 
     parser = _Parser(prog="topicflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,19 +326,16 @@ def cmd_flows(
     return written
 
 
+def _load_network(out: Path, level: str, earlier: int, later: int) -> FlowNetwork:
+    path = out / flow_file_name(level, earlier, later)
+    if not path.is_file():
+        raise MissingInput(f"network file not found: {path} (run flows first)")
+    return load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later)
+
+
 def _load_networks(cfg: PipelineConfig, out: Path, level: str) -> list[FlowNetwork]:
     """Every network of ``level`` on the grid."""
-    nets = []
-    for earlier, later in cfg.grid().label_pairs():
-        path = out / flow_file_name(level, earlier, later)
-        if not path.is_file():
-            raise MissingInput(f"network file not found: {path} (run flows first)")
-        nets.append(load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later))
-    return nets
-
-
-def _write_tsv(path: Path, header: str, rows: list[str]) -> None:
-    write_text_atomic(path, "\n".join([header, *rows]) + "\n")
+    return [_load_network(out, level, *pair) for pair in cfg.grid().label_pairs()]
 
 
 def cmd_metrics(
@@ -374,7 +352,7 @@ def cmd_metrics(
         profiles if profiles is not None else _read_profiles(cfg, out, table), table
     )
     nets = {level: _load_networks(cfg, out, level) for level in cfg.levels()}
-    written: list[Path] = []
+    tables: list[tuple[str, str, list[str]]] = []  # (file name, header, rows)
 
     if "topic" in nets:
         deltas = attractiveness_table(nets["topic"], policy, n_topics=table.topic_count)
@@ -382,18 +360,14 @@ def cmd_metrics(
             f"{snapshot}\t{topic}\t{fmt_float(delta)}\t{pairs_used}"
             for (snapshot, topic), (delta, pairs_used) in sorted(deltas.items())
         ]
-        path = out / "delta_topic.tsv"
-        _write_tsv(path, "#snapshot\ttopic\tdelta\tpairs_used", rows)
-        written.append(path)
+        tables.append(("delta_topic.tsv", "#snapshot\ttopic\tdelta\tpairs_used", rows))
 
         winner_rows = []
         for snapshot, entry in sorted(most_attractive_topics(deltas).items()):
             for topic in entry.ties:
                 flag = "winner" if topic == entry.topic else "tie"
                 winner_rows.append(f"{snapshot}\t{topic}\t{fmt_float(entry.delta)}\t{flag}")
-        path = out / "most_attractive_topic.tsv"
-        _write_tsv(path, "#snapshot\ttopic\tdelta\trank", winner_rows)
-        written.append(path)
+        tables.append(("most_attractive_topic.tsv", "#snapshot\ttopic\tdelta\trank", winner_rows))
 
     if "area" in nets:
         series = migration_index_series(
@@ -405,9 +379,7 @@ def cmd_metrics(
             for entry in series
             for area, idx in sorted(entry.indices.items())
         ]
-        path = out / "indices_area.tsv"
-        _write_tsv(path, "#snapshot\tarea\tiota\tepsilon\trho\tsigma", rows)
-        written.append(path)
+        tables.append(("indices_area.tsv", "#snapshot\tarea\tiota\tepsilon\trho\tsigma", rows))
 
         median_rows = []
         if any(entry.cross_total > 0 for entry in series):
@@ -416,25 +388,26 @@ def cmd_metrics(
                 f"{area}\t{fmt_float(rho)}\t{fmt_float(sigma)}"
                 for area, (rho, sigma) in sorted(medians.items())
             ]
-        path = out / "medians_area.tsv"
-        _write_tsv(path, "#area\tmedian_rho\tmedian_sigma", median_rows)
-        written.append(path)
+        tables.append(("medians_area.tsv", "#area\tmedian_rho\tmedian_sigma", median_rows))
 
     hist_rows = [
         f"{dist.snapshot}\t{n_areas}\t{count}"
         for dist in distributions
         for n_areas, count in sorted(dist.histogram.items())
     ]
-    path = out / "multidisciplinarity.tsv"
-    _write_tsv(path, "#snapshot\tn_areas\tauthor_count", hist_rows)
-    written.append(path)
+    tables.append(("multidisciplinarity.tsv", "#snapshot\tn_areas\tauthor_count", hist_rows))
     summary_rows = [
         f"{dist.snapshot}\t{dist.author_volume}\t{dist.q_cutoff}" for dist in distributions
     ]
-    path = out / "multidisciplinarity_summary.tsv"
-    _write_tsv(path, "#snapshot\tauthor_volume\tq99_cutoff", summary_rows)
-    written.append(path)
+    tables.append(
+        ("multidisciplinarity_summary.tsv", "#snapshot\tauthor_volume\tq99_cutoff", summary_rows)
+    )
 
+    written: list[Path] = []
+    for name, header, rows in tables:
+        path = out / name
+        write_text_atomic(path, "\n".join([header, *rows]) + "\n")
+        written.append(path)
     print(f"wrote {len(written)} metric files to {out}")
     return written
 
@@ -452,14 +425,13 @@ def _viz_config(cfg: PipelineConfig) -> VizConfig:
 
 
 def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
+    earlier, later = pair
+    if (earlier, later) not in cfg.grid().label_pairs():
+        raise UsageError(f"--pair {earlier} {later} is not a consecutive pair of the grid")
     level = cfg.level if cfg.level != "both" else "topic"
     table = _load_table(cfg)
     out = _out_dir(cfg)
-    earlier, later = pair
-    net_path = out / flow_file_name(level, earlier, later)
-    if not net_path.is_file():
-        raise MissingInput(f"network file not found: {net_path} (run flows first)")
-    net = load_flow_network(net_path, level=level, from_snapshot=earlier, to_snapshot=later)
+    net = _load_network(out, level, earlier, later)
     svg_path = out / f"viz_{level}_{earlier}_{later}.svg"
     write_text_atomic(svg_path, render_svg(net, table, _viz_config(cfg)))
     print(f"wrote {svg_path}")
@@ -487,18 +459,14 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
 
 def cmd_report(cfg: PipelineConfig) -> Path:
     import json
-    # A bad policy or rendering setting fails before any write.
-    ZeroBaselinePolicy.parse(cfg.baseline_policy)
-    _viz_config(cfg)
+    _viz_config(cfg)  # a bad rendering setting fails before any write
     out = _out_dir(cfg)
     profiles, stats = cmd_ingest(cfg)
     flow_paths = cmd_flows(cfg, profiles)
     metric_paths = cmd_metrics(cfg, profiles)
     del profiles  # viz reads only the flow files
-    viz_level = "area" if cfg.level == "area" else "topic"
-    viz_cfg = cfg._replace(level=viz_level)
-    # cmd_flows wrote every pair of the level, so each one is drawn.
-    svg_paths = [cmd_viz(viz_cfg, pair) for pair in cfg.grid().label_pairs()]
+    # cmd_flows wrote every pair of the level viz draws, so each one is drawn.
+    svg_paths = [cmd_viz(cfg, pair) for pair in cfg.grid().label_pairs()]
     summary = {
         "ingest_stats": stats.as_dict(),
         "snapshot_labels": cfg.grid().labels(),

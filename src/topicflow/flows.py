@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Iterable
 
-from .classification import AreaId, ClassificationTable
+from .classification import ClassificationTable
 from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
 from .ingest import ActivityProfile, SnapshotGrid
 from .util import (
@@ -105,13 +105,11 @@ def count_transitions(
     """
     if not source_set or not target_set:
         raise EmptySet("transition counting needs non-empty sets on both sides")
-    if appearing_weight == "unit":
-        share: int | Fraction = 1
-    elif appearing_weight == "uniform":
+    _check_appearing_weight(appearing_weight)
+    share: int | Fraction = 1
+    if appearing_weight == "uniform":
         from fractions import Fraction
         share = Fraction(1, len(source_set))
-    else:
-        raise UsageError(f"appearing_weight must be 'unit' or 'uniform', got {appearing_weight!r}")
     out: dict[tuple[str, str], int | Fraction] = {}
     for target in target_set:
         if target in source_set:
@@ -225,27 +223,6 @@ def _flow_networks(profiles: Iterable[ActivityProfile], grid: SnapshotGrid, leve
             zip(authors, snapshots, found), grid, level=name, appearing_weight=appearing_weight
         )
     ]
-
-
-def decompose_area_flows(net: FlowNetwork, area: AreaId):
-    """(intra, incoming-cross, outgoing-cross) volume for one area.
-
-    Flows are indexed by the network's arrival snapshot. An area absent
-    from the network decomposes to (0, 0, 0).
-    """
-    if net.level != "area":
-        raise UsageError(f"decomposition needs an area-level network, got {net.level!r}")
-    intra = net.weights.get((area, area), 0)
-    incoming = 0
-    outgoing = 0
-    for (source, target), weight in net.weights.items():
-        if source == target:
-            continue
-        if target == area:
-            incoming += weight
-        if source == area:
-            outgoing += weight
-    return intra, incoming, outgoing
 
 
 # -- serialization --

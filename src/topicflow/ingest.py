@@ -263,18 +263,14 @@ def _check_quantile(q: float) -> None:
         raise InvalidSpec(f"quantile must be in (0, 1), got {q}")
 
 
-def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> tuple[int, dict[str, int]]:
-    """The cut ``q`` derives from per-(author, year) counts of every entry,
-    and each author's largest such count (what ``--cut-scope all`` compares)."""
+def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> int:
+    """The cut ``q`` derives from per-(author, year) counts of every entry."""
     counts: list[int] = []
-    peaks: dict[str, int] = {}
-    for author, entries in groups.items():
-        per_year = _year_counts(entries, False)
-        counts += per_year
-        peaks[author] = max(per_year)
+    for entries in groups.values():
+        counts += _year_counts(entries, False)
     if not counts:
         raise PipelineError(f"{records_file}: no records")
-    return quantile_cutoff(counts, q), peaks
+    return quantile_cutoff(counts, q)
 
 
 def ingest_records(
@@ -333,25 +329,16 @@ def ingest_records(
     kept = collapsed = excluded = excluded_records = 0
     track_dropped = quantile is not None or (count_dropped and max_papers_per_year > 0)
     groups, repeats = _group_papers(records_file, journals, codes, track_dropped, stats)
-    # Each author's largest per-year count, when the quantile pass has
-    # already tallied what the cut counts; else tallied below as needed.
-    peaks: dict[str, int] | None = None
     if quantile is None:
         threshold = max_papers_per_year
     else:
-        threshold, peaks = _yearly_quantile(groups, quantile, records_file)
-        if not count_dropped:
-            peaks = None
+        threshold = _yearly_quantile(groups, quantile, records_file)
     for author in sorted(groups):
         entries = groups.pop(author)
         if (
             threshold
             and len(entries) > threshold  # else no year can exceed it
-            and (
-                peaks[author] > threshold
-                if peaks is not None
-                else any(n > threshold for n in _year_counts(entries, not count_dropped))
-            )
+            and any(n > threshold for n in _year_counts(entries, not count_dropped))
         ):
             excluded += 1
             excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
@@ -396,4 +383,4 @@ def compute_yearly_paper_quantile(records_file, q: float) -> int:
     _check_quantile(q)
     # With no years to keep, every record enters its paper as dropped.
     groups, _ = _group_papers(records_file, {}, {}, True, IngestStats())
-    return _yearly_quantile(groups, q, records_file)[0]
+    return _yearly_quantile(groups, q, records_file)

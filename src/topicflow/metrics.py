@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .classification import AreaId, ClassificationTable, TopicId
 from .errors import EmptySeries, PipelineError, UsageError
-from .flows import FlowNetwork, decompose_area_flows
+from .flows import FlowNetwork
 from .ingest import ActivityProfile
 from .util import Checked, quantile_cutoff
 
@@ -206,10 +206,17 @@ def migration_indices(
     universe = set(net.nodes())
     if areas is not None:
         universe |= set(areas)
-    decomposed = {a: decompose_area_flows(net, a) for a in sorted(universe)}
-    total_cross = sum(incoming for _, incoming, _ in decomposed.values())
+    # [intra, incoming-cross, outgoing-cross] volume per area, in one pass over the edges.
+    flows = {area: [0, 0, 0] for area in sorted(universe)}
+    for (source, target), weight in net.weights.items():
+        if source == target:
+            flows[source][0] = weight
+        else:
+            flows[target][1] += weight
+            flows[source][2] += weight
+    total_cross = sum(incoming for _, incoming, _ in flows.values())
     out: dict[AreaId, MigrationIndices] = {}
-    for area, (intra, incoming, outgoing) in decomposed.items():
+    for area, (intra, incoming, outgoing) in flows.items():
         out[area] = MigrationIndices(
             iota=_ratio(incoming, intra + incoming),
             epsilon=_ratio(outgoing, intra + outgoing),

@@ -88,7 +88,9 @@ def _expected_transitions(source_set: frozenset, target_set: frozenset) -> dict:
     return flows
 
 
-def _weighted_sample(rng: random.Random, topics: list[str], weights: list[float], size: int) -> frozenset:
+def _weighted_sample(rng: random.Random, topics: list[str], weights: list[float]) -> frozenset:
+    """One to three distinct topics, each drawn by weight."""
+    size = rng.randint(1, min(3, len(topics)))
     chosen: set[str] = set()
     while len(chosen) < size:
         chosen.add(rng.choices(topics, weights=weights, k=1)[0])
@@ -133,14 +135,12 @@ def generate_corpus(spec: SyntheticSpec, grid: SnapshotGrid, out_dir) -> SynthRe
         if first > last:
             first, last = last, first
         active = labels[first : last + 1]
-        dominant = _weighted_sample(rng, topics, weights, rng.randint(1, min(3, spec.n_topics)))
+        dominant = _weighted_sample(rng, topics, weights)
         sets: dict[int, frozenset] = {}
         for label in active:
             sets[label] = dominant
             if rng.random() < spec.mobility:
-                dominant = _weighted_sample(
-                    rng, topics, weights, rng.randint(1, min(3, spec.n_topics))
-                )
+                dominant = _weighted_sample(rng, topics, weights)
         author_sets.append((author, sets))
 
     if spec.mobility > 0 and spec.n_topics >= 4 and len(labels) >= 2:

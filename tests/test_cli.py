@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import topicflow
-from topicflow.cli import PipelineConfig, _build_parser, _resolve_config, main
+from topicflow.cli import _SETTINGS, PipelineConfig, _build_parser, _resolve_config, main
 from conftest import write_lines
 
 
@@ -163,7 +163,7 @@ def test_metrics_delta_reports_pairs_used(tmp_path):
     assert rows[("1920", "T3")] == ["0", "0"]
 
 
-def test_viz_deterministic_and_checks_input(tmp_path):
+def test_viz_deterministic_and_checks_input(tmp_path, capsys):
     setup_inputs(
         tmp_path,
         [
@@ -181,8 +181,13 @@ def test_viz_deterministic_and_checks_input(tmp_path):
     first = (out / "viz_topic_1910_1915.svg").read_bytes()
     assert main(["viz", *args, "--pair", "1910", "1915"]) == 0
     assert (out / "viz_topic_1910_1915.svg").read_bytes() == first
-    # missing network file
-    assert main(["viz", *args, "--pair", "1915", "1920"]) == 2
+    # a pair off the grid is a usage error, named as such
+    assert main(["viz", *args, "--pair", "1915", "1920"]) == 1
+    assert "--pair 1915 1920 is not a consecutive pair" in capsys.readouterr().err
+    # an on-grid pair whose network file is missing
+    (out / "flows_topic_1910_1915.tsv").unlink()
+    assert main(["viz", *args, "--pair", "1910", "1915"]) == 2
+    assert "network file not found" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path):
@@ -253,6 +258,54 @@ def test_config_file_sets_every_field_with_its_annotated_type(tmp_path):
         got = getattr(cfg, name)
         assert type(got) is kind, name
         assert got == kind(text)
+
+
+def _setting_value(name, kind, default, choices):
+    """A text the setting takes that differs from its default."""
+    if choices:
+        return next(choice for choice in choices if choice != default)
+    return {"end_year": "1990", "baseline_policy": "smooth:2"}.get(
+        name, {int: "12", float: "0.5", str: "given"}[kind]
+    )
+
+
+@pytest.mark.parametrize("name,flag,kind,default,choices", [row[:5] for row in _SETTINGS])
+def test_flag_and_config_file_give_the_same_setting(tmp_path, name, flag, kind, default, choices):
+    text = _setting_value(name, kind, default, choices)
+    config = write_lines(tmp_path / "one.cfg", [f"{name}={text}"])
+    from_flag = _resolve_config(_build_parser().parse_args(["ingest", flag, text]))
+    from_file = _resolve_config(_build_parser().parse_args(["ingest", "--config", str(config)]))
+    assert from_flag == from_file == PipelineConfig(**{name: kind(text)})
+    assert getattr(from_file, name) != default
+
+
+_STAGES = {
+    "ingest": [], "flows": [], "metrics": [], "report": [], "synth": [],
+    "viz": ["--pair", "1910", "1915"],
+}
+_BAD_SETTINGS = {
+    "zero-width": ["--width", "0"],
+    "inverted-grid": ["--start-year", "1990", "--end-year", "1924"],
+    "bogus-policy": ["--baseline-policy", "bogus"],
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_SETTINGS)
+@pytest.mark.parametrize("command", _STAGES)
+def test_bad_grid_or_policy_exits_one_before_out_is_created(tmp_path, command, bad):
+    setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])  # every input a stage reads first
+    out = tmp_path / "out"
+    argv = [command, *base_args(tmp_path, out), *_STAGES[command], *_BAD_SETTINGS[bad]]
+    assert main(argv) == 1
+    assert not out.exists()
+
+
+def test_off_grid_viz_pair_exits_one_before_out_is_created(tmp_path, capsys):
+    setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
+    out = tmp_path / "out"
+    assert main(["viz", *base_args(tmp_path, out), "--pair", "1910", "1920"]) == 1
+    assert "--pair 1910 1920 is not a consecutive pair of the grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_line_without_equals_names_the_line(tmp_path, capsys):

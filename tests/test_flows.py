@@ -14,7 +14,6 @@ from topicflow import (
     SnapshotGrid,
     build_flow_networks,
     count_transitions,
-    decompose_area_flows,
     dominant_topics,
     flow_networks_from_profiles,
     load_flow_network,
@@ -439,33 +438,6 @@ def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification,
     assert trees[1] == trees[2]
     loaded = load_flow_network(tmp_path / "run_t2" / "flows_topic_1910_1915.tsv", level="topic")
     assert loaded.weights == {edge: float(w) for edge, w in exact[0].weights.items()}
-
-
-# -- decomposition --
-
-def area_net(weights):
-    return FlowNetwork(level="area", from_snapshot=1910, to_snapshot=1915, weights=weights)
-
-
-def test_decompose_by_hand():
-    net = area_net({("a", "a"): 8, ("b", "a"): 2, ("a", "c"): 1})
-    assert decompose_area_flows(net, "a") == (8, 2, 1)
-
-
-def test_decompose_absent_area_is_zero():
-    net = area_net({("a", "a"): 8})
-    assert decompose_area_flows(net, "z") == (0, 0, 0)
-
-
-def test_decompose_single_area_has_no_cross():
-    net = area_net({("a", "a"): 5})
-    assert decompose_area_flows(net, "a") == (5, 0, 0)
-
-
-def test_decompose_needs_area_level():
-    net = FlowNetwork(level="topic", from_snapshot=1910, to_snapshot=1915, weights={})
-    with pytest.raises(UsageError):
-        decompose_area_flows(net, "a")
 
 
 # -- serialization --

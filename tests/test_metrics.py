@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topicflow import (
     ActivityProfile,
     ClassificationTable,
     FlowNetwork,
+    MigrationIndices,
     SnapshotGrid,
     ZeroBaselinePolicy,
     attractiveness_table,
@@ -299,6 +302,64 @@ def test_indices_match_literal_oracle_and_scale_exactly(seed):
 def test_migration_indices_need_area_level():
     with pytest.raises(UsageError):
         migration_indices(topic_net(1915, {("a", "b"): 1}))
+
+
+def test_migration_indices_by_hand():
+    # a keeps 8, takes 2 from b and sends 1 to c: 3 cross in all.
+    got = migration_indices(area_net(1915, {("a", "a"): 8, ("b", "a"): 2, ("a", "c"): 1}))
+    assert got == {
+        "a": (0.2, 1 / 9, 2 / 3, 1 / 3),
+        "b": (0.0, 1.0, 0.0, 2 / 3),
+        "c": (1.0, 0.0, 1 / 3, 0.0),
+    }
+
+
+def decompose_reference(net, area):
+    """(intra, incoming-cross, outgoing-cross) volume of one area, from its
+    own walk over every edge."""
+    intra = net.weights.get((area, area), 0)
+    incoming = 0
+    outgoing = 0
+    for (source, target), weight in net.weights.items():
+        if source == target:
+            continue
+        if target == area:
+            incoming += weight
+        if source == area:
+            outgoing += weight
+    return intra, incoming, outgoing
+
+
+def migration_indices_reference(net, areas):
+    decomposed = {a: decompose_reference(net, a) for a in sorted(net.nodes() | set(areas))}
+    total_cross = sum(incoming for _, incoming, _ in decomposed.values())
+    ratio = lambda a, b: float(Fraction(a) / Fraction(b)) if b else 0.0
+    return {
+        area: MigrationIndices(
+            ratio(incoming, intra + incoming), ratio(outgoing, intra + outgoing),
+            ratio(incoming, total_cross), ratio(outgoing, total_cross),
+        )
+        for area, (intra, incoming, outgoing) in decomposed.items()
+    }
+
+
+_AREA = st.sampled_from("abcde")
+_WEIGHT = st.one_of(
+    st.integers(1, 10**6),
+    st.floats(1e-3, 1e6),
+    st.fractions(Fraction(1, 97), 10**6, max_denominator=97),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.tuples(_AREA, _AREA), _WEIGHT, max_size=25),
+    st.lists(st.sampled_from("abcdef"), max_size=3),
+)
+def test_migration_indices_equal_the_per_area_reference(weights, areas):
+    # Exact equality: each sum runs in the same order as the reference's.
+    net = area_net(1915, weights)
+    assert migration_indices(net, areas) == migration_indices_reference(net, areas)
 
 
 # -- medians --

@@ -77,3 +77,15 @@ def test_no_module_generates_code_at_run_time():
             offenders[module.name] = lines
     assert offenders == {}
     assert _dynamic_code_calls(ast.parse("exec(t)\nre.compile(p)\nbuiltins.eval(t)")) == [1, 3]
+
+
+def test_no_source_line_is_over_100_characters():
+    # A line budget is met by removing code, never by joining lines.
+    package = Path(topicflow.__file__).parent
+    long_lines = [
+        f"{module.name}:{lineno}"
+        for module in sorted(package.glob("*.py"))
+        for lineno, line in enumerate(module.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
