@@ -2,11 +2,13 @@
 """Desk-scale benchmark: a million synthetic records through every subcommand.
 
 Runs ``synth``, then ``ingest``, ``flows``, ``metrics`` and one ``viz
---level topic --pair 1910 1915``, each as its own ``python -m
-topicflow.cli`` child, the way users run it, and reports each one's wall
-time and max RSS (from ``os.wait4``). So ``flows`` and ``metrics`` show
-what streaming ``profiles.tsv`` through each of them costs, and ``viz``
-what one redraw costs. This script imports no topicflow code and stays
+--level topic --pair 1910 1915``, and last a whole ``report`` into its
+own directory, each as its own ``python -m topicflow.cli`` child, the
+way users run it, and reports each one's wall time and max RSS (from
+``os.wait4``). So ``flows`` and ``metrics`` show what streaming
+``profiles.tsv`` through each of them costs, ``viz`` what one redraw
+costs, and ``report`` what keeping ingest's profile list for flows and
+metrics costs. This script imports no topicflow code and stays
 small: a child started by ``subprocess`` reports at least the RSS its
 parent had when it started, so a large parent would hide the stages' own
 peaks. Ingest's peak is also given per record read, and the peaks of
@@ -69,16 +71,17 @@ def run(argv=None) -> int:
         "--areas", "8", "--snapshots", "4", "--mobility", "0.3", "--skew", "1.0",
         "--seed", str(args.seed), *grid,
     ])]
-    common = [
+    inputs = [
         "--records", str(corpus / "records.tsv"),
         "--journal-topics", str(corpus / "journal_topics.tsv"),
-        "--topic-areas", str(corpus / "topic_areas.tsv"),
-        "--out", str(out / "run"), *grid,
+        "--topic-areas", str(corpus / "topic_areas.tsv"), *grid,
     ]
     if args.threads is not None:
-        common += ["--threads", str(args.threads)]
+        inputs += ["--threads", str(args.threads)]
+    common = [*inputs, "--out", str(out / "run")]
     stages += [(stage, [stage, *common]) for stage in ("ingest", "flows", "metrics")]
     stages.append(("viz", ["viz", "--level", "topic", "--pair", "1910", "1915", *common]))
+    stages.append(("report", ["report", *inputs, "--out", str(out / "report")]))
 
     print(f"{args.authors} authors, seed {args.seed}")
     peaks = {}

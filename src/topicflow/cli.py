@@ -3,11 +3,13 @@
 Every stage reads and writes plain sorted TSV under the output
 directory, so intermediate artifacts stay diffable, and the whole tree
 is byte-identical across reruns with the same inputs and flags. Each
-file is replaced in one step (``util.write_text_atomic``).
-``report`` hands the profiles that ingest built to flows and metrics in
-memory instead of re-reading ``profiles.tsv``, and still writes every
-artifact that the separate subcommands would. All stages run in one
-process.
+file is replaced in one step (``util.write_text_atomic``), and the
+profile and flow writers hand it bounded blocks of rows, never the whole
+text. ``ingest`` writes each profile as the dedupe walk yields it and
+keeps none. ``report`` keeps the profile list and hands it to flows and
+metrics in memory instead of re-reading ``profiles.tsv``, and still
+writes every artifact that the separate subcommands would. All stages
+run in one process.
 Exit codes: 0 success, 1 usage, 2 input format, 3 internal invariant.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import collections
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bundleviz import VizConfig, load_viz_config, render_svg
 from .classification import ClassificationTable, load_classification
@@ -41,6 +43,7 @@ from .ingest import (
     ActivityProfile,
     IngestStats,
     SnapshotGrid,
+    _ingest_stream,
     ingest_records,
 )
 from .metrics import (
@@ -52,7 +55,7 @@ from .metrics import (
     multidisciplinarity,
 )
 from .util import (
-    Checked, fmt_float, gc_paused, iter_key_values, iter_tsv, write_text_atomic,
+    BLOCK_ROWS, Checked, fmt_float, gc_paused, iter_key_values, iter_tsv, write_text_atomic,
 )
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
@@ -202,13 +205,27 @@ def _out_dir(cfg: PipelineConfig) -> Path:
 # -- profile serialization --
 
 
-def write_profiles(profiles: list[ActivityProfile], path) -> None:
-    lines = [PROFILE_HEADER]
-    for author, snapshot, counts in profiles:
-        prefix = f"{author}\t{snapshot}\t"
-        for topic in sorted(counts):
-            lines.append(f"{prefix}{topic}\t{counts[topic]}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def write_profiles(profiles: Iterable[ActivityProfile], path) -> int:
+    """Write ``profiles``, a row per topic, in blocks of ``BLOCK_ROWS``
+    rows; return how many. A stream is written without being held."""
+    written = 0
+
+    def blocks() -> Iterator[str]:
+        nonlocal written
+        lines = [PROFILE_HEADER]
+        for author, snapshot, counts in profiles:
+            written += 1
+            prefix = f"{author}\t{snapshot}\t"
+            for topic in sorted(counts):
+                lines.append(f"{prefix}{topic}\t{counts[topic]}")
+            if len(lines) >= BLOCK_ROWS:
+                yield "\n".join(lines) + "\n"
+                lines = []
+        if lines:
+            yield "\n".join(lines) + "\n"
+
+    write_text_atomic(path, blocks())
+    return written
 
 
 def load_profiles(
@@ -277,24 +294,30 @@ def load_profiles(
 # -- commands --
 
 
-def cmd_ingest(cfg: PipelineConfig) -> tuple[list[ActivityProfile], IngestStats]:
+def cmd_ingest(
+    cfg: PipelineConfig, keep: bool = False
+) -> tuple[list[ActivityProfile] | None, IngestStats]:
+    """Write ``profiles.tsv`` and ``ingest_stats.json``; return the profile
+    list when ``keep`` (for ``report``), else None. Without ``keep``, each
+    profile goes from the dedupe walk to the file, and none is kept."""
     import json
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
     out = _out_dir(cfg)
-    profiles, stats = ingest_records(
+    ingest = ingest_records if keep else _ingest_stream  # the same walk, as a list or a stream
+    profiles, stats = ingest(
         records, table, cfg.grid(), cfg.max_papers_per_year,
         cut_scope=cfg.cut_scope, quantile=cfg.quantile,
     )
     if cfg.quantile is not None:
         print(f"quantile {cfg.quantile} -> max papers per year {stats.max_papers_per_year}")
     profiles_path = out / "profiles.tsv"
-    write_profiles(profiles, profiles_path)
+    n_profiles = write_profiles(profiles, profiles_path)  # the walk's stats are complete now
     stats_path = out / "ingest_stats.json"
     write_text_atomic(stats_path, json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"ingest: {json.dumps(stats.as_dict(), sort_keys=True)}", file=sys.stderr)
-    print(f"wrote {profiles_path} ({len(profiles)} profiles)")
-    return profiles, stats
+    print(f"wrote {profiles_path} ({n_profiles} profiles)")
+    return (profiles if keep else None), stats
 
 
 def _read_profiles(
@@ -461,7 +484,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     import json
     _viz_config(cfg)  # a bad rendering setting fails before any write
     out = _out_dir(cfg)
-    profiles, stats = cmd_ingest(cfg)
+    profiles, stats = cmd_ingest(cfg, keep=True)
     flow_paths = cmd_flows(cfg, profiles)
     metric_paths = cmd_metrics(cfg, profiles)
     del profiles  # viz reads only the flow files

@@ -20,13 +20,13 @@ must hold.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .classification import ClassificationTable
 from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
 from .ingest import ActivityProfile, SnapshotGrid
 from .util import (
-    Record, check_token, fmt_weight, iter_tsv, parse_weight, write_text_atomic,
+    BLOCK_ROWS, Record, check_token, fmt_weight, iter_tsv, parse_weight, write_text_atomic,
 )
 
 if TYPE_CHECKING:
@@ -233,13 +233,21 @@ def flow_file_name(level: str, from_snapshot: int, to_snapshot: int) -> str:
 
 
 def write_flow_network(net: FlowNetwork, path) -> None:
-    """Sorted TSV rows; byte-stable for identical networks."""
-    lines = [FLOW_HEADER]
-    for (source, target), weight in net.sorted_items():
-        lines.append(
-            f"{net.from_snapshot}\t{net.to_snapshot}\t{source}\t{target}\t{fmt_weight(weight)}"
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Sorted TSV rows, joined and written ``BLOCK_ROWS`` at a time;
+    byte-stable for identical networks."""
+
+    def blocks() -> Iterator[str]:
+        lines = [FLOW_HEADER]
+        prefix = f"{net.from_snapshot}\t{net.to_snapshot}\t"
+        for (source, target), weight in net.sorted_items():
+            lines.append(f"{prefix}{source}\t{target}\t{fmt_weight(weight)}")
+            if len(lines) >= BLOCK_ROWS:
+                yield "\n".join(lines) + "\n"
+                lines = []
+        if lines:
+            yield "\n".join(lines) + "\n"
+
+    write_text_atomic(path, blocks())
 
 
 def load_flow_network(

@@ -9,7 +9,10 @@ papers by author, keyed by a one-character calendar year code plus the
 paper. The disambiguation cut and the ``--quantile`` threshold are counted
 from those groups; the authors under the cut are then deduplicated to one
 (year, journal) per paper, in their sorted keys' order, and their topic
-activity accumulated per (author, snapshot).
+activity accumulated per (author, snapshot). That dedupe walk is a
+generator: it yields each author's profiles and drops the author's
+entries, so a caller that writes the profiles as they come, as standalone
+``ingest`` does, never holds the profile list.
 """
 from __future__ import annotations
 
@@ -302,13 +305,30 @@ def ingest_records(
     (calendar year, paper) entries, keyed by year code plus paper (see
     ``PaperGroups``); dropped records enter too when the cut or the
     quantile counts them. The cut and the quantile are per-year tallies
-    of these entries, and the dedupe walks each kept author's sorted keys,
-    so by ascending year, taking a paper from the first year that keeps
-    it. So the cut counts a paper once in every year it appears, and the
-    profile counts it once.
+    of these entries, and the dedupe walk takes each kept author's sorted
+    keys, so by ascending year, taking a paper from the first year that
+    keeps it. So the cut counts a paper once in every year it appears,
+    and the profile counts it once.
 
     Returns profiles sorted by (author, snapshot) plus ingest statistics,
-    whose ``max_papers_per_year`` is the cut applied.
+    whose ``max_papers_per_year`` is the cut applied: the list of
+    ``_ingest_stream``'s walk, which standalone ``ingest`` writes instead.
+    """
+    profiles, stats = _ingest_stream(
+        records_file, table, grid, max_papers_per_year, cut_scope, quantile
+    )
+    return list(profiles), stats
+
+
+def _ingest_stream(
+    records_file, table, grid, max_papers_per_year, cut_scope, quantile
+) -> tuple[Iterator[ActivityProfile], IngestStats]:
+    """``ingest_records`` with the dedupe walk returned as a generator, not started.
+
+    Checks, the read and the cut run before this returns, so bad input
+    raises before the caller opens any output. The walk yields each kept
+    author's profiles and drops the author's entries; its counters enter
+    the returned stats when it is exhausted.
     """
     if quantile is not None:
         _check_quantile(quantile)
@@ -325,51 +345,53 @@ def ingest_records(
     labels = {code: grid.snapshot_of(year) for year, code in codes.items()}
     count_dropped = cut_scope == "all"
     stats = IngestStats()
-    profiles: list[ActivityProfile] = []
-    kept = collapsed = excluded = excluded_records = 0
     track_dropped = quantile is not None or (count_dropped and max_papers_per_year > 0)
     groups, repeats = _group_papers(records_file, journals, codes, track_dropped, stats)
     if quantile is None:
         threshold = max_papers_per_year
     else:
         threshold = _yearly_quantile(groups, quantile, records_file)
-    for author in sorted(groups):
-        entries = groups.pop(author)
-        if (
-            threshold
-            and len(entries) > threshold  # else no year can exceed it
-            and any(n > threshold for n in _year_counts(entries, not count_dropped))
-        ):
-            excluded += 1
-            excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
-            continue
-        collapsed += repeats.get(author, 0)
-        seen: set[str] = set()
-        by_snapshot: dict[int, dict[TopicId, int]] = {}
-        for key in sorted(entries):  # by year code, so by year
-            journal = entries[key]
-            if not journal:  # a dropped record's entry
-                continue
-            paper = key[1:]
-            if paper in seen:
-                collapsed += 1
-                continue
-            seen.add(paper)
-            label = labels[key[0]]
-            counts = by_snapshot.get(label)
-            if counts is None:
-                counts = by_snapshot[label] = {}
-            for topic in journals[journal]:
-                counts[topic] = counts.get(topic, 0) + 1
-        kept += len(seen)
-        for snapshot, counts in by_snapshot.items():
-            profiles.append(ActivityProfile(author, snapshot, counts))
     stats.max_papers_per_year = threshold
-    stats.records_kept = kept
-    stats.duplicates_collapsed = collapsed
-    stats.authors_excluded = excluded
-    stats.excluded_by_cut = excluded_records
-    return profiles, stats
+
+    def walk() -> Iterator[ActivityProfile]:
+        kept = collapsed = excluded = excluded_records = 0
+        for author in sorted(groups):
+            entries = groups.pop(author)
+            if (
+                threshold
+                and len(entries) > threshold  # else no year can exceed it
+                and any(n > threshold for n in _year_counts(entries, not count_dropped))
+            ):
+                excluded += 1
+                excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
+                continue
+            collapsed += repeats.get(author, 0)
+            seen: set[str] = set()
+            by_snapshot: dict[int, dict[TopicId, int]] = {}
+            for key in sorted(entries):  # by year code, so by year
+                journal = entries[key]
+                if not journal:  # a dropped record's entry
+                    continue
+                paper = key[1:]
+                if paper in seen:
+                    collapsed += 1
+                    continue
+                seen.add(paper)
+                label = labels[key[0]]
+                counts = by_snapshot.get(label)
+                if counts is None:
+                    counts = by_snapshot[label] = {}
+                for topic in journals[journal]:
+                    counts[topic] = counts.get(topic, 0) + 1
+            kept += len(seen)
+            for snapshot, counts in by_snapshot.items():
+                yield ActivityProfile(author, snapshot, counts)
+        stats.records_kept = kept
+        stats.duplicates_collapsed = collapsed
+        stats.authors_excluded = excluded
+        stats.excluded_by_cut = excluded_records
+
+    return walk(), stats
 
 
 def compute_yearly_paper_quantile(records_file, q: float) -> int:

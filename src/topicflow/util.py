@@ -1,6 +1,6 @@
 """Small shared helpers: TSV and key=value iteration, token checks, numeric
-formatting, quantile cutoffs, pausing the garbage collector, atomic writes,
-record bases."""
+formatting, quantile cutoffs, pausing the garbage collector, atomic writes
+of text chunks, record bases."""
 from __future__ import annotations
 
 import gc
@@ -106,17 +106,27 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 with LF line ends, in one step.
+# Rows a TSV writer joins into one chunk for ``write_text_atomic``: each
+# chunk is a bounded block of text, never the whole file.
+BLOCK_ROWS = 4096
 
-    The text goes to a sibling named with the process id, which then
-    replaces ``path``. An interrupted write leaves the previous file, or
-    none, never a truncated one; the sibling is removed on any exception.
+
+def write_text_atomic(path, chunks: str | Iterable[str]) -> None:
+    """Write text chunks to ``path`` as UTF-8 with LF line ends, in one step.
+
+    ``chunks`` is one ``str``, written whole, or an iterable of them,
+    written in order as it yields them, so a writer that yields blocks of
+    rows never holds the whole file. The text goes to a sibling named
+    with the process id, which then replaces ``path``. An interrupted
+    write, also one whose chunk source raises, leaves the previous file,
+    or none, never a truncated one; the sibling is removed on any exception.
     """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

@@ -1,4 +1,5 @@
-"""Every artifact is replaced in one step, through ``util.write_text_atomic``."""
+"""Every artifact is replaced in one step, through ``util.write_text_atomic``,
+also when its text comes as a stream of chunks."""
 from __future__ import annotations
 
 import ast
@@ -8,7 +9,12 @@ from pathlib import Path
 import pytest
 
 import topicflow
-from topicflow import FlowNetwork, write_flow_network
+import topicflow.cli as cli_module
+import topicflow.flows as flows_module
+from topicflow import ActivityProfile, FlowNetwork, write_flow_network
+from topicflow.cli import PROFILE_HEADER, write_profiles
+from topicflow.flows import FLOW_HEADER
+from topicflow.util import write_text_atomic
 
 
 def _net(weights):
@@ -80,3 +86,57 @@ def test_only_util_opens_files_for_writing():
             offenders[module.name] = lines
     assert offenders == {}
     assert _write_mode_opens(ast.parse((package / "util.py").read_text(encoding="utf-8")))
+
+
+def test_failed_chunk_source_keeps_previous_file(previous):
+    path, before = previous
+
+    def chunks():
+        yield "#from_snapshot\tto_snapshot\tsource\ttarget\tweight\n"
+        yield "1910\t1915\tA\tB\t9\n"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_text_atomic(path, chunks())
+    assert path.read_bytes() == before
+    assert _siblings(path) == []
+
+
+def test_chunks_are_written_in_order(tmp_path):
+    path = tmp_path / "out.tsv"
+    write_text_atomic(path, iter(["a\t1\n", "", "b\t2\nc\t3\n"]))
+    assert path.read_bytes() == b"a\t1\nb\t2\nc\t3\n"
+    assert _siblings(path) == []
+
+
+class _Unsplittable(str):
+    def __iter__(self):
+        raise AssertionError("a text was split into characters")
+
+
+def test_a_text_is_written_as_one_chunk(tmp_path):
+    path = tmp_path / "out.json"
+    write_text_atomic(path, _Unsplittable('{"a": 1}\n'))
+    assert path.read_bytes() == b'{"a": 1}\n'
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+def test_writers_are_byte_stable_across_block_boundaries(tmp_path, monkeypatch, block_rows):
+    weights = {(f"T{i}", f"T{(i * 7) % 5}"): i + 1 for i in range(5)}
+    profiles = [
+        ActivityProfile("a", 1910, {"T2": 1, "T1": 3}),
+        ActivityProfile("a", 1915, {"T1": 1}),
+        ActivityProfile("b", 1910, {"T3": 2, "T1": 1, "T2": 4}),
+    ]
+    monkeypatch.setattr(flows_module, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli_module, "BLOCK_ROWS", block_rows)
+    write_flow_network(_net(weights), tmp_path / "flows.tsv")
+    assert write_profiles(iter(profiles), tmp_path / "profiles.tsv") == 3
+    assert (tmp_path / "flows.tsv").read_text() == "".join(
+        [f"{FLOW_HEADER}\n"]
+        + [f"1910\t1915\t{s}\t{t}\t{w}\n" for (s, t), w in sorted(weights.items())]
+    )
+    assert (tmp_path / "profiles.tsv").read_text() == (
+        f"{PROFILE_HEADER}\na\t1910\tT1\t3\na\t1910\tT2\t1\na\t1915\tT1\t1\n"
+        "b\t1910\tT1\t1\nb\t1910\tT2\t4\nb\t1910\tT3\t2\n"
+    )

@@ -331,7 +331,7 @@ def test_quantile_on_empty_records_exits_two(tmp_path, capsys):
 def test_internal_error_exits_three(tmp_path, monkeypatch):
     setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
     monkeypatch.setattr(
-        "topicflow.cli.ingest_records",
+        "topicflow.cli._ingest_stream",
         lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
     )
     assert main(["ingest", *base_args(tmp_path, tmp_path / "out")]) == 3
