@@ -7,8 +7,9 @@ own directory, each as its own ``python -m topicflow.cli`` child, the
 way users run it, and reports each one's wall time and max RSS (from
 ``os.wait4``). So ``flows`` and ``metrics`` show what streaming
 ``profiles.tsv`` through each of them costs, ``viz`` what one redraw
-costs, and ``report`` what keeping ingest's profile list for flows and
-metrics costs. This script imports no topicflow code and stays
+costs, and ``report`` what one pass through every stage costs, its
+dedupe walk feeding the profile writer, the flow fold and the area tally
+at once. This script imports no topicflow code and stays
 small: a child started by ``subprocess`` reports at least the RSS its
 parent had when it started, so a large parent would hide the stages' own
 peaks. Ingest's peak is also given per record read, and the peaks of

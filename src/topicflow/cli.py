@@ -6,10 +6,9 @@ is byte-identical across reruns with the same inputs and flags. Each
 file is replaced in one step (``util.write_text_atomic``), and the
 profile and flow writers hand it bounded blocks of rows, never the whole
 text. ``ingest`` writes each profile as the dedupe walk yields it and
-keeps none. ``report`` keeps the profile list and hands it to flows and
-metrics in memory instead of re-reading ``profiles.tsv``, and still
-writes every artifact that the separate subcommands would. All stages
-run in one process.
+keeps none. ``report`` reads the walk once, handing each profile to the
+profile writer, the flow fold and the area tally, and writes every
+artifact that the separate subcommands would. All stages run in one process.
 Exit codes: 0 success, 1 usage, 2 input format, 3 internal invariant.
 """
 from __future__ import annotations
@@ -33,20 +32,19 @@ from .errors import (
     UsageError,
 )
 from .flows import (
+    LEVELS,
+    FlowFold,
     FlowNetwork,
-    _flow_networks,
+    build_flow_networks,
+    dominant_sets_of,
     flow_file_name,
     load_flow_network,
     write_flow_network,
 )
-from .ingest import (
-    ActivityProfile,
-    IngestStats,
-    SnapshotGrid,
-    _ingest_stream,
-    ingest_records,
-)
+from .ingest import ActivityProfile, IngestStats, SnapshotGrid, _ingest_stream
 from .metrics import (
+    AreaTally,
+    MultidisciplinarityDistribution,
     ZeroBaselinePolicy,
     attractiveness_table,
     migration_index_series,
@@ -117,9 +115,6 @@ class PipelineConfig(Checked, _PipelineFields):
 
     def grid(self) -> SnapshotGrid:
         return SnapshotGrid(self.start_year, self.end_year, self.width)
-
-    def levels(self) -> list[str]:
-        return ["topic", "area"] if self.level == "both" else [self.level]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,30 +289,38 @@ def load_profiles(
 # -- commands --
 
 
-def cmd_ingest(
-    cfg: PipelineConfig, keep: bool = False
-) -> tuple[list[ActivityProfile] | None, IngestStats]:
-    """Write ``profiles.tsv`` and ``ingest_stats.json``; return the profile
-    list when ``keep`` (for ``report``), else None. Without ``keep``, each
-    profile goes from the dedupe walk to the file, and none is kept."""
-    import json
+def _start_ingest(
+    cfg: PipelineConfig,
+) -> tuple[ClassificationTable, Path, Iterator[ActivityProfile], IngestStats]:
+    """Ingest up to its first write: the table, ``--out``, and the dedupe walk,
+    not started, with the stats it completes. Bad input raises here."""
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
     out = _out_dir(cfg)
-    ingest = ingest_records if keep else _ingest_stream  # the same walk, as a list or a stream
-    profiles, stats = ingest(
-        records, table, cfg.grid(), cfg.max_papers_per_year,
-        cut_scope=cfg.cut_scope, quantile=cfg.quantile,
+    profiles, stats = _ingest_stream(
+        records, table, cfg.grid(), cfg.max_papers_per_year, cfg.cut_scope, cfg.quantile
     )
     if cfg.quantile is not None:
         print(f"quantile {cfg.quantile} -> max papers per year {stats.max_papers_per_year}")
+    return table, out, profiles, stats
+
+
+def _write_ingest(out: Path, profiles: Iterable[ActivityProfile], stats: IngestStats) -> None:
+    """Write ``profiles.tsv`` as the walk yields it, then ``ingest_stats.json``."""
+    import json
     profiles_path = out / "profiles.tsv"
     n_profiles = write_profiles(profiles, profiles_path)  # the walk's stats are complete now
     stats_path = out / "ingest_stats.json"
     write_text_atomic(stats_path, json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"ingest: {json.dumps(stats.as_dict(), sort_keys=True)}", file=sys.stderr)
     print(f"wrote {profiles_path} ({n_profiles} profiles)")
-    return (profiles if keep else None), stats
+
+
+def cmd_ingest(cfg: PipelineConfig) -> None:
+    """Write ``profiles.tsv`` and ``ingest_stats.json``; each profile goes
+    from the dedupe walk to the file, and none is kept."""
+    _, out, profiles, stats = _start_ingest(cfg)
+    _write_ingest(out, profiles, stats)
 
 
 def _read_profiles(
@@ -329,17 +332,7 @@ def _read_profiles(
     return load_profiles(profiles_path, table, cfg.grid())
 
 
-def cmd_flows(
-    cfg: PipelineConfig, profiles: list[ActivityProfile] | None = None
-) -> list[Path]:
-    """Write every requested flow network; ``profiles`` defaults to ``profiles.tsv``."""
-    table = _load_table(cfg)
-    out = _out_dir(cfg)
-    if profiles is None:
-        profiles = _read_profiles(cfg, out, table)
-    nets = _flow_networks(
-        profiles, cfg.grid(), cfg.level, table, cfg.area_mode, cfg.appearing_weight
-    )
+def _write_networks(out: Path, nets: list[FlowNetwork]) -> list[Path]:
     written: list[Path] = []
     for net in nets:
         path = out / flow_file_name(net.level, net.from_snapshot, net.to_snapshot)
@@ -347,6 +340,19 @@ def cmd_flows(
         written.append(path)
     print(f"wrote {len(written)} network files to {out}")
     return written
+
+
+def cmd_flows(cfg: PipelineConfig) -> list[Path]:
+    """Write every requested flow network, counted from ``profiles.tsv`` as it streams."""
+    table = _load_table(cfg)
+    out = _out_dir(cfg)
+    nodes = dominant_sets_of(cfg.level, table, cfg.area_mode)
+    profiles = _read_profiles(cfg, out, table)
+    # Not flow_networks_from_profiles: perfbench's tracer takes the len() of its argument.
+    return _write_networks(out, build_flow_networks(
+        ((p.author_id, p.snapshot, nodes(p)) for p in profiles),
+        cfg.grid(), level=cfg.level, appearing_weight=cfg.appearing_weight,
+    ))
 
 
 def _load_network(out: Path, level: str, earlier: int, later: int) -> FlowNetwork:
@@ -361,22 +367,16 @@ def _load_networks(cfg: PipelineConfig, out: Path, level: str) -> list[FlowNetwo
     return [_load_network(out, level, *pair) for pair in cfg.grid().label_pairs()]
 
 
-def cmd_metrics(
-    cfg: PipelineConfig, profiles: list[ActivityProfile] | None = None
+def _write_metrics(
+    cfg: PipelineConfig, out: Path, table: ClassificationTable,
+    distributions: list[MultidisciplinarityDistribution],
 ) -> list[Path]:
-    """Write every metric table; ``profiles`` defaults to ``profiles.tsv``.
-    All inputs are checked before the first write, so a bad one changes no file."""
-    table = _load_table(cfg)
-    out = _out_dir(cfg)
+    """Write every metric table, from the flow files in ``out`` and the
+    ``distributions``. All inputs are checked before the first write, so a
+    bad one changes no file."""
     policy = ZeroBaselinePolicy.parse(cfg.baseline_policy)
-    # Only the histogram is kept: profiles read here stream into it one at
-    # a time, before the networks load (a lower peak RSS).
-    distributions = multidisciplinarity(
-        profiles if profiles is not None else _read_profiles(cfg, out, table), table
-    )
-    nets = {level: _load_networks(cfg, out, level) for level in cfg.levels()}
+    nets = {level: _load_networks(cfg, out, level) for level in LEVELS[cfg.level]}
     tables: list[tuple[str, str, list[str]]] = []  # (file name, header, rows)
-
     if "topic" in nets:
         deltas = attractiveness_table(nets["topic"], policy, n_topics=table.topic_count)
         rows = [
@@ -435,6 +435,15 @@ def cmd_metrics(
     return written
 
 
+def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
+    table = _load_table(cfg)
+    out = _out_dir(cfg)
+    # Only the histogram is kept: profiles stream into it one at a time,
+    # before the networks load (a lower peak RSS).
+    distributions = multidisciplinarity(_read_profiles(cfg, out, table), table)
+    return _write_metrics(cfg, out, table, distributions)
+
+
 def _viz_config(cfg: PipelineConfig) -> VizConfig:
     viz = VizConfig()
     if cfg.viz_config is not None:
@@ -447,18 +456,22 @@ def _viz_config(cfg: PipelineConfig) -> VizConfig:
     return viz._replace(**overrides)  # checked like a new config
 
 
+def _draw(out: Path, net: FlowNetwork, table: ClassificationTable, viz: VizConfig) -> Path:
+    svg_path = out / f"viz_{net.level}_{net.from_snapshot}_{net.to_snapshot}.svg"
+    write_text_atomic(svg_path, render_svg(net, table, viz))
+    print(f"wrote {svg_path}")
+    return svg_path
+
+
 def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
     earlier, later = pair
     if (earlier, later) not in cfg.grid().label_pairs():
         raise UsageError(f"--pair {earlier} {later} is not a consecutive pair of the grid")
-    level = cfg.level if cfg.level != "both" else "topic"
+    level = LEVELS[cfg.level][0]
     table = _load_table(cfg)
     out = _out_dir(cfg)
     net = _load_network(out, level, earlier, later)
-    svg_path = out / f"viz_{level}_{earlier}_{later}.svg"
-    write_text_atomic(svg_path, render_svg(net, table, _viz_config(cfg)))
-    print(f"wrote {svg_path}")
-    return svg_path
+    return _draw(out, net, table, _viz_config(cfg))
 
 
 def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
@@ -481,15 +494,33 @@ def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:
 
 
 def cmd_report(cfg: PipelineConfig) -> Path:
+    """Run every stage and write ``report.json``. The dedupe walk is read
+    once: each profile it yields goes to ``profiles.tsv``, to the flow
+    fold and to the area tally, and none is kept."""
     import json
-    _viz_config(cfg)  # a bad rendering setting fails before any write
-    out = _out_dir(cfg)
-    profiles, stats = cmd_ingest(cfg, keep=True)
-    flow_paths = cmd_flows(cfg, profiles)
-    metric_paths = cmd_metrics(cfg, profiles)
-    del profiles  # viz reads only the flow files
-    # cmd_flows wrote every pair of the level viz draws, so each one is drawn.
-    svg_paths = [cmd_viz(cfg, pair) for pair in cfg.grid().label_pairs()]
+    viz = _viz_config(cfg)  # a bad rendering setting fails before any write
+    _out_dir(cfg)  # report creates --out before it checks the inputs
+    table, out, profiles, stats = _start_ingest(cfg)
+    fold = FlowFold(cfg.grid(), cfg.level, cfg.appearing_weight)
+    nodes = dominant_sets_of(cfg.level, table, cfg.area_mode)
+    tally = AreaTally(table)
+
+    def counted() -> Iterator[ActivityProfile]:
+        for profile in profiles:
+            fold.add(profile.author_id, profile.snapshot, nodes(profile))
+            tally.add(profile)
+            yield profile
+
+    _write_ingest(out, counted(), stats)
+    flow_paths = _write_networks(out, fold.networks())
+    # Metrics and viz read the flow files, so their weights are the written
+    # ones, as in the standalone stages.
+    metric_paths = _write_metrics(cfg, out, table, tally.distributions())
+    level = LEVELS[cfg.level][0]  # every pair of it was just written
+    svg_paths = [
+        _draw(out, _load_network(out, level, *pair), table, viz)
+        for pair in cfg.grid().label_pairs()
+    ]
     summary = {
         "ingest_stats": stats.as_dict(),
         "snapshot_labels": cfg.grid().labels(),

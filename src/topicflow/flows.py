@@ -9,13 +9,10 @@ transition from every topic of the earlier side. Summing over authors
 yields a weighted directed network per consecutive snapshot pair, at
 topic or area granularity.
 
-Everything runs in the calling process. One pass over the profiles, a
-list or the stream ``load_profiles`` yields, computes each profile's
-dominant set once for every requested level and keeps only the author,
-the snapshot and one pointer per level to a shared set. Then
-``build_flow_networks`` counts each level in one fold over those sets in
-(author, snapshot) order, the order ingest returns and ``profiles.tsv``
-must hold.
+Everything runs in the calling process, in one pass over the profiles
+in (author, snapshot) order, the order ingest yields and ``profiles.tsv``
+must hold: ``FlowFold`` takes one profile's dominant sets at a time and
+keeps only the previous ones and the network weights, nothing per profile.
 """
 from __future__ import annotations
 
@@ -120,6 +117,46 @@ def count_transitions(
     return out
 
 
+# The levels each ``--level`` value counts, topic level first.
+LEVELS = {"topic": ("topic",), "area": ("area",), "both": ("topic", "area")}
+
+
+class FlowFold:
+    """``build_flow_networks`` one profile at a time: ``add`` takes what one
+    item of its ``dominant_sets`` holds. Only the previous author, snapshot
+    and sets and one weight map per level and grid pair are kept."""
+
+    __slots__ = ("levels", "weighting", "pairs", "following", "acc", "last")
+
+    def __init__(self, grid: SnapshotGrid, level: str = "topic", appearing_weight: str = "unit"):
+        self.levels = LEVELS.get(level)
+        if self.levels is None:
+            raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
+        _check_appearing_weight(appearing_weight)
+        self.weighting = appearing_weight
+        self.pairs = grid.label_pairs()
+        self.following = dict(self.pairs)
+        self.acc = [{pair: {} for pair in self.pairs} for _ in self.levels]
+        self.last = (None, None, None)  # the previous author, snapshot and sets
+
+    def add(self, author: str, snapshot: int, nodes) -> None:
+        sets = (nodes,) if len(self.levels) == 1 else nodes
+        last_author, last_snapshot, last_sets = self.last
+        if last_author is not None and (author, snapshot) <= (last_author, last_snapshot):
+            raise InvariantViolation(f"dominant set {author!r}@{snapshot} does not follow "
+                                     f"{last_author!r}@{last_snapshot} in (author, snapshot) order")
+        if author == last_author and self.following.get(last_snapshot) == snapshot:
+            for acc, earlier, later in zip(self.acc, last_sets, sets):
+                bucket = acc[last_snapshot, snapshot]
+                for edge, weight in count_transitions(earlier, later, self.weighting).items():
+                    bucket[edge] = bucket.get(edge, 0) + weight
+        self.last = author, snapshot, sets
+
+    def networks(self) -> list[FlowNetwork]:
+        return [FlowNetwork(level, a, b, acc[a, b])
+                for level, acc in zip(self.levels, self.acc) for a, b in self.pairs]
+
+
 def build_flow_networks(
     dominant_sets: Iterable[tuple[str, int, frozenset[str]]],
     grid: SnapshotGrid,
@@ -130,36 +167,54 @@ def build_flow_networks(
     """Sum per-author transitions into one network per consecutive grid pair.
 
     ``dominant_sets`` holds one ``(author, snapshot, nodes)`` tuple per
-    profile, ``nodes`` being its dominant topics or areas, in strictly
-    ascending (author, snapshot) order, the order ``ingest_records``
-    returns and ``load_profiles`` checks; a set out of that order raises
+    profile, ``nodes`` being its dominant topics or areas, or under
+    ``level='both'`` its (topic set, area set) pair, whose networks come
+    topic level first. The tuples come in strictly ascending (author,
+    snapshot) order, the order ``ingest_records`` returns and
+    ``load_profiles`` checks; a set out of that order raises
     ``InvariantViolation``. One fold counts each set against the previous
     one when both are the same author's and the snapshot is the grid label
     after the previous one: skipped snapshots never bridge (1910->1920
     without 1915 yields nothing). Weights are exact: integers, or
     ``Fraction``s under ``appearing_weight='uniform'``.
     """
-    if level not in ("topic", "area"):
-        raise UsageError(f"level must be 'topic' or 'area', got {level!r}")
-    _check_appearing_weight(appearing_weight)
-    pairs = grid.label_pairs()
-    following = dict(pairs)
-    acc: dict[tuple[int, int], dict[tuple[str, str], int | Fraction]] = {p: {} for p in pairs}
-    last_author = last_snapshot = last_nodes = None
+    fold = FlowFold(grid, level, appearing_weight)
     for author, snapshot, nodes in dominant_sets:
-        if last_author is not None and (author, snapshot) <= (last_author, last_snapshot):
-            raise InvariantViolation(f"dominant set {author!r}@{snapshot} does not follow "
-                                     f"{last_author!r}@{last_snapshot} in (author, snapshot) order")
-        if author == last_author and following.get(last_snapshot) == snapshot:
-            bucket = acc[last_snapshot, snapshot]
-            for edge, weight in count_transitions(last_nodes, nodes, appearing_weight).items():
-                bucket[edge] = bucket.get(edge, 0) + weight
-        last_author, last_snapshot, last_nodes = author, snapshot, nodes
-    return [FlowNetwork(level, a, b, acc[(a, b)]) for a, b in pairs]
+        fold.add(author, snapshot, nodes)
+    return fold.networks()
+
+
+def dominant_sets_of(level: str, table: ClassificationTable | None, area_mode: str):
+    """The function giving a profile's ``nodes`` at ``level`` for ``FlowFold.add``.
+    Its dominant topic set is computed once for both levels; ``area_mode='mapped'``
+    maps it through the topic->area table, once per distinct set, and
+    ``'argmax'`` re-runs the argmax on per-area aggregated counts instead."""
+    if level not in LEVELS:
+        raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
+    if area_mode not in ("mapped", "argmax"):
+        raise UsageError(f"area_mode must be 'mapped' or 'argmax', got {area_mode!r}")
+    if level != "topic" and table is None:
+        raise UsageError("area-level flows need a classification table")
+    if level == "topic":
+        return dominant_topics
+    if area_mode == "argmax":
+        if level == "area":
+            return lambda profile: dominant_area_set(profile, table)
+        return lambda profile: (dominant_topics(profile), dominant_area_set(profile, table))
+    mapped: dict[frozenset[str], frozenset[str]] = {}  # most dominant topic sets recur
+
+    def nodes(profile: ActivityProfile):
+        topics = dominant_topics(profile)
+        areas = mapped.get(topics)
+        if areas is None:
+            areas = mapped[topics] = frozenset(_area_of(t, table) for t in topics)
+        return areas if level == "area" else (topics, areas)
+
+    return nodes
 
 
 def flow_networks_from_profiles(
-    profiles: list[ActivityProfile],
+    profiles: Iterable[ActivityProfile],
     grid: SnapshotGrid,
     *,
     level: str = "topic",
@@ -167,62 +222,19 @@ def flow_networks_from_profiles(
     area_mode: str = "mapped",
     appearing_weight: str = "unit",
 ) -> list[FlowNetwork]:
-    """Profiles -> dominant sets -> flow networks.
+    """Profiles -> dominant sets -> flow networks, in one pass that keeps no profile.
 
     ``profiles`` come in (author, snapshot) order, as for
     ``build_flow_networks``, which counts each requested level. ``level``
     is ``'topic'``, ``'area'`` or ``'both'``; with ``'both'`` the topic
-    networks come first, then the area networks. Each profile's dominant
-    topic set is computed once and feeds every requested level.
-    ``area_mode='mapped'`` (default) maps that set through the
-    topic->area table; ``'argmax'`` re-runs the argmax on per-area
-    aggregated counts instead.
+    networks come first, then the area networks. ``area_mode`` is as for
+    ``dominant_sets_of``.
     """
-    return _flow_networks(profiles, grid, level, table, area_mode, appearing_weight)
-
-
-def _flow_networks(profiles: Iterable[ActivityProfile], grid: SnapshotGrid, level: str,
-                   table: ClassificationTable | None, area_mode: str,
-                   appearing_weight: str) -> list[FlowNetwork]:
-    """``flow_networks_from_profiles`` over any iterable, such as the
-    stream ``load_profiles`` yields: read once, and no profile is kept."""
-    if level not in ("topic", "area", "both"):
-        raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
-    if area_mode not in ("mapped", "argmax"):
-        raise UsageError(f"area_mode must be 'mapped' or 'argmax', got {area_mode!r}")
-    if level != "topic" and table is None:
-        raise UsageError("area-level flows need a classification table")
-    _check_appearing_weight(appearing_weight)
-    levels = ("topic", "area") if level == "both" else (level,)
-    sets: dict[str, list[frozenset[str]]] = {name: [] for name in levels}
-    topic_sets, area_sets = sets.get("topic"), sets.get("area")
-    mapped = area_sets is not None and area_mode == "mapped"
-    authors: list[str] = []
-    snapshots: list[int] = []
-    # One pointer per profile and level, to one shared frozenset per distinct
-    # topic set and per mapped area set: most dominant sets recur.
-    shared: dict[frozenset[str], tuple[frozenset[str], frozenset[str] | None]] = {}
-    for profile in profiles:
-        authors.append(profile.author_id)
-        snapshots.append(profile.snapshot)
-        if topic_sets is not None or mapped:
-            topics = dominant_topics(profile)
-            entry = shared.get(topics)
-            if entry is None:
-                areas = frozenset(_area_of(t, table) for t in topics) if mapped else None
-                entry = shared[topics] = (topics, areas)
-            topics, areas = entry
-            if topic_sets is not None:
-                topic_sets.append(topics)
-        if area_sets is not None:
-            area_sets.append(areas if mapped else dominant_area_set(profile, table))
-    return [
-        net
-        for name, found in sets.items()
-        for net in build_flow_networks(
-            zip(authors, snapshots, found), grid, level=name, appearing_weight=appearing_weight
-        )
-    ]
+    nodes = dominant_sets_of(level, table, area_mode)
+    return build_flow_networks(
+        ((p.author_id, p.snapshot, nodes(p)) for p in profiles),
+        grid, level=level, appearing_weight=appearing_weight,
+    )
 
 
 # -- serialization --

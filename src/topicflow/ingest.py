@@ -11,11 +11,12 @@ from those groups; the authors under the cut are then deduplicated to one
 (year, journal) per paper, in their sorted keys' order, and their topic
 activity accumulated per (author, snapshot). That dedupe walk is a
 generator: it yields each author's profiles and drops the author's
-entries, so a caller that writes the profiles as they come, as standalone
-``ingest`` does, never holds the profile list.
+entries, so a caller that takes the profiles as they come, as ``ingest``
+and ``report`` do, never holds the profile list.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
 from .classification import ClassificationTable, TopicId
@@ -266,14 +267,18 @@ def _check_quantile(q: float) -> None:
         raise InvalidSpec(f"quantile must be in (0, 1), got {q}")
 
 
-def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> int:
-    """The cut ``q`` derives from per-(author, year) counts of every entry."""
-    counts: list[int] = []
+def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> tuple[int, list[int]]:
+    """The cut ``q`` derives from per-(author, year) counts of every entry,
+    and each author's largest such count, in the order of ``groups``."""
+    counts: Counter[int] = Counter()
+    maxima: list[int] = []
     for entries in groups.values():
-        counts += _year_counts(entries, False)
+        years = _year_counts(entries, False)
+        counts.update(years)
+        maxima.append(max(years))
     if not counts:
         raise PipelineError(f"{records_file}: no records")
-    return quantile_cutoff(counts, q)
+    return quantile_cutoff(counts, q), maxima
 
 
 def ingest_records(
@@ -305,14 +310,15 @@ def ingest_records(
     (calendar year, paper) entries, keyed by year code plus paper (see
     ``PaperGroups``); dropped records enter too when the cut or the
     quantile counts them. The cut and the quantile are per-year tallies
-    of these entries, and the dedupe walk takes each kept author's sorted
-    keys, so by ascending year, taking a paper from the first year that
-    keeps it. So the cut counts a paper once in every year it appears,
-    and the profile counts it once.
+    of these entries (one tally when both count every entry), and the
+    dedupe walk takes each kept author's sorted keys, so by ascending
+    year, taking a paper from the first year that keeps it. So the cut
+    counts a paper once in every year it appears, and the profile counts
+    it once.
 
     Returns profiles sorted by (author, snapshot) plus ingest statistics,
     whose ``max_papers_per_year`` is the cut applied: the list of
-    ``_ingest_stream``'s walk, which standalone ``ingest`` writes instead.
+    ``_ingest_stream``'s walk, which the CLI streams instead.
     """
     profiles, stats = _ingest_stream(
         records_file, table, grid, max_papers_per_year, cut_scope, quantile
@@ -347,17 +353,21 @@ def _ingest_stream(
     stats = IngestStats()
     track_dropped = quantile is not None or (count_dropped and max_papers_per_year > 0)
     groups, repeats = _group_papers(records_file, journals, codes, track_dropped, stats)
+    over = None  # the authors over the cut, when the quantile's tally already found them
     if quantile is None:
         threshold = max_papers_per_year
     else:
-        threshold = _yearly_quantile(groups, quantile, records_file)
+        threshold, maxima = _yearly_quantile(groups, quantile, records_file)
+        if count_dropped:  # the cut counts the entries the quantile just counted
+            over = {author for author, top in zip(groups, maxima) if top > threshold}
+        del maxima
     stats.max_papers_per_year = threshold
 
     def walk() -> Iterator[ActivityProfile]:
         kept = collapsed = excluded = excluded_records = 0
         for author in sorted(groups):
             entries = groups.pop(author)
-            if (
+            if (author in over) if over is not None else (
                 threshold
                 and len(entries) > threshold  # else no year can exceed it
                 and any(n > threshold for n in _year_counts(entries, not count_dropped))
@@ -405,4 +415,4 @@ def compute_yearly_paper_quantile(records_file, q: float) -> int:
     _check_quantile(q)
     # With no years to keep, every record enters its paper as dropped.
     groups, _ = _group_papers(records_file, {}, {}, True, IngestStats())
-    return _yearly_quantile(groups, q, records_file)
+    return _yearly_quantile(groups, q, records_file)[0]

@@ -272,33 +272,40 @@ def median_sink_source(
     }
 
 
+class AreaTally:
+    """How many distinct areas each profile touches, tallied per snapshot one
+    profile at a time. A profile's areas are the table's areas of every topic
+    in it (every area of every journal published in), not its dominant set."""
+
+    __slots__ = ("topic_area", "counts")
+
+    def __init__(self, table: ClassificationTable):
+        self.topic_area = table.topic_area
+        self.counts: Counter[tuple[int, int]] = Counter()  # (snapshot, areas) -> profiles
+
+    def add(self, profile: ActivityProfile) -> None:
+        self.counts[profile.snapshot, len({self.topic_area[t] for t in profile.topic_counts})] += 1
+
+    def distributions(self, q: float = 0.99) -> list[MultidisciplinarityDistribution]:
+        """One distribution per snapshot, by snapshot; the cutoff is the
+        smallest count covering at least a fraction q of the authors."""
+        by_snapshot: dict[int, dict[int, int]] = {}
+        for (snapshot, n_areas), count in sorted(self.counts.items()):
+            by_snapshot.setdefault(snapshot, {})[n_areas] = count
+        return [
+            MultidisciplinarityDistribution(s, hist, sum(hist.values()), quantile_cutoff(hist, q))
+            for s, hist in by_snapshot.items()
+        ]
+
+
 def multidisciplinarity(
     profiles: Iterable[ActivityProfile],
     table: ClassificationTable,
     q: float = 0.99,
 ) -> list[MultidisciplinarityDistribution]:
-    """Distribution of the number of distinct areas touched per author.
-
-    An author's areas in a snapshot are the table's areas of every topic
-    in the profile (every area of every journal published in), not the
-    dominant set. The cutoff is the smallest count covering at least a
-    fraction q of the authors.
-    """
-    topic_area = table.topic_area
-    by_snapshot: dict[int, Counter[int]] = {}
+    """Distribution of the number of distinct areas touched per author, per
+    snapshot, as ``AreaTally`` counts it."""
+    tally = AreaTally(table)
     for profile in profiles:
-        n_areas = len({topic_area[t] for t in profile.topic_counts})
-        by_snapshot.setdefault(profile.snapshot, Counter())[n_areas] += 1
-    out = []
-    for snapshot in sorted(by_snapshot):
-        hist = by_snapshot[snapshot]
-        sizes = [n for n, c in hist.items() for _ in range(c)]
-        out.append(
-            MultidisciplinarityDistribution(
-                snapshot=snapshot,
-                histogram=dict(sorted(hist.items())),
-                author_volume=sum(hist.values()),
-                q_cutoff=quantile_cutoff(sizes, q),
-            )
-        )
-    return out
+        tally.add(profile)
+    return tally.distributions(q)

@@ -73,21 +73,26 @@ def parse_weight(text: str):
         return float(text)
 
 
-def quantile_cutoff(values: Iterable[int], q: float) -> int:
-    """Smallest k such that at least a fraction q of the values are <= k.
+def quantile_cutoff(histogram: dict[int, int], q: float) -> int:
+    """Smallest k such that at least a fraction q of the counted values are <= k.
 
-    Exact rational arithmetic on the decimal rendering of q, so boundary
-    cases like q=0.9 over ten values do not drift on float rounding.
+    ``histogram`` maps each value to how many times it occurs. Exact
+    rational arithmetic on the decimal rendering of q, so boundary cases
+    like q=0.9 over ten values do not drift on float rounding.
     """
     from fractions import Fraction
-    vals = sorted(values)
-    if not vals:
+    total = sum(histogram.values())
+    if not total:
         raise ValueError("quantile of an empty collection")
     frac = Fraction(str(q))
     if not 0 < frac < 1:
         raise ValueError(f"quantile must be in (0, 1), got {q}")
-    idx = max(0, math.ceil(frac * len(vals)) - 1)
-    return vals[idx]
+    idx = max(0, math.ceil(frac * total) - 1)  # the cutoff's place among the sorted values
+    for value in sorted(histogram):
+        idx -= histogram[value]
+        if idx < 0:  # idx < total, so some value ends the loop
+            break
+    return value
 
 
 @contextmanager

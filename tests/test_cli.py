@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import topicflow
+import topicflow.cli as cli_module
+import topicflow.ingest as ingest_module
 from topicflow.cli import _SETTINGS, PipelineConfig, _build_parser, _resolve_config, main
 from conftest import write_lines
 
@@ -372,6 +374,43 @@ def test_report_end_to_end_and_rerun_identical(tmp_path):
     assert report["snapshot_labels"] == [1910, 1915, 1920]
     assert len(report["flow_files"]) == 4  # 2 pairs x 2 levels
     assert "viz_files" in report and len(report["viz_files"]) == 2
+
+
+def test_report_loads_the_table_and_viz_config_once(tmp_path, monkeypatch):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916),
+                            ("y", "p3", "J2", 1921)])
+    calls = []
+
+    def counted(name):
+        original = getattr(cli_module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("load_classification", "load_viz_config"):
+        monkeypatch.setattr(cli_module, name, counted(name))
+    viz_cfg = write_lines(tmp_path / "viz.cfg", ["canvas_size=400"])
+    args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1924"]
+    assert main(["report", *args, "--viz-config", str(viz_cfg)]) == 0
+    assert len(list((tmp_path / "out").glob("viz_topic_*.svg"))) == 2
+    assert sorted(calls) == ["load_classification", "load_viz_config"]
+
+
+def test_report_reads_no_profile_list_or_file(tmp_path, monkeypatch):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report must stream the dedupe walk")
+
+    monkeypatch.setattr(ingest_module, "ingest_records", refuse)
+    monkeypatch.setattr(cli_module, "load_profiles", refuse)
+    assert not hasattr(cli_module, "ingest_records")
+    args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1919"]
+    assert main(["report", *args]) == 0
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def test_viz_config_file_and_min_weight_flag(tmp_path):

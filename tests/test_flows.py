@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,37 @@ def test_both_levels_share_one_dominant_set_per_profile(make_table, monkeypatch)
         assert [(n.level, n.from_snapshot, n.weights) for n in both] == [
             (n.level, n.from_snapshot, n.weights) for n in separate
         ]
+
+
+def test_flow_fold_keeps_nothing_per_profile(make_table):
+    # 50,000 profiles of 12,500 authors, whose dominant sets recur. A fold
+    # holding one pointer per profile, as a list of each profile's set per
+    # level does, needs 8 bytes per profile (400 kB) for it alone.
+    table = make_table({"J": ["T1", "T2", "T3", "T4"]},
+                       {"T1": "A1", "T2": "A1", "T3": "A2", "T4": "A3"})
+    patterns = [{"T1": 2, "T2": 1}, {"T2": 3}, {"T1": 1, "T3": 1}, {"T3": 2, "T4": 2}]
+    grid = SnapshotGrid(1910, 1929, 5)
+    n_authors = 12_500
+    n_profiles = n_authors * len(grid.labels())
+
+    def profiles():
+        for i in range(n_authors):
+            author = f"a{i:05d}"
+            for k, label in enumerate(grid.labels()):
+                yield profile(author, label, dict(patterns[(i + k * (i % 3)) % 4]))
+
+    tracemalloc.start()
+    try:
+        nets = flow_networks_from_profiles(profiles(), grid, level="both", table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(n.level, n.from_snapshot) for n in nets] == [
+        (level, a) for level in ("topic", "area") for a, _ in grid.label_pairs()
+    ]
+    # Each author adds at least one unit of area flow per pair: the fold saw every profile.
+    assert sum(sum(n.weights.values()) for n in nets if n.level == "area") > 3 * n_authors
+    assert peak < 8 * n_profiles
 
 
 @pytest.mark.parametrize("sets", [

@@ -366,6 +366,29 @@ def test_cut_scope_all_counts_unclassified(table, make_records, grid_1910_2014):
     assert stats.authors_excluded == 1
 
 
+def test_quantile_over_all_records_tallies_each_author_once(
+    table, make_records, grid_1910_2014, monkeypatch
+):
+    # The quantile and the 'all'-scope cut count the same entries, so the cut
+    # reads the quantile's per-author maxima instead of tallying again.
+    rows = [(f"a{i}", f"p{i}", "J1", 2001) for i in range(8)]
+    rows += [("busy", f"b{i}", "J2", 2001) for i in range(5)]
+    rows += [("late", f"l{i}", "mystery", 1950) for i in range(3)] + [("late", "l9", "J3", 1951)]
+    tallied = []
+    original = ingest_module._year_counts
+    monkeypatch.setattr(
+        ingest_module, "_year_counts", lambda entries, kept: tallied.append(id(entries))
+        or original(entries, kept)
+    )
+    profiles, stats = ingest_records(
+        make_records(rows), table, grid_1910_2014, cut_scope="all", quantile=0.5
+    )
+    assert stats.max_papers_per_year == 1
+    assert (stats.authors_excluded, stats.excluded_by_cut) == (2, 6)
+    assert {p.author_id for p in profiles} == {f"a{i}" for i in range(8)}
+    assert sorted(tallied) == sorted(set(tallied)) and len(tallied) == 10
+
+
 # -- single pass against a naive two-pass reference --
 
 def _rows_with_repeats(rng, n):
