@@ -4,28 +4,29 @@ Records are ``author<TAB>paper<TAB>journal<TAB>year`` lines (or
 newline-delimited JSON objects with the same four fields, auto-detected
 and read by one reused decoder). Ingestion reads the file once, checking
 each distinct author id, journal id and year text only where it first
-appears (a repeat is one lookup in a per-read memo), and groups distinct
-papers by author, keyed by a one-character calendar year code plus the
-paper. The disambiguation cut and the ``--quantile`` threshold are counted
-from those groups; the authors under the cut are then deduplicated to one
-(year, journal) per paper, in their sorted keys' order, and their topic
+appears (a repeat is one lookup in a per-read memo), and appends each
+record to its author's byte buffer as one line: a one-character calendar
+year code, the paper, a tab and a one-character journal code. The
+disambiguation cut and the ``--quantile`` threshold are counted from those
+lines; the authors under the cut are then deduplicated to one (year,
+journal) per paper, in their sorted lines' order, and their topic
 activity accumulated per (author, snapshot). That dedupe walk is a
 generator: it yields each author's profiles and drops the author's
-entries, so a caller that takes the profiles as they come, as ``ingest``
+buffer, so a caller that takes the profiles as they come, as ``ingest``
 and ``report`` do, never holds the profile list.
 """
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
 from .classification import ClassificationTable, TopicId
 from .errors import InvalidSpec, MalformedRecord, PipelineError
-from .util import Checked, Record, is_token, quantile_cutoff
+from .util import Checked, Record, is_token, quantile_cutoff, undecodable
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
 _BAD_IDS = "author/paper/journal ids must be non-empty tokens without whitespace"
+_SURROGATE_IDS = "author/paper/journal ids must not hold lone surrogates"
 
 
 class _GridFields(NamedTuple):
@@ -124,92 +125,126 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     author or journal id and TSV year text is checked once per read: ``ids``
     maps an id that passed to the copy every later record shares, and
     ``years`` a year text to its int. Paper ids are checked on every record.
+    A JSON escape can spell a lone surrogate, which no UTF-8 file holds and
+    no output can encode, so a JSON id holding one is refused. So is a byte
+    that is not UTF-8, at its line.
     """
     json_mode = None
     ids: dict[str, str] = {}
     years: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            if json_mode is None:
-                json_mode = line.lstrip()[:1] == "{"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line or line.startswith("#"):
+                    continue
+                if json_mode is None:
+                    json_mode = line.lstrip()[:1] == "{"
+                    if json_mode:
+                        import json
+                        decode = json.JSONDecoder().raw_decode
                 if json_mode:
-                    import json
-                    decode = json.JSONDecoder().raw_decode
-            if json_mode:
-                try:
-                    obj, end = decode(line)
-                except ValueError:
-                    end = None
-                try:
-                    if end != len(line):
-                        obj = json.loads(line)
-                except ValueError as exc:  # also an integer too long to convert
-                    raise MalformedRecord(f"{path}:{lineno}: invalid JSON record: {exc}") from None
-                if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
-                    raise MalformedRecord(
-                        f"{path}:{lineno}: record object must have exactly the fields "
-                        f"{', '.join(RECORD_FIELDS)}"
-                    )
-                author, paper, journal = obj["author_id"], obj["paper_id"], obj["journal_id"]
-                year = _parse_year(obj["year"], path, lineno)
-                # Only text enters the memo: a JSON list is unhashable.
-                if not type(author) is type(paper) is type(journal) is str:
+                    try:
+                        obj, end = decode(line)
+                    except ValueError:
+                        end = None
+                    try:
+                        if end != len(line):
+                            obj = json.loads(line)
+                    except ValueError as exc:  # also an integer too long to convert
+                        raise MalformedRecord(
+                            f"{path}:{lineno}: invalid JSON record: {exc}"
+                        ) from None
+                    if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
+                        raise MalformedRecord(
+                            f"{path}:{lineno}: record object must have exactly the fields "
+                            f"{', '.join(RECORD_FIELDS)}"
+                        )
+                    author, paper, journal = obj["author_id"], obj["paper_id"], obj["journal_id"]
+                    year = _parse_year(obj["year"], path, lineno)
+                    # Only text enters the memo: a JSON list is unhashable.
+                    if not type(author) is type(paper) is type(journal) is str:
+                        raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
+                    if not paper.isascii() and _has_surrogate(paper):
+                        raise MalformedRecord(f"{path}:{lineno}: {_SURROGATE_IDS}")
+                else:
+                    fields = line.split("\t")
+                    if len(fields) != 4:
+                        raise MalformedRecord(
+                            f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+                        )
+                    author, paper, journal, text = fields
+                    year = years.get(text)
+                    if year is None:
+                        year = years[text] = _parse_year(text, path, lineno)
+                # A memo hit is the id's text, which is never empty, so never false.
+                author = ids.get(author) or _new_id(ids, author, path, lineno)
+                journal = ids.get(journal) or _new_id(ids, journal, path, lineno)
+                if paper.split() != [paper]:  # is_token, inline: this runs once per record
                     raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
-            else:
-                fields = line.split("\t")
-                if len(fields) != 4:
-                    raise MalformedRecord(
-                        f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                    )
-                author, paper, journal, text = fields
-                year = years.get(text)
-                if year is None:
-                    year = years[text] = _parse_year(text, path, lineno)
-            if not (  # an id enters ``ids`` (as itself, a truthy text) once it passes
-                (author in ids or is_token(author) and ids.setdefault(author, author))
-                and is_token(paper)
-                and (journal in ids or is_token(journal) and ids.setdefault(journal, journal))
-            ):
-                raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
-            yield lineno, ids[author], paper, ids[journal], year
+                yield lineno, author, paper, journal, year
+    except UnicodeDecodeError:
+        raise MalformedRecord(undecodable(path)) from None
 
 
-# Journal entered for a paper seen only in records the filters drop.
-# Journal ids are non-empty tokens, so the empty string cannot collide.
-_NOT_KEPT = ""
+def _new_id(ids: dict[str, str], text: str, path, lineno: int) -> str:
+    """Check an author or journal id not in ``ids`` yet, then enter it there."""
+    if not is_token(text):
+        raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
+    if _has_surrogate(text):
+        raise MalformedRecord(f"{path}:{lineno}: {_SURROGATE_IDS}")
+    ids[text] = text
+    return text
 
-# author -> year code + paper -> smallest kept journal, or _NOT_KEPT. The grid's year
-# start_year + i has the one-character code chr(i) (ASCII up to 128 years), so sorted keys run
-# in year order; off-grid years take the next free code points, in the order first seen.
-PaperGroups = dict[str, dict[str, str]]
-_CODE_POINTS = 0x110000  # the code points a str holds: the most years one read can code
+
+def _has_surrogate(text: str) -> bool:
+    """True when ``text`` holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _code(i: int) -> str:
+    """The ``i``-th one-character year or journal code: the code points in
+    order, skipping the entry separators ``\\t`` and ``\\n`` and the
+    surrogates, which UTF-8 cannot encode. Codes rise with ``i``; the first
+    126 are ASCII."""
+    if i >= 9:
+        i += 2
+        if i >= 0xD800:
+            i += 0x800
+    return chr(i)
+
+
+_CODES = 0x110000 - 2 - 0x800  # how many codes there are: the most years, or journals, coded
 
 
 def _group_papers(
-    records_file, journals, codes: dict[int, str], track_dropped: bool, stats: IngestStats
-) -> tuple[PaperGroups, dict[str, int]]:
+    records_file, journals: dict[str, str], codes: dict[int, str], track_dropped: bool,
+    stats: IngestStats,
+) -> dict[str, bytearray]:
     """Read the records file once, grouping papers by author and calendar year.
 
-    Each author holds one dict keyed by year code plus paper id, ``key[0]``
-    and ``key[1:]``: most author-years hold a single paper, so a dict per
-    author-year would mostly be a dict per record. A string key also keeps
-    no separate paper string alive, and, unlike a (year, paper) tuple, is
-    not tracked by the cyclic garbage collector, so the grouping holds no
-    tracked object per record.
+    Each author holds one ``bytearray``: its entries back to back, each
+    the UTF-8 bytes of year code + paper id + ``\\t`` + journal code +
+    ``\\n``. Per record, the grouping keeps only the entry's bytes, with no
+    dict entry, key string or other object, and nothing the cyclic garbage
+    collector tracks. The grid's year ``start_year + i`` has the code
+    ``_code(i)`` (``codes`` maps year to code), so sorted entries run in
+    year order; off-grid years take the next free codes, in the order
+    first seen. ``journals`` maps each journal id of the table to its code,
+    and codes rise with the journal id.
 
     A record whose year is in ``codes`` and whose journal is in
-    ``journals`` is kept: its key maps to the smallest journal any kept
-    record gives it. Other records are counted as dropped in ``stats``
-    and, when ``track_dropped``, still enter their key as ``_NOT_KEPT``,
-    so that the groups also hold the distinct papers of the dropped
-    records. Also returns, per author, the number of kept records that
-    repeat a (year, paper) already kept.
+    ``journals`` is kept and enters with its journal code. Other records
+    are counted as dropped in ``stats`` and, when ``track_dropped``, still
+    enter, with no journal code, so that the groups also hold the papers
+    of the dropped records. Repeats are not collapsed here: every record
+    that enters is one entry.
     """
-    groups: PaperGroups = {}
-    repeats: dict[str, int] = {}
+    groups: dict[str, bytearray] = {}
     off_grid: dict[int, str] = {}
     read = dropped_year = dropped_unclassified = 0
     for lineno, author, paper, journal, year in iter_records(records_file):
@@ -221,43 +256,53 @@ def _group_papers(
                 continue
             code = off_grid.get(year)
             if code is None:
-                if len(codes) + len(off_grid) == _CODE_POINTS:
+                if len(codes) + len(off_grid) == _CODES:
                     raise PipelineError(
-                        f"{records_file}:{lineno}: more than {_CODE_POINTS} distinct years"
+                        f"{records_file}:{lineno}: more than {_CODES} distinct years"
                     )
-                code = off_grid[year] = chr(len(codes) + len(off_grid))
-            journal = _NOT_KEPT
-        elif journal not in journals:
-            dropped_unclassified += 1
-            if not track_dropped:
-                continue
-            journal = _NOT_KEPT
-        key = code + paper
+                code = off_grid[year] = _code(len(codes) + len(off_grid))
+            journal = ""
+        else:
+            journal = journals.get(journal)
+            if journal is None:
+                dropped_unclassified += 1
+                if not track_dropped:
+                    continue
+                journal = ""
+        entry = f"{code}{paper}\t{journal}\n".encode()
         entries = groups.get(author)
         if entries is None:
-            groups[author] = {key: journal}
-            continue
-        previous = entries.get(key)
-        if previous is None:
-            entries[key] = journal
-        elif journal:
-            if previous:
-                repeats[author] = repeats.get(author, 0) + 1
-            if not previous or journal < previous:
-                entries[key] = journal
+            groups[author] = bytearray(entry)
+        else:
+            entries += entry
     stats.records_read = read
     stats.dropped_year = dropped_year
     stats.dropped_unclassified = dropped_unclassified
-    return groups, repeats
+    return groups
 
 
-def _year_counts(entries: dict[str, str], kept_only: bool) -> Iterable[int]:
-    """Distinct papers per calendar year among one author's entries:
-    every entry, or only the kept ones (every entry but _NOT_KEPT)."""
+def _lines(entries: bytearray) -> list[str]:
+    """One author's entries as text lines, in the order they entered."""
+    lines = entries.decode().split("\n")
+    lines.pop()  # the empty text after the last entry's newline
+    return lines
+
+
+def _year_counts(lines: list[str], kept_only: bool) -> Iterable[int]:
+    """Distinct papers per calendar year among one author's entry lines:
+    every line, or only the kept ones (those with a journal code)."""
+    seen: set[str] = set()
     counts: dict[str, int] = {}
-    for key, journal in entries.items():
-        if journal or not kept_only:
-            code = key[0]
+    for line in lines:
+        if line[-1] != "\t":
+            key = line[:-2]  # year code + paper
+        elif kept_only:
+            continue
+        else:
+            key = line[:-1]
+        if key not in seen:
+            seen.add(key)
+            code = line[0]
             counts[code] = counts.get(code, 0) + 1
     return counts.values()
 
@@ -267,18 +312,21 @@ def _check_quantile(q: float) -> None:
         raise InvalidSpec(f"quantile must be in (0, 1), got {q}")
 
 
-def _yearly_quantile(groups: PaperGroups, q: float, records_file) -> tuple[int, list[int]]:
+def _yearly_quantile(
+    groups: dict[str, bytearray], q: float, records_file
+) -> tuple[int, list[int]]:
     """The cut ``q`` derives from per-(author, year) counts of every entry,
     and each author's largest such count, in the order of ``groups``."""
-    counts: Counter[int] = Counter()
+    histogram: dict[int, int] = {}
     maxima: list[int] = []
     for entries in groups.values():
-        years = _year_counts(entries, False)
-        counts.update(years)
+        years = _year_counts(_lines(entries), False)
+        for n in years:
+            histogram[n] = histogram.get(n, 0) + 1
         maxima.append(max(years))
-    if not counts:
+    if not histogram:
         raise PipelineError(f"{records_file}: no records")
-    return quantile_cutoff(counts, q), maxima
+    return quantile_cutoff(histogram, q), maxima
 
 
 def ingest_records(
@@ -306,13 +354,14 @@ def ingest_records(
     fraction of (author, year) distinct-paper counts, over every
     well-formed record, are <= k.
 
-    The file is read once, into one dict per author of its distinct
-    (calendar year, paper) entries, keyed by year code plus paper (see
-    ``PaperGroups``); dropped records enter too when the cut or the
-    quantile counts them. The cut and the quantile are per-year tallies
-    of these entries (one tally when both count every entry), and the
-    dedupe walk takes each kept author's sorted keys, so by ascending
-    year, taking a paper from the first year that keeps it. So the cut
+    The file is read once, into one byte buffer per author of its entries,
+    a line per record of its calendar year's code, the paper and the
+    journal's code (see ``_group_papers``); dropped records enter too when
+    the cut or the quantile counts them. The cut and the quantile are
+    per-year tallies of the distinct (year, paper)s among these lines (one
+    tally when both count every line). The dedupe walk sorts each kept
+    author's lines, so by ascending year, and within one (year, paper) by
+    journal, and takes each paper from its first kept line. So the cut
     counts a paper once in every year it appears, and the profile counts
     it once.
 
@@ -343,16 +392,20 @@ def _ingest_stream(
     if cut_scope not in ("classified", "all"):
         raise InvalidSpec(f"cut_scope must be 'classified' or 'all', got {cut_scope!r}")
 
-    journals = table.journal_topics
     span = grid.end_year - grid.start_year + 1
-    if span > _CODE_POINTS:
-        raise InvalidSpec(f"ingest takes grids of at most {_CODE_POINTS} years, got {span}")
-    codes = {grid.start_year + i: chr(i) for i in range(span)}
+    if span > _CODES:
+        raise InvalidSpec(f"ingest takes grids of at most {_CODES} years, got {span}")
+    journal_topics = table.journal_topics
+    if len(journal_topics) > _CODES:
+        raise PipelineError(f"ingest takes at most {_CODES} journals, got {len(journal_topics)}")
+    codes = {grid.start_year + i: _code(i) for i in range(span)}
     labels = {code: grid.snapshot_of(year) for year, code in codes.items()}
+    journals = {journal: _code(i) for i, journal in enumerate(sorted(journal_topics))}
+    topics = {code: journal_topics[journal] for journal, code in journals.items()}
     count_dropped = cut_scope == "all"
     stats = IngestStats()
     track_dropped = quantile is not None or (count_dropped and max_papers_per_year > 0)
-    groups, repeats = _group_papers(records_file, journals, codes, track_dropped, stats)
+    groups = _group_papers(records_file, journals, codes, track_dropped, stats)
     over = None  # the authors over the cut, when the quantile's tally already found them
     if quantile is None:
         threshold = max_papers_per_year
@@ -367,31 +420,36 @@ def _ingest_stream(
         kept = collapsed = excluded = excluded_records = 0
         for author in sorted(groups):
             entries = groups.pop(author)
+            lines = _lines(entries)
             if (author in over) if over is not None else (
                 threshold
-                and len(entries) > threshold  # else no year can exceed it
-                and any(n > threshold for n in _year_counts(entries, not count_dropped))
+                and len(lines) > threshold  # else no year can exceed it
+                and any(n > threshold for n in _year_counts(lines, not count_dropped))
             ):
                 excluded += 1
-                excluded_records += repeats.get(author, 0) + sum(map(bool, entries.values()))
+                excluded_records += len(lines) - entries.count(b"\t\n")  # lines with a journal
                 continue
-            collapsed += repeats.get(author, 0)
+            # Sorted lines run by year code, so by year. The lines of one (year, paper)
+            # are adjacent, as no paper id holds a tab, and run by journal code. So a
+            # paper's first kept line is its smallest (year, journal), and each later
+            # kept line of it is a duplicate collapsed.
+            lines.sort()
             seen: set[str] = set()
             by_snapshot: dict[int, dict[TopicId, int]] = {}
-            for key in sorted(entries):  # by year code, so by year
-                journal = entries[key]
-                if not journal:  # a dropped record's entry
+            for line in lines:
+                journal = line[-1]
+                if journal == "\t":  # a dropped record's line
                     continue
-                paper = key[1:]
+                paper = line[1:-2]
                 if paper in seen:
                     collapsed += 1
                     continue
                 seen.add(paper)
-                label = labels[key[0]]
+                label = labels[line[0]]
                 counts = by_snapshot.get(label)
                 if counts is None:
                     counts = by_snapshot[label] = {}
-                for topic in journals[journal]:
+                for topic in topics[journal]:
                     counts[topic] = counts.get(topic, 0) + 1
             kept += len(seen)
             for snapshot, counts in by_snapshot.items():
@@ -414,5 +472,5 @@ def compute_yearly_paper_quantile(records_file, q: float) -> int:
     """
     _check_quantile(q)
     # With no years to keep, every record enters its paper as dropped.
-    groups, _ = _group_papers(records_file, {}, {}, True, IngestStats())
+    groups = _group_papers(records_file, {}, {}, True, IngestStats())
     return _yearly_quantile(groups, q, records_file)[0]

@@ -1,6 +1,6 @@
-"""Small shared helpers: TSV and key=value iteration, token checks, numeric
-formatting, quantile cutoffs, pausing the garbage collector, atomic writes
-of text chunks, record bases."""
+"""Small shared helpers: TSV and key=value iteration, the line of a UTF-8
+error, token checks, numeric formatting, quantile cutoffs, pausing the
+garbage collector, atomic writes of text chunks, record bases."""
 from __future__ import annotations
 
 import gc
@@ -16,14 +16,37 @@ def iter_tsv(path) -> Iterator[tuple[int, list[str]]]:
     """Yield (lineno, fields) for every non-blank, non-comment line.
 
     Lines starting with ``#`` are comments. Fields are split on single
-    tabs and taken verbatim otherwise.
+    tabs and taken verbatim otherwise. Text that is not UTF-8 raises
+    ``MalformedLine`` naming the line of its first bad byte.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line or line.startswith("#"):
+                    continue
+                yield lineno, line.split("\t")
+    except UnicodeDecodeError:
+        raise MalformedLine(undecodable(path)) from None
+
+
+def undecodable(path) -> str:
+    """The ``path:line`` message for a text file whose UTF-8 decoding failed.
+
+    The text layer decodes ahead of the lines it hands out, so the line of
+    the first bad byte is found here, by reading the file's bytes again,
+    and split into lines as the text layer does: at ``\\n``, ``\\r\\n`` or ``\\r``.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:  # ends at b"\n", and may hold lines ended by a lone b"\r"
+            for line in chunk.splitlines():
+                lineno += 1
+                try:
+                    line.decode()
+                except UnicodeDecodeError as exc:
+                    return f"{path}:{lineno}: not UTF-8 text: {exc.reason}"
+    return f"{path}: not UTF-8 text"
 
 
 def iter_key_values(path) -> Iterator[tuple[int, str, str]]:

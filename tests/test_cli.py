@@ -797,6 +797,45 @@ def test_ndjson_integer_too_long_to_convert_exits_two(tmp_path, capsys):
     assert f"topicflow: error: {records}:2: invalid JSON record: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["author_id", "paper_id", "journal_id"])
+def test_ndjson_lone_surrogate_id_exits_two_naming_the_line(tmp_path, capsys, field):
+    # json.dumps escapes the surrogate, as "\ud800": valid JSON whose text no output can encode.
+    setup_inputs(tmp_path, [])
+    records = write_lines(tmp_path / "records.ndjson", [
+        json.dumps(_GOOD_RECORD), json.dumps({**_GOOD_RECORD, field: "p\ud800"}),
+    ])
+    args = base_args(tmp_path, tmp_path / "out") + ["--records", str(records)]
+    capsys.readouterr()
+    assert main(["ingest", *args]) == 2
+    assert capsys.readouterr().err == (
+        f"topicflow: error: {records}:2: author/paper/journal ids must not hold lone surrogates\n"
+    )
+
+
+def test_records_not_utf8_exits_two_naming_the_line(tmp_path, capsys):
+    # The text layer ends a line at "\r\n" or a lone "\r" too, and so does the line count.
+    setup_inputs(tmp_path, [])
+    records = tmp_path / "records.tsv"
+    records.write_bytes(b"x\tp0\tJ1\t1912\r\n# note\ra\xff\tp1\tJ1\t1912\nx\tp2\tJ1\t1912\n")
+    capsys.readouterr()
+    assert main(["ingest", *base_args(tmp_path, tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"topicflow: error: {records}:3: not UTF-8 text: invalid start byte\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_tsv_input_not_utf8_exits_two_naming_the_line(tmp_path, capsys):
+    paths = setup_inputs(tmp_path, [("x", "p1", "J1", 1912)])
+    table = paths["journal_topics.tsv"]
+    table.write_bytes(table.read_bytes() + b"J4\tT\xff4\n")
+    capsys.readouterr()
+    assert main(["ingest", *base_args(tmp_path, tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"topicflow: error: {table}:5: not UTF-8 text: invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize("skew", ["nan", "600"])
 def test_synth_rejects_unusable_skew(tmp_path, capsys, skew):
     corpus = tmp_path / "corpus"

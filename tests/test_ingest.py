@@ -33,7 +33,7 @@ from topicflow.util import BLOCK_ROWS
 from conftest import write_lines
 
 
-TABLE = {"J1": ["T1", "T2"], "J2": ["T2"], "J3": ["T3"]}
+TABLE = {"J1": ["T1", "T2"], "J2": ["T2"], "J3": ["T3"], "J10": ["T1"]}
 AREAS = {"T1": "A1", "T2": "A2", "T3": "A1"}
 
 
@@ -240,8 +240,10 @@ def test_canonical_ndjson_lines_never_reach_json_loads(tmp_path, monkeypatch):
 
 # -- per-file memo of checked ids and years --
 
-@pytest.mark.parametrize("bad", ["X\u00a0\tp4\tJ1\t1912", "X\tp4\tJ1\u00a0\t1912"],
-                         ids=["author", "journal"])
+@pytest.mark.parametrize(
+    "bad", ["X\u00a0\tp4\tJ1\t1912", "X\tp4\tJ1\u00a0\t1912", "X\tp\u00a04\tJ1\t1912"],
+    ids=["author", "journal", "paper"],
+)
 def test_new_variant_of_a_checked_id_is_checked(table, tmp_path, grid_1910_2014, bad):
     records = write_lines(tmp_path / "r.tsv", [f"X\tp{i}\tJ1\t1912" for i in (1, 2, 3)] + [bad])
     message = f"{records}:4: author/paper/journal ids must be non-empty tokens without whitespace"
@@ -276,7 +278,8 @@ def test_ids_checked_once_per_distinct_text(table, make_records, grid_1910_2014,
     _, stats = ingest_records(records, table, grid_1910_2014)
     distinct = {a for a, _, _, _ in rows} | {j for _, _, j, _ in rows}
     assert stats.records_read == len(rows)
-    assert len(checked) == len(distinct) + len(rows)
+    # Each distinct author or journal id once; paper ids are checked inline, per record.
+    assert sorted(checked) == sorted(distinct)
 
 
 def _random_rows(rng, n):
@@ -377,8 +380,8 @@ def test_quantile_over_all_records_tallies_each_author_once(
     tallied = []
     original = ingest_module._year_counts
     monkeypatch.setattr(
-        ingest_module, "_year_counts", lambda entries, kept: tallied.append(id(entries))
-        or original(entries, kept)
+        ingest_module, "_year_counts", lambda lines, kept: tallied.append(sorted(lines))
+        or original(lines, kept)
     )
     profiles, stats = ingest_records(
         make_records(rows), table, grid_1910_2014, cut_scope="all", quantile=0.5
@@ -386,7 +389,8 @@ def test_quantile_over_all_records_tallies_each_author_once(
     assert stats.max_papers_per_year == 1
     assert (stats.authors_excluded, stats.excluded_by_cut) == (2, 6)
     assert {p.author_id for p in profiles} == {f"a{i}" for i in range(8)}
-    assert sorted(tallied) == sorted(set(tallied)) and len(tallied) == 10
+    # one tally per author: no two authors share a paper, so each holds other lines
+    assert len(tallied) == 10 and len({tuple(lines) for lines in tallied}) == 10
 
 
 # -- single pass against a naive two-pass reference --
@@ -527,6 +531,58 @@ def test_ingest_matches_reference_on_any_grid(tmp_path_factory, grid_rows, cut_s
         assert compute_yearly_paper_quantile(tsv, quantile) == want[1].max_papers_per_year
 
 
+# Rows whose entry lines sort next to each other in an author's buffer, each set named for
+# the ordering question it asks of the sort.
+_LINE_CASES = {
+    "control-char-below-tab": [("a", "p", "J2", 2001), ("a", "p\x01", "J1", 2001),
+                               ("a", "p", "J1", 2001), ("a", "p\x01", "J3", 2001),
+                               ("a", "p\x01", "J2", 2002), ("a", "p", "J3", 2002)],
+    "prefix-paper-same-year": [("a", "p1", "J3", 2001), ("a", "p10", "J1", 2001),
+                               ("a", "p1", "J2", 2001), ("a", "p10", "J2", 2001),
+                               ("a", "p1", "J1", 2002), ("a", "p", "J2", 2001)],
+    "journal-J1-before-J10": [("a", "p1", "J10", 2001), ("a", "p1", "J1", 2001),
+                              ("a", "p2", "J1", 2001), ("a", "p2", "J10", 2001),
+                              ("a", "p3", "J10", 2001), ("a", "p3", "J2", 2002),
+                              ("a", "p4", "J2", 2001), ("a", "p4", "J10", 2001)],
+    "kept-and-dropped-one-year-paper": [("a", "p1", "unknown", 2001), ("a", "p1", "J2", 2001),
+                                        ("a", "p2", "J2", 2001), ("a", "p2", "unknown", 2001),
+                                        ("a", "p3", "unknown", 2001), ("b", "p1", "J1", 2001)],
+    # 1919 and 1920 would take the codes "\t" and "\n" on the 1910 grid, were they not skipped
+    "years-next-to-the-separator-codes": [("a", "p1", "J1", 1918), ("a", "p1", "J2", 1919),
+                                          ("a", "p2", "J2", 1920), ("a", "p2", "J1", 1921),
+                                          ("a", "p3", "J3", 1919), ("a", "p3", "J1", 1920)],
+}
+
+
+@pytest.mark.parametrize("quantile", [None, 0.5])
+@pytest.mark.parametrize("threshold", [0, 1, 2])
+@pytest.mark.parametrize("cut_scope", ["classified", "all"])
+@pytest.mark.parametrize("case", sorted(_LINE_CASES))
+def test_entry_lines_match_reference(table, make_records, grid_1910_2014, case, cut_scope,
+                                     threshold, quantile):
+    rows = _LINE_CASES[case]
+    for order in (rows, rows[::-1]):
+        got = ingest_records(make_records(order), table, grid_1910_2014, threshold,
+                             cut_scope=cut_scope, quantile=quantile)
+        assert got == _reference_ingest(order, grid_1910_2014, threshold, cut_scope, quantile)
+
+
+@pytest.mark.parametrize("quantile", [None, 0.5])
+@pytest.mark.parametrize("threshold", [0, 1, 2])
+def test_wide_grid_and_off_grid_years_match_reference(table, make_records, threshold, quantile):
+    # 315 years: codes leave ASCII from the grid's 127th year (1826) on; the years
+    # off the grid, counted under --cut-scope all, take codes past the grid's.
+    grid = SnapshotGrid(1700, 2014, 5)
+    years = [1700, 1825, 1826, 1827, 1950, 2014, 1699, 2015, 3000, 1000]
+    rng = random.Random(5)
+    rows = [(f"a{rng.randrange(3)}", f"p{rng.randrange(12)}", rng.choice(["J1", "J2", "J10",
+             "unknown"]), rng.choice(years)) for _ in range(120)]
+    got = ingest_records(make_records(rows), table, grid, threshold, cut_scope="all",
+                         quantile=quantile)
+    assert got == _reference_ingest(rows, grid, threshold, "all", quantile)
+    assert quantile or threshold or {1825, 1950} <= {p.snapshot for p in got[0]}
+
+
 def test_grid_wider_than_the_year_codes_exits_one_before_reading(tmp_path, capsys):
     # The grid is refused before the records are read: their line would exit 2.
     write_lines(tmp_path / "journal_topics.tsv", ["J1\tT1"])
@@ -537,16 +593,24 @@ def test_grid_wider_than_the_year_codes_exits_one_before_reading(tmp_path, capsy
         "ingest", "--records", str(tmp_path / "records.tsv"),
         "--journal-topics", str(tmp_path / "journal_topics.tsv"),
         "--topic-areas", str(tmp_path / "topic_areas.tsv"), "--out", str(tmp_path / "out"),
-        "--start-year", "0", "--end-year", "1114112",
+        "--start-year", "0", "--end-year", "1112062",
     ]) == 1
-    assert "ingest takes grids of at most 1114112 years, got 1114113" in capsys.readouterr().err
+    assert "ingest takes grids of at most 1112062 years, got 1112063" in capsys.readouterr().err
+
+
+def test_codes_are_every_code_point_but_the_separators_and_surrogates():
+    codes = "".join(map(ingest_module._code, range(ingest_module._CODES)))
+    assert len(codes) == ingest_module._CODES == 1_112_062
+    assert list(codes) == sorted(set(codes)) and codes[-1] == chr(0x10FFFF)
+    assert "\t" not in codes and "\n" not in codes and codes[:126].isascii()
+    assert codes.encode().decode() == codes  # no surrogate
 
 
 def test_more_distinct_years_than_codes_exit_two_naming_the_line(
     table, make_records, monkeypatch
 ):
     # 10 on-grid years leave 2 codes for years off the grid; a third is refused.
-    monkeypatch.setattr(ingest_module, "_CODE_POINTS", 12)
+    monkeypatch.setattr(ingest_module, "_CODES", 12)
     rows = [("a", "p", "J1", year) for year in (1912, 1800, 1801, 1800, 1911, 3000)]
     records = make_records(rows)
     grid = SnapshotGrid(1910, 1919, 5)
@@ -554,9 +618,12 @@ def test_more_distinct_years_than_codes_exit_two_naming_the_line(
     assert len(profiles) == 1  # off-grid years take no code unless counted
     with pytest.raises(PipelineError, match=re.escape(f"{records}:6: more than 12 distinct years")):
         ingest_records(records, table, grid, cut_scope="all")
-    monkeypatch.setattr(ingest_module, "_CODE_POINTS", 10)
+    monkeypatch.setattr(ingest_module, "_CODES", 10)
     with pytest.raises(InvalidSpec, match="at most 10 years, got 11"):
         ingest_records(records, table, SnapshotGrid(1910, 1920, 5))
+    monkeypatch.setattr(ingest_module, "_CODES", 2)  # journals take codes too
+    with pytest.raises(PipelineError, match="at most 2 journals, got 4"):
+        ingest_records(records, table, SnapshotGrid(1910, 1911, 5))
 
 
 @pytest.mark.parametrize(
@@ -594,7 +661,8 @@ def test_ingest_peak_traced_bytes_per_record(tmp_path):
     # dict per author keyed by "year<TAB>paper", slotted profiles and
     # shared area sets (194 with (year, paper) tuple keys instead); 110
     # with keys of a one-character year code plus the paper, against 114
-    # for "year<TAB>paper" keys re-measured alongside.
+    # for "year<TAB>paper" keys re-measured alongside; 60 with one byte
+    # buffer of entry lines per author.
     spec = SyntheticSpec(n_authors=2000, n_topics=40, n_areas=8, n_snapshots=4, seed=8)
     corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), tmp_path)
     table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)
@@ -605,7 +673,7 @@ def test_ingest_peak_traced_bytes_per_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert stats.records_read == corpus.n_records
-    assert peak / stats.records_read < 160
+    assert peak / stats.records_read < 80
 
 
 def _traced_peak(fn) -> int:
@@ -622,9 +690,10 @@ def test_ingest_streams_profiles_to_disk(tmp_path):
     # rows. Peak traced bytes per record read, measured under pytest: 131
     # for `main(["ingest", ...])` when it wrote ingest_records' whole list
     # as one joined text, 113 with the walk streamed to disk in blocks. That
-    # peak is now the read's grouping, which ingest_records shares (110, see
-    # above), so the two paths differ past the read: there, keeping the
-    # list takes 45 per record and the streamed write 23, about one block.
+    # peak is the read's grouping, which ingest_records shares (110, see
+    # above; 60 for both with a byte buffer per author), so the two paths
+    # differ past the read: there, keeping the list takes 45 per record and
+    # the streamed write 23, about one block.
     spec = SyntheticSpec(n_authors=2000, n_topics=40, n_areas=8, n_snapshots=4, seed=8)
     corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), tmp_path / "corpus")
     table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)
@@ -649,7 +718,7 @@ def test_ingest_streams_profiles_to_disk(tmp_path):
     peak_list = _traced_peak(lambda: list(kept))
     peak_stream = _traced_peak(lambda: write_profiles(streamed, tmp_path / "p.tsv"))
     assert (tmp_path / "p.tsv").read_bytes() == (out / "profiles.tsv").read_bytes()
-    assert peak_main / records < 120
+    assert peak_main / records < 75
     assert peak_stream < peak_list
     assert peak_stream / records < 30
 
