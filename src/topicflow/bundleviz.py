@@ -123,10 +123,10 @@ def _is_hex_color(text: str) -> bool:
     return len(text) == 7 and text[0] == "#" and all(c in _HEX_RE for c in text[1:])
 
 
-def load_viz_config(path, base: VizConfig | None = None) -> VizConfig:
-    """Flat ``key=value`` file; unknown keys with #RRGGBB values are
-    per-area palette overrides."""
-    cfg = base or VizConfig()
+def load_viz_config(path) -> VizConfig:
+    """Flat ``key=value`` file over the default ``VizConfig``; unknown keys
+    with #RRGGBB values are per-area palette overrides."""
+    cfg = VizConfig()
     updates: dict[str, object] = {}
     palette = dict(cfg.palette)
     for lineno, key, value in iter_key_values(path):

@@ -42,11 +42,7 @@ def load_classification(journal_topic_file, topic_area_file) -> ClassificationTa
     assigned to two different areas.
     """
     topic_area: dict[TopicId, AreaId] = {}
-    for lineno, fields in iter_tsv(topic_area_file):
-        if len(fields) != 2:
-            raise MalformedLine(
-                f"{topic_area_file}:{lineno}: expected 2 columns, got {len(fields)}"
-            )
+    for lineno, fields in iter_tsv(topic_area_file, 2):
         topic = check_token(fields[0], topic_area_file, lineno, "topic id")
         area = check_token(fields[1], topic_area_file, lineno, "area id")
         previous = topic_area.get(topic)
@@ -60,11 +56,7 @@ def load_classification(journal_topic_file, topic_area_file) -> ClassificationTa
         raise EmptyTable(f"{topic_area_file}: no topic->area entries")
 
     journal_topics: dict[JournalId, dict[TopicId, None]] = {}
-    for lineno, fields in iter_tsv(journal_topic_file):
-        if len(fields) != 2:
-            raise MalformedLine(
-                f"{journal_topic_file}:{lineno}: expected 2 columns, got {len(fields)}"
-            )
+    for lineno, fields in iter_tsv(journal_topic_file, 2):
         journal = check_token(fields[0], journal_topic_file, lineno, "journal id")
         topic = check_token(fields[1], journal_topic_file, lineno, "topic id")
         if topic not in topic_area:

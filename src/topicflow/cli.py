@@ -2,11 +2,11 @@
 
 Every stage reads and writes plain sorted TSV under the output
 directory, so intermediate artifacts stay diffable, and the whole tree
-is byte-identical across reruns with the same inputs and flags. Each
-file is replaced in one step (``util.write_text_atomic``), and the
-profile and flow writers hand it bounded blocks of rows, never the whole
-text. ``ingest`` writes each profile as the dedupe walk yields it and
-keeps none. ``report`` reads the walk once, handing each profile to the
+is byte-identical across reruns with the same inputs and flags. Only
+``util`` opens files: lines are read by ``iter_lines``, and tables written
+by ``write_tsv`` in bounded blocks of rows, each file replaced in one step.
+``ingest`` writes each profile as the dedupe walk yields it and keeps
+none. ``report`` reads the walk once, handing each profile to the
 profile writer, the flow fold and the area tally, and writes every
 artifact that the separate subcommands would. All stages run in one process.
 Exit codes: 0 success, 1 usage, 2 input format, 3 internal invariant.
@@ -53,7 +53,8 @@ from .metrics import (
     multidisciplinarity,
 )
 from .util import (
-    BLOCK_ROWS, Checked, fmt_float, gc_paused, iter_key_values, iter_tsv, write_text_atomic,
+    Checked, fmt_float, gc_paused, iter_key_values, iter_tsv, write_json, write_text_atomic,
+    write_tsv,
 )
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
@@ -201,25 +202,20 @@ def _out_dir(cfg: PipelineConfig) -> Path:
 
 
 def write_profiles(profiles: Iterable[ActivityProfile], path) -> int:
-    """Write ``profiles``, a row per topic, in blocks of ``BLOCK_ROWS``
-    rows; return how many. A stream is written without being held."""
+    """Write ``profiles``, a row per topic, through ``write_tsv``; return
+    how many. A stream is written without being held."""
     written = 0
 
-    def blocks() -> Iterator[str]:
+    def rows() -> Iterator[str]:
         nonlocal written
-        lines = [PROFILE_HEADER]
         for author, snapshot, counts in profiles:
             written += 1
             prefix = f"{author}\t{snapshot}\t"
             for topic in sorted(counts):
-                lines.append(f"{prefix}{topic}\t{counts[topic]}")
-            if len(lines) >= BLOCK_ROWS:
-                yield "\n".join(lines) + "\n"
-                lines = []
-        if lines:
-            yield "\n".join(lines) + "\n"
+                yield f"{prefix}{topic}\t{counts[topic]}"
 
-    write_text_atomic(path, blocks())
+    lines = [PROFILE_HEADER]  # perfbench/test_perfbench.py edits this line
+    write_tsv(path, lines, rows())
     return written
 
 
@@ -244,9 +240,7 @@ def load_profiles(
         labels[str(label)] = labels[label] = label
     counts: dict[str, int] = {}
     author = group_snapshot = bucket = None
-    for lineno, parts in iter_tsv(path):
-        if len(parts) != 4:
-            raise MalformedLine(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+    for lineno, parts in iter_tsv(path, 4):
         author_text, snapshot_text, topic_text, count_text = parts
         topic = topics.get(topic_text)
         if topic is None:
@@ -310,8 +304,7 @@ def _write_ingest(out: Path, profiles: Iterable[ActivityProfile], stats: IngestS
     import json
     profiles_path = out / "profiles.tsv"
     n_profiles = write_profiles(profiles, profiles_path)  # the walk's stats are complete now
-    stats_path = out / "ingest_stats.json"
-    write_text_atomic(stats_path, json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out / "ingest_stats.json", stats.as_dict())
     print(f"ingest: {json.dumps(stats.as_dict(), sort_keys=True)}", file=sys.stderr)
     print(f"wrote {profiles_path} ({n_profiles} profiles)")
 
@@ -429,7 +422,7 @@ def _write_metrics(
     written: list[Path] = []
     for name, header, rows in tables:
         path = out / name
-        write_text_atomic(path, "\n".join([header, *rows]) + "\n")
+        write_tsv(path, [header], rows)
         written.append(path)
     print(f"wrote {len(written)} metric files to {out}")
     return written
@@ -447,7 +440,7 @@ def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
 def _viz_config(cfg: PipelineConfig) -> VizConfig:
     viz = VizConfig()
     if cfg.viz_config is not None:
-        viz = load_viz_config(_require_file(cfg.viz_config, "--viz-config"), viz)
+        viz = load_viz_config(_require_file(cfg.viz_config, "--viz-config"))
     overrides = {
         name: getattr(cfg, name)
         for name in ("min_weight", "sector_order", "canvas_size")
@@ -497,7 +490,6 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     """Run every stage and write ``report.json``. The dedupe walk is read
     once: each profile it yields goes to ``profiles.tsv``, to the flow
     fold and to the area tally, and none is kept."""
-    import json
     viz = _viz_config(cfg)  # a bad rendering setting fails before any write
     _out_dir(cfg)  # report creates --out before it checks the inputs
     table, out, profiles, stats = _start_ingest(cfg)
@@ -529,7 +521,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
         "viz_files": sorted(p.name for p in svg_paths),
     }
     report_path = out / "report.json"
-    write_text_atomic(report_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(report_path, summary)
     print(f"wrote {report_path}")
     return report_path
 

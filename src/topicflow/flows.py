@@ -17,14 +17,12 @@ keeps only the previous ones and the network weights, nothing per profile.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .classification import ClassificationTable
 from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
 from .ingest import ActivityProfile, SnapshotGrid
-from .util import (
-    BLOCK_ROWS, Record, check_token, fmt_weight, iter_tsv, parse_weight, write_text_atomic,
-)
+from .util import Record, check_token, fmt_weight, iter_tsv, parse_weight, write_tsv
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,24 +53,26 @@ class FlowNetwork(Record):
         return sorted(self.weights.items())
 
 
+def _argmax(profile: ActivityProfile, counts: dict[str, int]) -> frozenset[str]:
+    """The keys of ``profile``'s ``counts`` that hold their largest value, ties kept."""
+    if not counts:
+        raise EmptySet(f"profile {profile.author_id}@{profile.snapshot} has no topic counts")
+    best = max(counts.values())
+    return frozenset(key for key, count in counts.items() if count == best)
+
+
 def dominant_topics(profile: ActivityProfile) -> frozenset[str]:
     """All topics achieving the maximum activity count within the snapshot."""
-    if not profile.topic_counts:
-        raise EmptySet(f"profile {profile.author_id}@{profile.snapshot} has no topic counts")
-    best = max(profile.topic_counts.values())
-    return frozenset(t for t, c in profile.topic_counts.items() if c == best)
+    return _argmax(profile, profile.topic_counts)
 
 
 def dominant_area_set(profile: ActivityProfile, table: ClassificationTable) -> frozenset[str]:
     """Areas of maximal aggregated activity (the argmax-at-area-level variant)."""
-    if not profile.topic_counts:
-        raise EmptySet(f"profile {profile.author_id}@{profile.snapshot} has no topic counts")
     area_counts: dict[str, int] = {}
     for topic, count in profile.topic_counts.items():
         area = _area_of(topic, table)
         area_counts[area] = area_counts.get(area, 0) + count
-    best = max(area_counts.values())
-    return frozenset(a for a, c in area_counts.items() if c == best)
+    return _argmax(profile, area_counts)
 
 
 def _area_of(topic: str, table: ClassificationTable) -> str:
@@ -245,21 +245,13 @@ def flow_file_name(level: str, from_snapshot: int, to_snapshot: int) -> str:
 
 
 def write_flow_network(net: FlowNetwork, path) -> None:
-    """Sorted TSV rows, joined and written ``BLOCK_ROWS`` at a time;
-    byte-stable for identical networks."""
-
-    def blocks() -> Iterator[str]:
-        lines = [FLOW_HEADER]
-        prefix = f"{net.from_snapshot}\t{net.to_snapshot}\t"
-        for (source, target), weight in net.sorted_items():
-            lines.append(f"{prefix}{source}\t{target}\t{fmt_weight(weight)}")
-            if len(lines) >= BLOCK_ROWS:
-                yield "\n".join(lines) + "\n"
-                lines = []
-        if lines:
-            yield "\n".join(lines) + "\n"
-
-    write_text_atomic(path, blocks())
+    """Sorted TSV rows; byte-stable for identical networks."""
+    prefix = f"{net.from_snapshot}\t{net.to_snapshot}\t"
+    lines = [FLOW_HEADER]  # perfbench/test_perfbench.py edits this line
+    write_tsv(path, lines, (
+        f"{prefix}{source}\t{target}\t{fmt_weight(weight)}"
+        for (source, target), weight in net.sorted_items()
+    ))
 
 
 def load_flow_network(
@@ -277,9 +269,7 @@ def load_flow_network(
     from_text = to_text = None
     nodes: dict[str, str] = {}  # checked text -> the one copy every edge holds
     values: dict[str, int | float] = {}  # checked text -> weight
-    for lineno, fields in iter_tsv(path):
-        if len(fields) != 5:
-            raise MalformedLine(f"{path}:{lineno}: expected 5 columns, got {len(fields)}")
+    for lineno, fields in iter_tsv(path, 5):
         if fields[0] != from_text or fields[1] != to_text:
             from_text, to_text = fields[0], fields[1]
             try:

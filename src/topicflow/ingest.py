@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .classification import ClassificationTable, TopicId
 from .errors import InvalidSpec, MalformedRecord, PipelineError
-from .util import Checked, Record, is_token, quantile_cutoff, undecodable
+from .util import Checked, Record, is_token, iter_lines, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
@@ -117,74 +117,66 @@ def _parse_year(value, path, lineno) -> int:
 def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     """Yield (lineno, author, paper, journal, year) from a records file.
 
-    The format is sniffed from the first non-comment line: ``{`` means
-    newline-delimited JSON, anything else is four-column TSV. Comment
-    lines (``#``) and blank lines are skipped in both modes. One reused
+    Lines come from ``util.iter_lines``, which skips comments (``#``) and
+    blank lines. The format is sniffed from the first line it yields: ``{``
+    means newline-delimited JSON, anything else is four-column TSV. One reused
     ``JSONDecoder`` reads JSON lines; ``json.loads`` judges any it does not
     take whole, such as one with spaces around the object. Each distinct
     author or journal id and TSV year text is checked once per read: ``ids``
     maps an id that passed to the copy every later record shares, and
     ``years`` a year text to its int. Paper ids are checked on every record.
     A JSON escape can spell a lone surrogate, which no UTF-8 file holds and
-    no output can encode, so a JSON id holding one is refused. So is a byte
-    that is not UTF-8, at its line.
+    no output can encode, so a JSON id holding one is refused.
     """
     json_mode = None
     ids: dict[str, str] = {}
     years: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line or line.startswith("#"):
-                    continue
-                if json_mode is None:
-                    json_mode = line.lstrip()[:1] == "{"
-                    if json_mode:
-                        import json
-                        decode = json.JSONDecoder().raw_decode
-                if json_mode:
-                    try:
-                        obj, end = decode(line)
-                    except ValueError:
-                        end = None
-                    try:
-                        if end != len(line):
-                            obj = json.loads(line)
-                    except ValueError as exc:  # also an integer too long to convert
-                        raise MalformedRecord(
-                            f"{path}:{lineno}: invalid JSON record: {exc}"
-                        ) from None
-                    if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
-                        raise MalformedRecord(
-                            f"{path}:{lineno}: record object must have exactly the fields "
-                            f"{', '.join(RECORD_FIELDS)}"
-                        )
-                    author, paper, journal = obj["author_id"], obj["paper_id"], obj["journal_id"]
-                    year = _parse_year(obj["year"], path, lineno)
-                    # Only text enters the memo: a JSON list is unhashable.
-                    if not type(author) is type(paper) is type(journal) is str:
-                        raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
-                    if not paper.isascii() and _has_surrogate(paper):
-                        raise MalformedRecord(f"{path}:{lineno}: {_SURROGATE_IDS}")
-                else:
-                    fields = line.split("\t")
-                    if len(fields) != 4:
-                        raise MalformedRecord(
-                            f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                        )
-                    author, paper, journal, text = fields
-                    year = years.get(text)
-                    if year is None:
-                        year = years[text] = _parse_year(text, path, lineno)
-                # A memo hit is the id's text, which is never empty, so never false.
-                author = ids.get(author) or _new_id(ids, author, path, lineno)
-                journal = ids.get(journal) or _new_id(ids, journal, path, lineno)
-                if paper.split() != [paper]:  # is_token, inline: this runs once per record
-                    raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
-                yield lineno, author, paper, journal, year
-    except UnicodeDecodeError:
-        raise MalformedRecord(undecodable(path)) from None
+    for lineno, line in iter_lines(path):
+        if json_mode is None:
+            json_mode = line.lstrip()[:1] == "{"
+            if json_mode:
+                import json
+                decode = json.JSONDecoder().raw_decode
+        if json_mode:
+            try:
+                obj, end = decode(line)
+            except ValueError:
+                end = None
+            try:
+                if end != len(line):
+                    obj = json.loads(line)
+            except ValueError as exc:  # also an integer too long to convert
+                raise MalformedRecord(
+                    f"{path}:{lineno}: invalid JSON record: {exc}"
+                ) from None
+            if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
+                raise MalformedRecord(
+                    f"{path}:{lineno}: record object must have exactly the fields "
+                    f"{', '.join(RECORD_FIELDS)}"
+                )
+            author, paper, journal = obj["author_id"], obj["paper_id"], obj["journal_id"]
+            year = _parse_year(obj["year"], path, lineno)
+            # Only text enters the memo: a JSON list is unhashable.
+            if not type(author) is type(paper) is type(journal) is str:
+                raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
+            if not paper.isascii() and _has_surrogate(paper):
+                raise MalformedRecord(f"{path}:{lineno}: {_SURROGATE_IDS}")
+        else:
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise MalformedRecord(
+                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+                )
+            author, paper, journal, text = fields
+            year = years.get(text)
+            if year is None:
+                year = years[text] = _parse_year(text, path, lineno)
+        # A memo hit is the id's text, which is never empty, so never false.
+        author = ids.get(author) or _new_id(ids, author, path, lineno)
+        journal = ids.get(journal) or _new_id(ids, journal, path, lineno)
+        if paper.split() != [paper]:  # is_token, inline: this runs once per record
+            raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
+        yield lineno, author, paper, journal, year
 
 
 def _new_id(ids: dict[str, str], text: str, path, lineno: int) -> str:

@@ -10,7 +10,6 @@ oracle for the flow stage.
 """
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 from typing import NamedTuple
@@ -18,7 +17,7 @@ from typing import NamedTuple
 from .errors import InvalidSpec
 from .flows import FlowNetwork, flow_file_name, write_flow_network
 from .ingest import SnapshotGrid
-from .util import Checked, write_text_atomic
+from .util import Checked, write_json, write_tsv
 
 # Fixed dominant-set pairs guaranteeing that a mobile corpus exercises
 # every transition-counting case: pure move, vanishing topic, full
@@ -198,21 +197,13 @@ def generate_corpus(spec: SyntheticSpec, grid: SnapshotGrid, out_dir) -> SynthRe
     rng.shuffle(lines)
 
     records_path = out / "records.tsv"
-    write_text_atomic(
-        records_path, "#author_id\tpaper_id\tjournal_id\tyear\n" + "\n".join(lines) + "\n"
-    )
+    write_tsv(records_path, ["#author_id\tpaper_id\tjournal_id\tyear"], lines)
 
     journal_topics_path = out / "journal_topics.tsv"
-    write_text_atomic(
-        journal_topics_path,
-        "#journal_id\ttopic_id\n" + "".join(f"j_{topic}\t{topic}\n" for topic in topics),
-    )
+    write_tsv(journal_topics_path, ["#journal_id\ttopic_id"], (f"j_{t}\t{t}" for t in topics))
 
     topic_areas_path = out / "topic_areas.tsv"
-    write_text_atomic(
-        topic_areas_path,
-        "#topic_id\tarea_id\n" + "".join(f"{topic}\t{topic_area[topic]}\n" for topic in topics),
-    )
+    write_tsv(topic_areas_path, ["#topic_id\tarea_id"], (f"{t}\t{topic_area[t]}" for t in topics))
 
     answer_paths: dict[tuple[str, int, int], Path] = {}
     for level, answers in (("topic", answers_topic), ("area", answers_area)):
@@ -233,7 +224,7 @@ def generate_corpus(spec: SyntheticSpec, grid: SnapshotGrid, out_dir) -> SynthRe
         "assumes": {"appearing_weight": "unit", "area_mode": "mapped"},
         "answer_files": sorted(p.name for p in answer_paths.values()),
     }
-    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
 
     return SynthResult(
         records_path=records_path,

@@ -1,59 +1,65 @@
-"""Small shared helpers: TSV and key=value iteration, the line of a UTF-8
-error, token checks, numeric formatting, quantile cutoffs, pausing the
-garbage collector, atomic writes of text chunks, record bases."""
+"""Small shared helpers: the one reader and writer of text files (the only
+code that opens a file, and holds the rules for line ends, comments, UTF-8,
+columns, row blocks and JSON layout), token checks, numeric formatting,
+quantile cutoffs, pausing the garbage collector, record bases."""
 from __future__ import annotations
 
 import gc
 import math
 import os
 from contextlib import contextmanager, suppress
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import MalformedLine
 
 
-def iter_tsv(path) -> Iterator[tuple[int, list[str]]]:
-    """Yield (lineno, fields) for every non-blank, non-comment line.
+def iter_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line) for every line that is neither blank nor a ``#``
+    comment, without its line end: ``\\n``, ``\\r\\n`` or ``\\r``.
 
-    Lines starting with ``#`` are comments. Fields are split on single
-    tabs and taken verbatim otherwise. Text that is not UTF-8 raises
-    ``MalformedLine`` naming the line of its first bad byte.
+    Text that is not UTF-8 raises ``MalformedLine`` at the line of its first
+    bad byte, once every earlier line has been yielded: the text layer
+    decodes ahead, so on that error the lines past the last one it yielded
+    are read again as bytes, split as it splits them, and decoded one by one.
     """
+    lineno = 0
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\r\n")
-                if not line or line.startswith("#"):
-                    continue
-                yield lineno, line.split("\t")
+                if line and line[0] != "#":
+                    yield lineno, line
+        return
     except UnicodeDecodeError:
-        raise MalformedLine(undecodable(path)) from None
-
-
-def undecodable(path) -> str:
-    """The ``path:line`` message for a text file whose UTF-8 decoding failed.
-
-    The text layer decodes ahead of the lines it hands out, so the line of
-    the first bad byte is found here, by reading the file's bytes again,
-    and split into lines as the text layer does: at ``\\n``, ``\\r\\n`` or ``\\r``.
-    """
-    lineno = 0
+        done = lineno
     with open(path, "rb") as fh:
-        for chunk in fh:  # ends at b"\n", and may hold lines ended by a lone b"\r"
-            for line in chunk.splitlines():
-                lineno += 1
-                try:
-                    line.decode()
-                except UnicodeDecodeError as exc:
-                    return f"{path}:{lineno}: not UTF-8 text: {exc.reason}"
-    return f"{path}: not UTF-8 text"
+        # A chunk ends at b"\n", and may hold lines ended by a lone b"\r".
+        raws = (raw for chunk in fh for raw in chunk.splitlines())
+        for lineno, raw in enumerate(islice(raws, done, None), start=done + 1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+            if line and line[0] != "#":
+                yield lineno, line
+    raise MalformedLine(f"{path}: not UTF-8 text")
+
+
+def iter_tsv(path, columns: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (lineno, fields) for each line of ``iter_lines``, split on single
+    tabs; a line without exactly ``columns`` fields raises ``MalformedLine``."""
+    for lineno, line in iter_lines(path):
+        fields = line.split("\t")
+        if len(fields) != columns:
+            raise MalformedLine(f"{path}:{lineno}: expected {columns} columns, got {len(fields)}")
+        yield lineno, fields
 
 
 def iter_key_values(path) -> Iterator[tuple[int, str, str]]:
     """Yield (lineno, key, value), both stripped, for every line of a flat
-    ``key=value`` file; comments and blank lines are skipped as by ``iter_tsv``."""
-    for lineno, parts in iter_tsv(path):
-        line = "\t".join(parts)
+    ``key=value`` file, read by ``iter_lines``."""
+    for lineno, line in iter_lines(path):
         if "=" not in line:
             raise MalformedLine(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
@@ -134,7 +140,7 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-# Rows a TSV writer joins into one chunk for ``write_text_atomic``: each
+# Rows ``write_tsv`` joins into one chunk for ``write_text_atomic``: each
 # chunk is a bounded block of text, never the whole file.
 BLOCK_ROWS = 4096
 
@@ -160,6 +166,27 @@ def write_text_atomic(path, chunks: str | Iterable[str]) -> None:
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_tsv(path, head: list[str], rows: Iterable[str]) -> None:
+    """Write the ``head`` lines, then ``rows``, each a line without its end,
+    in one step, joined ``BLOCK_ROWS`` rows at a time: a stream of rows is
+    written without being held."""
+    rows = iter(rows)
+
+    def blocks() -> Iterator[str]:
+        block = [*head, *islice(rows, BLOCK_ROWS)]
+        while block:
+            yield "\n".join(block) + "\n"
+            block = list(islice(rows, BLOCK_ROWS))
+
+    write_text_atomic(path, blocks())
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON, keys sorted and indented by two spaces, in one step."""
+    import json  # only the stages that end in a JSON file load it
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 class Checked:

@@ -9,12 +9,11 @@ from pathlib import Path
 import pytest
 
 import topicflow
-import topicflow.cli as cli_module
-import topicflow.flows as flows_module
+import topicflow.util as util_module
 from topicflow import ActivityProfile, FlowNetwork, write_flow_network
 from topicflow.cli import PROFILE_HEADER, write_profiles
 from topicflow.flows import FLOW_HEADER
-from topicflow.util import write_text_atomic
+from topicflow.util import write_text_atomic, write_tsv
 
 
 def _net(weights):
@@ -88,6 +87,27 @@ def test_only_util_opens_files_for_writing():
     assert _write_mode_opens(ast.parse((package / "util.py").read_text(encoding="utf-8")))
 
 
+def _opens(tree):
+    """Lines of every call to ``open`` or to an ``.open`` method, in any mode."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_util_opens_files():
+    package = Path(topicflow.__file__).parent
+    offenders = {}
+    for module in sorted(package.glob("*.py")):
+        lines = _opens(ast.parse(module.read_text(encoding="utf-8")))
+        if lines and module.name != "util.py":
+            offenders[module.name] = lines
+    assert offenders == {}
+    assert _opens(ast.parse((package / "util.py").read_text(encoding="utf-8")))
+
+
 def test_failed_chunk_source_keeps_previous_file(previous):
     path, before = previous
 
@@ -128,8 +148,7 @@ def test_writers_are_byte_stable_across_block_boundaries(tmp_path, monkeypatch, 
         ActivityProfile("a", 1915, {"T1": 1}),
         ActivityProfile("b", 1910, {"T3": 2, "T1": 1, "T2": 4}),
     ]
-    monkeypatch.setattr(flows_module, "BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(cli_module, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(util_module, "BLOCK_ROWS", block_rows)
     write_flow_network(_net(weights), tmp_path / "flows.tsv")
     assert write_profiles(iter(profiles), tmp_path / "profiles.tsv") == 3
     assert (tmp_path / "flows.tsv").read_text() == "".join(
@@ -140,3 +159,26 @@ def test_writers_are_byte_stable_across_block_boundaries(tmp_path, monkeypatch, 
         f"{PROFILE_HEADER}\na\t1910\tT1\t3\na\t1910\tT2\t1\na\t1915\tT1\t1\n"
         "b\t1910\tT1\t1\nb\t1910\tT2\t4\nb\t1910\tT3\t2\n"
     )
+
+
+@pytest.mark.parametrize("rows, block_rows", [(0, 3), (2, 3), (3, 3), (7, 3), (5, 1)])
+def test_write_tsv_hands_over_block_rows_rows_per_chunk(
+    tmp_path, monkeypatch, rows, block_rows
+):
+    chunks = []
+
+    def record(path, blocks):
+        chunks.extend(blocks)
+        write_text_atomic(path, chunks)
+
+    monkeypatch.setattr(util_module, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(util_module, "write_text_atomic", record)
+    path = tmp_path / "out.tsv"
+    write_tsv(path, ["#a", "#b"], (f"r{i}" for i in range(rows)))
+    lines = ["#a", "#b", *(f"r{i}" for i in range(rows))]
+    assert path.read_text() == "".join(f"{line}\n" for line in lines)
+    # Rows per block: BLOCK_ROWS, the last one at most that; the first block also holds the head.
+    rows_per_block = [chunk.count("\n") for chunk in chunks]
+    rows_per_block[0] -= 2
+    assert rows_per_block[:-1] == [block_rows] * (len(chunks) - 1)
+    assert rows_per_block[-1] <= block_rows

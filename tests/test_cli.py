@@ -16,6 +16,8 @@ import topicflow
 import topicflow.cli as cli_module
 import topicflow.ingest as ingest_module
 from topicflow.cli import _SETTINGS, PipelineConfig, _build_parser, _resolve_config, main
+from topicflow.errors import MalformedLine
+from topicflow.util import iter_lines
 from conftest import write_lines
 
 
@@ -834,6 +836,60 @@ def test_tsv_input_not_utf8_exits_two_naming_the_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"topicflow: error: {table}:5: not UTF-8 text: invalid start byte\n"
     )
+
+
+# (command, file, its good first line, its malformed second line, the message naming line 2)
+_EARLIER_BAD_LINE = [
+    ("ingest", "records.tsv", "x\tp0\tJ1\t1912", "x\tp1\tJ1",
+     "expected 4 tab-separated fields, got 3"),
+    ("ingest", "records.ndjson", json.dumps(_GOOD_RECORD), '{"author_id": "x"}',
+     "record object must have exactly the fields author_id, paper_id, journal_id, year"),
+    ("ingest", "journal_topics.tsv", "J1\tT1", "J2", "expected 2 columns, got 1"),
+    ("ingest", "topic_areas.tsv", "T1\tA1", "T2", "expected 2 columns, got 1"),
+    ("flows", "out/profiles.tsv", "x\t1910\tT1\t1", "x\t1910", "expected 4 columns, got 2"),
+    ("metrics", "out/flows_topic_1910_1915.tsv", "1910\t1915\tT1\tT1\t1", "1910\t1915\tT1",
+     "expected 5 columns, got 3"),
+    ("ingest", "run.cfg", "seed=1", "seed", "expected key=value, got 'seed'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, good, bad, message", _EARLIER_BAD_LINE, ids=[c[1] for c in _EARLIER_BAD_LINE]
+)
+def test_malformed_line_before_a_non_utf8_line_is_the_one_named(
+    tmp_path, capsys, command, name, good, bad, message
+):
+    # The text layer decodes line 3's bad byte before it hands out line 2.
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1912)])
+    args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1919", "--level", "topic"]
+    assert main(["report", *args]) == 0
+    path = tmp_path / name
+    path.write_bytes(f"{good}\n{bad}\n".encode() + b"a\xff\tb\n")
+    if name == "records.ndjson":
+        args += ["--records", str(path)]
+    if name == "run.cfg":
+        args += ["--config", str(path)]
+    capsys.readouterr()
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == f"topicflow: error: {path}:2: {message}\n"
+
+
+def test_lines_past_the_decoded_ones_are_yielded_up_to_the_bad_byte(tmp_path):
+    # Many blocks of the text layer's read-ahead, mixed line ends, comments and blank lines;
+    # a lone "\r" is never followed by a blank line, which would make it "\r\n".
+    lines = [b"# c" if i % 7 == 0 else b"" if i % 11 == 0 else b"l%d" % i for i in range(1, 3001)]
+    ends = [b"\r" if i % 3 == 2 and lines[(i + 1) % 3000] else b"\r\n" if i % 3 else b"\n"
+            for i in range(3000)]
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_bytes(data)
+    bad.write_bytes(data.replace(b"l2500", b"l25\xe900"))
+    seen = []
+    with pytest.raises(MalformedLine) as raised:
+        seen.extend(iter_lines(bad))
+    assert str(raised.value) == f"{bad}:2500: not UTF-8 text: invalid continuation byte"
+    assert seen == [(i, f"l{i}") for i in range(1, 2500) if i % 7 and i % 11]
+    assert seen == list(iter_lines(good))[:len(seen)]
 
 
 @pytest.mark.parametrize("skew", ["nan", "600"])
