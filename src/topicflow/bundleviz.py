@@ -26,7 +26,7 @@ import sys
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .classification import AreaId, ClassificationTable
-from .errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
+from .errors import MalformedLine, UnknownTopic, UsageError
 from .flows import FlowNetwork
 from .util import Checked, Record, iter_key_values
 
@@ -99,6 +99,8 @@ class VizConfig(Checked, _VizFields):
             raise UsageError("alpha must stay within (0, 1]")
         if self.width_min <= 0 or self.width_scale <= 0:
             raise UsageError("stroke widths must be positive and strictly increasing")
+        if min(self.node_radius_min, self.node_radius_max, self.font_size) < 0:  # SVG forbids
+            raise UsageError("node radii and font size must be >= 0")
         # No coordinate drawn exceeds ``extent`` in magnitude. SVG viewers
         # need only single precision, where a larger number is infinite.
         reach = max(
@@ -110,9 +112,6 @@ class VizConfig(Checked, _VizFields):
             extent = math.inf
         if not extent <= _FLOAT32_MAX:
             raise UsageError("canvas size and radii put the drawing beyond SVG's number range")
-
-    def color_overrides(self) -> dict[str, str]:
-        return dict(self.palette)
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -197,13 +196,12 @@ class VizLayout(Record):
     node_angle: dict[str, float]
     node_radius: dict[str, float]
     node_area: dict[str, AreaId]
-    sector_arc: dict[AreaId, tuple[float, float]]  # in sector_order
+    sector_arc: dict[AreaId, tuple[float, float]]  # in sector order
     sector_color: dict[AreaId, str]
     node_point: dict[str, Point]  # on the node circle
     zero_point: dict[str, Point]  # the node's radial projection onto r_zero
     gather_out: dict[AreaId, Point]  # where flow leaving the area bundles
     gather_in: dict[AreaId, Point]  # where flow entering the area bundles
-    sector_order: list[AreaId]
     __slots__ = tuple(__annotations__)
 
     def __init__(self, **fields):
@@ -305,12 +303,12 @@ def _sectors(cfg: VizConfig, sizes: dict[AreaId, int]) -> Iterator[tuple[AreaId,
         theta += span + gap
 
 
-def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) -> VizLayout:
+def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizLayout:
     """Deterministic circular layout: sector order by the configured
     heuristic, node angles inside their sector, radii clamped to the
     configured band."""
     if not net.weights:
-        raise EmptyNetwork("layout needs a network with at least one edge")
+        raise UsageError("layout needs a network with at least one edge")
 
     # Exact strengths (int sums, rationals once a weight is not an int):
     # node order must not depend on float summation order, which varies
@@ -326,7 +324,7 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
         if net.level == "area":
             node_area[node] = node
         else:
-            if table is None or node not in table.topic_area:
+            if node not in table.topic_area:
                 raise UnknownTopic(f"topic {node!r} not in the topic->area table")
             node_area[node] = table.topic_area[node]
 
@@ -374,7 +372,7 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
         node_radius=node_radius,
         node_area=node_area,
         sector_arc=sector_arc,
-        sector_color=_sector_colors(order, cfg.color_overrides()),
+        sector_color=_sector_colors(order, dict(cfg.palette)),
         node_point={
             n: _polar(center, a, cfg.r_node * circle_radius) for n, a in node_angle.items()
         },
@@ -389,7 +387,6 @@ def layout(net: FlowNetwork, table: ClassificationTable | None, cfg: VizConfig) 
             area: _polar(center, b - offset, (cfg.r_first - cfg.radial_nudge) * circle_radius)
             for area, b in barycenter.items()
         },
-        sector_order=list(order),
     )
 
 
@@ -540,7 +537,7 @@ def _document(cfg: VizConfig, body: list[str]) -> str:
 
 def render_svg(
     net: FlowNetwork,
-    table: ClassificationTable | None,
+    table: ClassificationTable,
     cfg: VizConfig = VizConfig(),
 ) -> str:
     """Render the network as a standalone SVG document. Self-transitions
@@ -548,12 +545,10 @@ def render_svg(
     Element order: sectors, intra edges, cross edges, nodes, labels.
     """
     if not net.weights:  # only the table's sectors
-        if table is None:
-            raise EmptyNetwork("nothing to render: empty network and no table")
         areas = list(table.areas())
         sizes = dict.fromkeys(areas, 1)  # equal sizes: every sector spans the same arc
         arcs = {area: (theta, theta + span) for area, theta, span in _sectors(cfg, sizes)}
-        colors = _sector_colors(areas, cfg.color_overrides())
+        colors = _sector_colors(areas, dict(cfg.palette))
         return _document(cfg, _sector_elements(cfg, arcs, colors))
     lay = layout(net, table, cfg)
     cx, cy = lay.center

@@ -355,20 +355,21 @@ def _load_network(out: Path, level: str, earlier: int, later: int) -> FlowNetwor
     return load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later)
 
 
-def _load_networks(cfg: PipelineConfig, out: Path, level: str) -> list[FlowNetwork]:
-    """Every network of ``level`` on the grid."""
-    return [_load_network(out, level, *pair) for pair in cfg.grid().label_pairs()]
+def _load_networks(cfg: PipelineConfig, out: Path) -> dict[str, list[FlowNetwork]]:
+    """Every network on the grid of each requested level, by level."""
+    pairs = cfg.grid().label_pairs()
+    return {level: [_load_network(out, level, *pair) for pair in pairs]
+            for level in LEVELS[cfg.level]}
 
 
 def _write_metrics(
     cfg: PipelineConfig, out: Path, table: ClassificationTable,
-    distributions: list[MultidisciplinarityDistribution],
+    distributions: list[MultidisciplinarityDistribution], nets: dict[str, list[FlowNetwork]],
 ) -> list[Path]:
-    """Write every metric table, from the flow files in ``out`` and the
-    ``distributions``. All inputs are checked before the first write, so a
-    bad one changes no file."""
+    """Write every metric table, from the ``distributions`` and the networks
+    ``_load_networks`` gives. All inputs are checked before the first write,
+    so a bad one changes no file."""
     policy = ZeroBaselinePolicy.parse(cfg.baseline_policy)
-    nets = {level: _load_networks(cfg, out, level) for level in LEVELS[cfg.level]}
     tables: list[tuple[str, str, list[str]]] = []  # (file name, header, rows)
     if "topic" in nets:
         deltas = attractiveness_table(nets["topic"], policy, n_topics=table.topic_count)
@@ -434,7 +435,7 @@ def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
     # Only the histogram is kept: profiles stream into it one at a time,
     # before the networks load (a lower peak RSS).
     distributions = multidisciplinarity(_read_profiles(cfg, out, table), table)
-    return _write_metrics(cfg, out, table, distributions)
+    return _write_metrics(cfg, out, table, distributions, _load_networks(cfg, out))
 
 
 def _viz_config(cfg: PipelineConfig) -> VizConfig:
@@ -505,14 +506,11 @@ def cmd_report(cfg: PipelineConfig) -> Path:
 
     _write_ingest(out, counted(), stats)
     flow_paths = _write_networks(out, fold.networks())
-    # Metrics and viz read the flow files, so their weights are the written
-    # ones, as in the standalone stages.
-    metric_paths = _write_metrics(cfg, out, table, tally.distributions())
-    level = LEVELS[cfg.level][0]  # every pair of it was just written
-    svg_paths = [
-        _draw(out, _load_network(out, level, *pair), table, viz)
-        for pair in cfg.grid().label_pairs()
-    ]
+    # Metrics and viz read the flow files, each once, so their weights are
+    # the written ones, as in the standalone stages.
+    nets = _load_networks(cfg, out)
+    metric_paths = _write_metrics(cfg, out, table, tally.distributions(), nets)
+    svg_paths = [_draw(out, net, table, viz) for net in nets[LEVELS[cfg.level][0]]]
     summary = {
         "ingest_stats": stats.as_dict(),
         "snapshot_labels": cfg.grid().labels(),

@@ -57,9 +57,5 @@ class EmptySet(UsageError):
     """Transition counting requires non-empty topic sets on both sides."""
 
 
-class EmptyNetwork(UsageError):
-    """Layout requires a network with at least one weighted edge."""
-
-
 class EmptySeries(UsageError):
     """Median indices need at least one snapshot with defined values."""

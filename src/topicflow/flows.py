@@ -36,11 +36,11 @@ class FlowNetwork(Record):
     __slots__ = ("level", "from_snapshot", "to_snapshot", "weights")
 
     def __init__(self, level: str, from_snapshot: int, to_snapshot: int,
-                 weights: dict[tuple[str, str], int | float | Fraction] | None = None):
+                 weights: dict[tuple[str, str], int | float | Fraction]):
         self.level = level
         self.from_snapshot = from_snapshot
         self.to_snapshot = to_snapshot
-        self.weights = {} if weights is None else weights
+        self.weights = weights
 
     def nodes(self) -> set[str]:
         found: set[str] = set()
@@ -258,14 +258,13 @@ def load_flow_network(
     path,
     *,
     level: str,
-    from_snapshot: int | None = None,
-    to_snapshot: int | None = None,
+    from_snapshot: int,
+    to_snapshot: int,
 ) -> FlowNetwork:
-    """Read a serialized network; snapshot labels fall back to the arguments
-    for header-only (empty) files. Label texts are checked when they change
+    """Read a serialized network of the pair ``from_snapshot``, ``to_snapshot``,
+    which every row must carry. Label texts are checked when they change
     from row to row, and each distinct node or weight text once per file."""
     weights: dict[tuple[str, str], int | float] = {}
-    seen_from, seen_to = from_snapshot, to_snapshot
     from_text = to_text = None
     nodes: dict[str, str] = {}  # checked text -> the one copy every edge holds
     values: dict[str, int | float] = {}  # checked text -> weight
@@ -276,11 +275,8 @@ def load_flow_network(
                 row_from, row_to = int(from_text), int(to_text)
             except ValueError:
                 raise MalformedLine(f"{path}:{lineno}: snapshot labels must be integers") from None
-            if (seen_from is not None and row_from != seen_from) or (
-                seen_to is not None and row_to != seen_to
-            ):
+            if (row_from, row_to) != (from_snapshot, to_snapshot):
                 raise MalformedLine(f"{path}:{lineno}: inconsistent snapshot labels")
-            seen_from, seen_to = row_from, row_to
         source, target, text = fields[2], fields[3], fields[4]
         if source not in nodes:
             nodes[source] = check_token(source, path, lineno, "source")
@@ -301,8 +297,6 @@ def load_flow_network(
         if edge in weights:
             raise MalformedLine(f"{path}:{lineno}: duplicate edge {source}->{target}")
         weights[edge] = weight
-    if seen_from is None or seen_to is None:
-        raise MalformedLine(f"{path}: empty network file needs explicit snapshot labels")
     return FlowNetwork(
-        level=level, from_snapshot=seen_from, to_snapshot=seen_to, weights=weights
+        level=level, from_snapshot=from_snapshot, to_snapshot=to_snapshot, weights=weights
     )

@@ -51,6 +51,9 @@ class SnapshotGrid(Checked, _GridFields):
             raise InvalidSpec(
                 f"start year {self.start_year} must precede end year {self.end_year}"
             )
+        span = self.end_year - self.start_year + 1  # each year takes one of ingest's codes
+        if span > _CODES:
+            raise InvalidSpec(f"grids span at most {_CODES} years, got {span}")
 
     def snapshot_of(self, year: int) -> int:
         return self.start_year + self.width_years * (
@@ -384,13 +387,10 @@ def _ingest_stream(
     if cut_scope not in ("classified", "all"):
         raise InvalidSpec(f"cut_scope must be 'classified' or 'all', got {cut_scope!r}")
 
-    span = grid.end_year - grid.start_year + 1
-    if span > _CODES:
-        raise InvalidSpec(f"ingest takes grids of at most {_CODES} years, got {span}")
     journal_topics = table.journal_topics
     if len(journal_topics) > _CODES:
         raise PipelineError(f"ingest takes at most {_CODES} journals, got {len(journal_topics)}")
-    codes = {grid.start_year + i: _code(i) for i in range(span)}
+    codes = {year: _code(i) for i, year in enumerate(range(grid.start_year, grid.end_year + 1))}
     labels = {code: grid.snapshot_of(year) for year, code in codes.items()}
     journals = {journal: _code(i) for i, journal in enumerate(sorted(journal_topics))}
     topics = {code: journal_topics[journal] for journal, code in journals.items()}

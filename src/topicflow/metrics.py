@@ -139,7 +139,8 @@ def _delta_for_topic(
 def attractiveness_table(
     nets: Iterable[FlowNetwork],
     policy: ZeroBaselinePolicy = ZeroBaselinePolicy(),
-    n_topics: int | None = None,
+    *,
+    n_topics: int,
 ) -> dict[tuple[int, TopicId], tuple[float, int]]:
     """(snapshot, topic) -> (delta, pairs_used) for every observed topic.
 
@@ -147,15 +148,7 @@ def attractiveness_table(
     stays linear in the number of edges. A delta beyond float range
     raises ``PipelineError`` naming the snapshot and the topic.
     """
-    nets = list(nets)
     pairs = _consecutive_pairs(nets)
-    if not pairs:
-        return {}
-    if n_topics is None:
-        universe: set[str] = set()
-        for net in nets:
-            universe |= net.nodes()
-        n_topics = len(universe)
     table: dict[tuple[int, str], tuple[float, int]] = {}
     for prev, cur in pairs:
         prev_idx = _incoming_index(prev)

@@ -304,6 +304,19 @@ def test_bad_grid_or_policy_exits_one_before_out_is_created(tmp_path, command, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", _STAGES)
+def test_grid_beyond_the_year_codes_exits_one_before_out_is_created(tmp_path, capsys, command):
+    # Years 0-1112062 are one more than ingest has year codes for: no stage takes the grid.
+    setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    grid = ["--start-year", "0", "--end-year", "1112062"]
+    assert main([command, *base_args(tmp_path, out), *_STAGES[command], *grid]) == 1
+    message = "topicflow: error: grids span at most 1112062 years, got 1112063"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_off_grid_viz_pair_exits_one_before_out_is_created(tmp_path, capsys):
     setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
     out = tmp_path / "out"
@@ -399,6 +412,25 @@ def test_report_loads_the_table_and_viz_config_once(tmp_path, monkeypatch):
     assert main(["report", *args, "--viz-config", str(viz_cfg)]) == 0
     assert len(list((tmp_path / "out").glob("viz_topic_*.svg"))) == 2
     assert sorted(calls) == ["load_classification", "load_viz_config"]
+
+
+def test_report_reads_each_flow_file_once(tmp_path, monkeypatch):
+    setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916),
+                            ("y", "p3", "J2", 1921)])
+    loaded = []
+    original = cli_module.load_flow_network
+
+    def counted(path, **kwargs):
+        loaded.append(Path(path).name)
+        return original(path, **kwargs)
+
+    monkeypatch.setattr(cli_module, "load_flow_network", counted)
+    args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1924"]
+    assert main(["report", *args]) == 0  # three snapshots, --level both
+    assert sorted(loaded) == [
+        f"flows_{level}_{a}_{b}.tsv"
+        for level in ("area", "topic") for a, b in ((1910, 1915), (1915, 1920))
+    ]
 
 
 def test_report_reads_no_profile_list_or_file(tmp_path, monkeypatch):
@@ -552,6 +584,9 @@ BEYOND_SVG = "canvas size and radii put the drawing beyond SVG's number range"
         pytest.param(["--canvas-size", "9" * 401], None, BEYOND_SVG, id="canvas-flag-401-digits"),
         pytest.param([], "canvas_size=" + "9" * 401, BEYOND_SVG, id="canvas-config-401-digits"),
         pytest.param([], "radius_frac=1e300", BEYOND_SVG, id="radius-frac-1e300"),
+        # SVG forbids a negative circle radius or font size
+        *[([], f"{key}=-1", "node radii and font size must be >= 0")
+          for key in ("node_radius_min", "node_radius_max", "font_size")],
     ],
 )
 def test_viz_rejects_bad_sizes_and_non_finite_settings(tmp_path, capsys, flags, config, message):

@@ -127,6 +127,7 @@ def test_relabeling_equivariance(source, target, perm):
 # -- network building --
 
 GRID2 = SnapshotGrid(1910, 1919, 5)  # labels 1910, 1915
+PAIR_1910 = {"from_snapshot": 1910, "to_snapshot": 1915}  # GRID2's one pair, as loaded
 
 
 def test_self_persistence_single_author():
@@ -447,7 +448,10 @@ def test_threads_setting_does_not_change_result(tmp_path, make_classification, m
     assert trees[1] == trees[3]
     for net in build_flow_networks(sorted(sets), grid):
         path = tmp_path / "run_t3" / f"flows_topic_{net.from_snapshot}_{net.to_snapshot}.tsv"
-        assert load_flow_network(path, level="topic").weights == net.weights
+        loaded = load_flow_network(
+            path, level="topic", from_snapshot=net.from_snapshot, to_snapshot=net.to_snapshot
+        )
+        assert loaded.weights == net.weights
 
 
 def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification, make_records):
@@ -468,7 +472,9 @@ def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification,
         "--appearing-weight", "uniform",
     )
     assert trees[1] == trees[2]
-    loaded = load_flow_network(tmp_path / "run_t2" / "flows_topic_1910_1915.tsv", level="topic")
+    loaded = load_flow_network(
+        tmp_path / "run_t2" / "flows_topic_1910_1915.tsv", level="topic", **PAIR_1910
+    )
     assert loaded.weights == {edge: float(w) for edge, w in exact[0].weights.items()}
 
 
@@ -490,7 +496,7 @@ def test_flow_roundtrip_and_sorted_rows(tmp_path):
         "1910\t1915\tA\tB\t1",
         "1910\t1915\tB\tA\t2",
     ]
-    again = load_flow_network(path, level="topic")
+    again = load_flow_network(path, level="topic", **PAIR_1910)
     assert again.weights == net.weights
     assert (again.from_snapshot, again.to_snapshot) == (1910, 1915)
 
@@ -500,15 +506,15 @@ def test_empty_network_header_only(tmp_path):
     path = tmp_path / "net.tsv"
     write_flow_network(net, path)
     assert path.read_text().splitlines() == ["#from_snapshot\tto_snapshot\tsource\ttarget\tweight"]
-    again = load_flow_network(path, level="topic", from_snapshot=1910, to_snapshot=1915)
+    again = load_flow_network(path, level="topic", **PAIR_1910)
     assert again.weights == {}
 
 
 def test_load_rejects_inconsistent_labels(tmp_path):
     path = tmp_path / "net.tsv"
     path.write_text("1910\t1915\tA\tB\t1\n1915\t1920\tB\tC\t1\n")
-    with pytest.raises(MalformedLine):
-        load_flow_network(path, level="topic")
+    with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: inconsistent snapshot labels")):
+        load_flow_network(path, level="topic", **PAIR_1910)
 
 
 def test_load_label_spellings_give_the_same_network(tmp_path):
@@ -519,9 +525,9 @@ def test_load_label_spellings_give_the_same_network(tmp_path):
         f"{'01910' if i % 2 else '1910'}\t{'1915' if i % 3 else '01915'}\t{s}\t{t}\t{w}\n"
         for i, (s, t, w) in enumerate(rows)
     ))
-    expected = load_flow_network(plain, level="topic")
+    expected = load_flow_network(plain, level="topic", **PAIR_1910)
     assert len(expected.weights) == 4
-    assert load_flow_network(mixed, level="topic") == expected
+    assert load_flow_network(mixed, level="topic", **PAIR_1910) == expected
 
 
 @pytest.mark.parametrize("last,message", [
@@ -534,4 +540,4 @@ def test_load_checks_a_new_text_after_remembered_ones(tmp_path, last, message):
     path = tmp_path / "net.tsv"
     path.write_text(f"1910\t1915\tA\tA\t2\n1910\t1915\tA\tB\t2\n{last}\n")
     with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: {message}")):
-        load_flow_network(path, level="topic")
+        load_flow_network(path, level="topic", **PAIR_1910)

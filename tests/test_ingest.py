@@ -595,7 +595,7 @@ def test_grid_wider_than_the_year_codes_exits_one_before_reading(tmp_path, capsy
         "--topic-areas", str(tmp_path / "topic_areas.tsv"), "--out", str(tmp_path / "out"),
         "--start-year", "0", "--end-year", "1112062",
     ]) == 1
-    assert "ingest takes grids of at most 1112062 years, got 1112063" in capsys.readouterr().err
+    assert "grids span at most 1112062 years, got 1112063" in capsys.readouterr().err
 
 
 def test_codes_are_every_code_point_but_the_separators_and_surrogates():
@@ -806,7 +806,7 @@ def test_flow_networks_from_profiles_restores_gc_state(table, grid_1910_2014, en
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_networks_restores_gc_state(tmp_path, enabled):
-    cfg = PipelineConfig(start_year=1910, end_year=1919, width=5)
+    cfg = PipelineConfig(start_year=1910, end_year=1919, width=5, level="topic")
     good, bad = tmp_path / "good", tmp_path / "bad"
     for out, row in ((good, "1910\t1915\tT1\tT2\t1"), (bad, "1910\t1915\tT1\tT2")):
         out.mkdir()
@@ -814,10 +814,10 @@ def test_load_networks_restores_gc_state(tmp_path, enabled):
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        assert _load_networks(cfg, good, "topic")[0].weights == {("T1", "T2"): 1}
+        assert _load_networks(cfg, good)["topic"][0].weights == {("T1", "T2"): 1}
         assert gc.isenabled() is enabled
         with pytest.raises(MalformedLine):
-            _load_networks(cfg, bad, "topic")
+            _load_networks(cfg, bad)
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()

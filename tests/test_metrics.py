@@ -87,7 +87,7 @@ def test_smoothing_constant_must_be_finite_and_positive(k):
 def test_delta_hand_example_active_policy():
     prev = topic_net(1915, {("X", "T"): 2, ("Y", "T"): 4})
     cur = topic_net(1920, {("X", "T"): 3, ("Y", "T"): 2})
-    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"), n_topics=3)
     # (0.5 + (-0.5)) / 2 = 0
     assert table[(1920, "T")] == (0.0, 2)
 
@@ -97,7 +97,7 @@ def test_delta_strict_uses_full_denominator():
     cur = topic_net(1920, {("X", "T"): 3})
     strict = attractiveness_table([prev, cur], ZeroBaselinePolicy("strict"), n_topics=306)
     assert strict[(1920, "T")][0] == pytest.approx(0.5 / 305, abs=1e-15)
-    active = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    active = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"), n_topics=2)
     assert active[(1920, "T")][0] == 0.5
 
 
@@ -110,13 +110,13 @@ def test_delta_zero_when_flows_unchanged():
         ZeroBaselinePolicy("active"),
         ZeroBaselinePolicy("smooth", 1.0),
     ):
-        assert attractiveness_table([prev, cur], policy)[(1920, "T")][0] == 0.0
+        assert attractiveness_table([prev, cur], policy, n_topics=3)[(1920, "T")][0] == 0.0
 
 
 def test_delta_excludes_self_flow():
     prev = topic_net(1915, {("T", "T"): 5, ("X", "T"): 1})
     cur = topic_net(1920, {("T", "T"): 50, ("X", "T"): 1})
-    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"), n_topics=2)
     assert table[(1920, "T")][0] == 0.0
 
 
@@ -132,34 +132,35 @@ def test_delta_smooth_covers_zero_baselines():
 
 def test_no_baseline_error():
     # without two consecutive networks there is no baseline, so no row
-    assert attractiveness_table([topic_net(1915, {("X", "T"): 1})]) == {}
+    assert attractiveness_table([topic_net(1915, {("X", "T"): 1})], n_topics=2) == {}
     gap = [topic_net(1915, {("X", "T"): 1}), topic_net(1930, {("X", "T"): 1})]
-    assert attractiveness_table(gap) == {}
+    assert attractiveness_table(gap, n_topics=2) == {}
 
 
 def test_unknown_topic_error():
     # a topic absent from every network gets no row
     nets = [topic_net(1915, {("X", "T"): 1}), topic_net(1920, {("X", "T"): 1})]
-    assert set(attractiveness_table(nets)) == {(1920, "T"), (1920, "X")}
+    assert set(attractiveness_table(nets, n_topics=2)) == {(1920, "T"), (1920, "X")}
 
 
 def test_delta_active_invariant_under_uniform_scaling():
     prev = topic_net(1915, {("X", "T"): 2, ("Y", "T"): 5, ("Z", "T"): 1})
     cur = topic_net(1920, {("X", "T"): 3, ("Y", "T"): 2, ("Z", "T"): 9})
-    base = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))[(1920, "T")][0]
+    active = ZeroBaselinePolicy("active")
+    base = attractiveness_table([prev, cur], active, n_topics=4)[(1920, "T")][0]
     for c in (2, 7, 1000):
         scaled = [
             topic_net(1915, {k: w * c for k, w in prev.weights.items()}),
             topic_net(1920, {k: w * c for k, w in cur.weights.items()}),
         ]
-        got = attractiveness_table(scaled, ZeroBaselinePolicy("active"))[(1920, "T")][0]
+        got = attractiveness_table(scaled, active, n_topics=4)[(1920, "T")][0]
         assert got == base
 
 
 def test_most_attractive_engineered_winner():
     prev = topic_net(1915, {("X", "T"): 1, ("X", "U"): 4, ("Y", "U"): 4})
     cur = topic_net(1920, {("X", "T"): 5, ("X", "U"): 4, ("Y", "U"): 4})
-    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"), n_topics=4)
     winners = most_attractive_topics(table)
     assert winners[1920].topic == "T"
     assert winners[1920].delta == 4.0
@@ -169,7 +170,7 @@ def test_most_attractive_engineered_winner():
 def test_most_attractive_tie_reported_lexicographic():
     prev = topic_net(1915, {("X", "T"): 1, ("X", "S"): 1})
     cur = topic_net(1920, {("X", "T"): 2, ("X", "S"): 2})
-    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"))
+    table = attractiveness_table([prev, cur], ZeroBaselinePolicy("active"), n_topics=3)
     winners = most_attractive_topics(table)
     assert winners[1920].ties == ("S", "T")
     assert winners[1920].topic == "S"
@@ -207,13 +208,13 @@ def test_winner_invariant_under_relabeling_of_losers():
     prev = topic_net(1915, {("X", "T"): 1, ("X", "U"): 4, ("U", "X"): 2})
     cur = topic_net(1920, {("X", "T"): 5, ("X", "U"): 4, ("U", "X"): 2})
     policy = ZeroBaselinePolicy("active")
-    base = most_attractive_topics(attractiveness_table([prev, cur], policy))[1920]
+    base = most_attractive_topics(attractiveness_table([prev, cur], policy, n_topics=3))[1920]
     relabel = {"X": "ZZ", "U": "QQ", "T": "T"}
     nets = [
         topic_net(1915, {(relabel[s], relabel[t]): w for (s, t), w in prev.weights.items()}),
         topic_net(1920, {(relabel[s], relabel[t]): w for (s, t), w in cur.weights.items()}),
     ]
-    again = most_attractive_topics(attractiveness_table(nets, policy))[1920]
+    again = most_attractive_topics(attractiveness_table(nets, policy, n_topics=3))[1920]
     assert again.topic == base.topic == "T"
     assert again.delta == base.delta
 

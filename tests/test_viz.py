@@ -32,7 +32,7 @@ from topicflow.bundleviz import (
 )
 from topicflow.classification import ClassificationTable
 from topicflow.cli import main
-from topicflow.errors import EmptyNetwork, MalformedLine, UnknownTopic, UsageError
+from topicflow.errors import MalformedLine, UnknownTopic, UsageError
 from conftest import write_lines
 
 
@@ -285,7 +285,7 @@ def test_single_area_three_nodes_strength_order(make_table):
         "topic", 1910, 1915, {("y", "y"): 50, ("z", "z"): 5, ("x", "x"): 1}
     )
     lay = layout(net, table, VizConfig())
-    assert lay.sector_order == ["a0"]
+    assert list(lay.sector_arc) == ["a0"]
     assert angle_of(lay, "y") < angle_of(lay, "z") < angle_of(lay, "x")
 
 
@@ -314,13 +314,13 @@ def test_angles_lie_inside_sector_arcs(three_area_table, three_area_net):
 
 def test_sector_orders(three_area_table, three_area_net):
     alpha = layout(three_area_net, three_area_table, VizConfig(sector_order="alphabetical"))
-    assert alpha.sector_order == ["a0", "a1", "a2"]
+    assert list(alpha.sector_arc) == ["a0", "a1", "a2"]
     strength = layout(three_area_net, three_area_table, VizConfig(sector_order="strength"))
-    totals = dict.fromkeys(alpha.sector_order, 0)
+    totals = dict.fromkeys(alpha.sector_arc, 0)
     for (source, target), weight in three_area_net.weights.items():
         totals[alpha.node_area[source]] += weight
         totals[alpha.node_area[target]] += weight
-    assert strength.sector_order == sorted(totals, key=lambda a: (-totals[a], a))
+    assert list(strength.sector_arc) == sorted(totals, key=lambda a: (-totals[a], a))
 
 
 def test_modularity_order_groups_dense_pairs(make_table):
@@ -341,7 +341,7 @@ def test_modularity_order_groups_dense_pairs(make_table):
             ("t0", "t1"): 1,
         },
     )
-    order = layout(net, table, VizConfig(sector_order="modularity")).sector_order
+    order = list(layout(net, table, VizConfig(sector_order="modularity")).sector_arc)
     assert abs(order.index("a0") - order.index("a2")) == 1
     assert abs(order.index("a1") - order.index("a3")) == 1
 
@@ -430,7 +430,7 @@ def test_modularity_order_breaks_exact_ties_like_the_reference():
 
 
 def test_layout_empty_network_raises(three_area_table):
-    with pytest.raises(EmptyNetwork):
+    with pytest.raises(UsageError, match="layout needs a network with at least one edge"):
         layout(FlowNetwork("topic", 1910, 1915, {}), three_area_table, VizConfig())
 
 
@@ -439,12 +439,6 @@ def test_layout_unknown_topic(make_table):
     net = FlowNetwork("topic", 1910, 1915, {("t0", "mystery"): 1})
     with pytest.raises(UnknownTopic):
         layout(net, table, VizConfig())
-
-
-def test_area_level_layout_needs_no_table():
-    net = FlowNetwork("area", 1910, 1915, {("a0", "a1"): 2})
-    lay = layout(net, None, VizConfig())
-    assert lay.node_area == {"a0": "a0", "a1": "a1"}
 
 
 # -- routing --
@@ -718,11 +712,6 @@ def test_empty_network_with_table_renders_sectors_only(three_area_table):
     assert svg_elements(svg, "circle") == []
 
 
-def test_empty_network_without_table_raises():
-    with pytest.raises(EmptyNetwork):
-        render_svg(FlowNetwork("topic", 1910, 1915, {}), None, VizConfig())
-
-
 def test_render_writes_file(three_area_table, three_area_net, tmp_path):
     # the viz command writes exactly the document render_svg returns
     out = tmp_path / "out"
@@ -766,7 +755,7 @@ def test_load_viz_config(tmp_path):
     assert cfg.min_weight == 2.5
     assert cfg.show_labels is False
     assert cfg.sector_order == "strength"
-    assert cfg.color_overrides() == {"a0": "#112233"}
+    assert dict(cfg.palette) == {"a0": "#112233"}
 
 
 def test_load_viz_config_rejects_unknown_key(tmp_path):
