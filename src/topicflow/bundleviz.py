@@ -101,6 +101,8 @@ class VizConfig(Checked, _VizFields):
             raise UsageError("stroke widths must be positive and strictly increasing")
         if min(self.node_radius_min, self.node_radius_max, self.font_size) < 0:  # SVG forbids
             raise UsageError("node radii and font size must be >= 0")
+        if self.node_radius_min > self.node_radius_max:
+            raise UsageError("node_radius_min must not exceed node_radius_max")
         # No coordinate drawn exceeds ``extent`` in magnitude. SVG viewers
         # need only single precision, where a larger number is infinite.
         reach = max(

@@ -41,7 +41,7 @@ from .flows import (
     load_flow_network,
     write_flow_network,
 )
-from .ingest import ActivityProfile, IngestStats, SnapshotGrid, _ingest_stream
+from .ingest import ActivityProfile, IngestStats, SnapshotGrid, check_cut, ingest_records
 from .metrics import (
     AreaTally,
     MultidisciplinarityDistribution,
@@ -113,6 +113,7 @@ class PipelineConfig(Checked, _PipelineFields):
                 raise UsageError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
         self.grid()  # raises on a bad grid, as parse does on a bad policy
         ZeroBaselinePolicy.parse(self.baseline_policy)
+        check_cut(self.max_papers_per_year, self.cut_scope, self.quantile)
 
     def grid(self) -> SnapshotGrid:
         return SnapshotGrid(self.start_year, self.end_year, self.width)
@@ -291,8 +292,9 @@ def _start_ingest(
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
     out = _out_dir(cfg)
-    profiles, stats = _ingest_stream(
-        records, table, cfg.grid(), cfg.max_papers_per_year, cfg.cut_scope, cfg.quantile
+    profiles, stats = ingest_records(
+        records, table, cfg.grid(), cfg.max_papers_per_year,
+        cut_scope=cfg.cut_scope, quantile=cfg.quantile,
     )
     if cfg.quantile is not None:
         print(f"quantile {cfg.quantile} -> max papers per year {stats.max_papers_per_year}")
@@ -461,11 +463,11 @@ def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
     earlier, later = pair
     if (earlier, later) not in cfg.grid().label_pairs():
         raise UsageError(f"--pair {earlier} {later} is not a consecutive pair of the grid")
-    level = LEVELS[cfg.level][0]
+    viz = _viz_config(cfg)  # a bad rendering setting fails before any write
     table = _load_table(cfg)
     out = _out_dir(cfg)
-    net = _load_network(out, level, earlier, later)
-    return _draw(out, net, table, _viz_config(cfg))
+    net = _load_network(out, LEVELS[cfg.level][0], earlier, later)
+    return _draw(out, net, table, viz)
 
 
 def cmd_synth(cfg: PipelineConfig, args: argparse.Namespace) -> Path:

@@ -170,7 +170,7 @@ def build_flow_networks(
     profile, ``nodes`` being its dominant topics or areas, or under
     ``level='both'`` its (topic set, area set) pair, whose networks come
     topic level first. The tuples come in strictly ascending (author,
-    snapshot) order, the order ``ingest_records`` returns and
+    snapshot) order, the order ``ingest_records``' walk yields and
     ``load_profiles`` checks; a set out of that order raises
     ``InvariantViolation``. One fold counts each set against the previous
     one when both are the same author's and the snapshot is the grid label
@@ -184,7 +184,7 @@ def build_flow_networks(
     return fold.networks()
 
 
-def dominant_sets_of(level: str, table: ClassificationTable | None, area_mode: str):
+def dominant_sets_of(level: str, table: ClassificationTable, area_mode: str):
     """The function giving a profile's ``nodes`` at ``level`` for ``FlowFold.add``.
     Its dominant topic set is computed once for both levels; ``area_mode='mapped'``
     maps it through the topic->area table, once per distinct set, and
@@ -193,8 +193,6 @@ def dominant_sets_of(level: str, table: ClassificationTable | None, area_mode: s
         raise UsageError(f"level must be 'topic', 'area' or 'both', got {level!r}")
     if area_mode not in ("mapped", "argmax"):
         raise UsageError(f"area_mode must be 'mapped' or 'argmax', got {area_mode!r}")
-    if level != "topic" and table is None:
-        raise UsageError("area-level flows need a classification table")
     if level == "topic":
         return dominant_topics
     if area_mode == "argmax":
@@ -217,8 +215,8 @@ def flow_networks_from_profiles(
     profiles: Iterable[ActivityProfile],
     grid: SnapshotGrid,
     *,
+    table: ClassificationTable,
     level: str = "topic",
-    table: ClassificationTable | None = None,
     area_mode: str = "mapped",
     appearing_weight: str = "unit",
 ) -> list[FlowNetwork]:

@@ -302,11 +302,6 @@ def _year_counts(lines: list[str], kept_only: bool) -> Iterable[int]:
     return counts.values()
 
 
-def _check_quantile(q: float) -> None:
-    if not 0 < q < 1:
-        raise InvalidSpec(f"quantile must be in (0, 1), got {q}")
-
-
 def _yearly_quantile(
     groups: dict[str, bytearray], q: float, records_file
 ) -> tuple[int, list[int]]:
@@ -324,6 +319,16 @@ def _yearly_quantile(
     return quantile_cutoff(histogram, q), maxima
 
 
+def check_cut(max_papers_per_year: int, cut_scope: str, quantile: float | None) -> None:
+    """Raise ``InvalidSpec`` on a bad cut, scope or quantile (NaN included)."""
+    if quantile is not None and not 0 < quantile < 1:
+        raise InvalidSpec(f"quantile must be in (0, 1), got {quantile}")
+    if quantile is None and max_papers_per_year < 0:
+        raise InvalidSpec(f"max_papers_per_year must be >= 0, got {max_papers_per_year}")
+    if cut_scope not in ("classified", "all"):
+        raise InvalidSpec(f"cut_scope must be 'classified' or 'all', got {cut_scope!r}")
+
+
 def ingest_records(
     records_file,
     table: ClassificationTable,
@@ -332,7 +337,7 @@ def ingest_records(
     *,
     cut_scope: str = "classified",
     quantile: float | None = None,
-) -> tuple[list[ActivityProfile], IngestStats]:
+) -> tuple[Iterator[ActivityProfile], IngestStats]:
     """Stream records into activity profiles, applying the corpus filters.
 
     Filters, in order: records outside the grid's year range are dropped
@@ -360,33 +365,14 @@ def ingest_records(
     counts a paper once in every year it appears, and the profile counts
     it once.
 
-    Returns profiles sorted by (author, snapshot) plus ingest statistics,
-    whose ``max_papers_per_year`` is the cut applied: the list of
-    ``_ingest_stream``'s walk, which the CLI streams instead.
-    """
-    profiles, stats = _ingest_stream(
-        records_file, table, grid, max_papers_per_year, cut_scope, quantile
-    )
-    return list(profiles), stats
-
-
-def _ingest_stream(
-    records_file, table, grid, max_papers_per_year, cut_scope, quantile
-) -> tuple[Iterator[ActivityProfile], IngestStats]:
-    """``ingest_records`` with the dedupe walk returned as a generator, not started.
-
     Checks, the read and the cut run before this returns, so bad input
-    raises before the caller opens any output. The walk yields each kept
-    author's profiles and drops the author's entries; its counters enter
-    the returned stats when it is exhausted.
+    raises before the caller opens any output. Returns the dedupe walk as
+    a generator, not started, and the ingest statistics, whose
+    ``max_papers_per_year`` is the cut applied. The walk yields profiles
+    in (author, snapshot) order, each kept author's as it drops the
+    author's entries; its counters enter the stats when it is exhausted.
     """
-    if quantile is not None:
-        _check_quantile(quantile)
-    elif max_papers_per_year < 0:
-        raise InvalidSpec(f"max_papers_per_year must be >= 0, got {max_papers_per_year}")
-    if cut_scope not in ("classified", "all"):
-        raise InvalidSpec(f"cut_scope must be 'classified' or 'all', got {cut_scope!r}")
-
+    check_cut(max_papers_per_year, cut_scope, quantile)
     journal_topics = table.journal_topics
     if len(journal_topics) > _CODES:
         raise PipelineError(f"ingest takes at most {_CODES} journals, got {len(journal_topics)}")
@@ -462,7 +448,7 @@ def compute_yearly_paper_quantile(records_file, q: float) -> int:
     cut can be re-derived on a raw corpus. ``ingest_records(quantile=q)``
     derives the same k in its own read of the records.
     """
-    _check_quantile(q)
+    check_cut(0, "all", q)
     # With no years to keep, every record enters its paper as dropped.
     groups = _group_papers(records_file, {}, {}, True, IngestStats())
     return _yearly_quantile(groups, q, records_file)[0]

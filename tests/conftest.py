@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import pytest
 
-from topicflow import SnapshotGrid, load_classification
+from topicflow.classification import load_classification
+from topicflow.ingest import SnapshotGrid, ingest_records
 
 
 def write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def ingested(*args, **kwargs):
+    """``ingest_records`` with its walk read to the end: the profile list
+    and the stats, which are complete only then."""
+    walk, stats = ingest_records(*args, **kwargs)
+    return list(walk), stats
 
 
 @pytest.fixture

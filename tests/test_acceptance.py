@@ -14,26 +14,24 @@ from contextlib import contextmanager
 
 import pytest
 
-from topicflow import (
+from topicflow.bundleviz import VizConfig, layout, render_svg
+from topicflow.classification import load_classification
+from topicflow.cli import main
+from topicflow.flows import (
     FlowNetwork,
-    SnapshotGrid,
-    SyntheticSpec,
-    VizConfig,
-    ZeroBaselinePolicy,
-    attractiveness_table,
     count_transitions,
     flow_networks_from_profiles,
-    generate_corpus,
-    ingest_records,
-    layout,
-    load_classification,
     load_flow_network,
+)
+from topicflow.ingest import SnapshotGrid
+from topicflow.metrics import (
+    ZeroBaselinePolicy,
+    attractiveness_table,
     migration_indices,
     multidisciplinarity,
-    render_svg,
 )
-from topicflow.cli import main
-from conftest import write_lines
+from topicflow.synth import SyntheticSpec, generate_corpus
+from conftest import ingested, write_lines
 from test_metrics import delta_literal, indices_literal
 
 
@@ -100,7 +98,7 @@ def test_criterion_2_oracle_equivalence(tmp_path):
             table = load_classification(
                 corpus.journal_topics_path, corpus.topic_areas_path
             )
-            profiles, _ = ingest_records(
+            profiles, _ = ingested(
                 corpus.records_path, table, corpus.grid, max_papers_per_year=17
             )
             nets = {
@@ -244,7 +242,7 @@ def test_criterion_6_multidisciplinarity_point_mass(tmp_path, make_table, k):
         records = write_lines(
             tmp_path / f"records_{k}.tsv", [f"{a}\t{p}\t{j}\t{y}" for a, p, j, y in rows]
         )
-        profiles, _ = ingest_records(records, table, SnapshotGrid(1910, 2014, 5))
+        profiles, _ = ingested(records, table, SnapshotGrid(1910, 2014, 5))
         dist = multidisciplinarity(profiles, table, q=0.99)[0]
         assert dist.histogram == {k: 9}
         assert dist.q_cutoff == k

@@ -10,9 +10,9 @@ import pytest
 
 import topicflow
 import topicflow.util as util_module
-from topicflow import ActivityProfile, FlowNetwork, write_flow_network
 from topicflow.cli import PROFILE_HEADER, write_profiles
-from topicflow.flows import FLOW_HEADER
+from topicflow.flows import FLOW_HEADER, FlowNetwork, write_flow_network
+from topicflow.ingest import ActivityProfile
 from topicflow.util import write_text_atomic, write_tsv
 
 

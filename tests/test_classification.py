@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from topicflow import load_classification
+from topicflow.classification import load_classification
 from topicflow.errors import EmptyTable, MalformedLine, UnknownTopic
 from topicflow.util import check_token
 from conftest import write_lines

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
@@ -14,7 +15,6 @@ import pytest
 
 import topicflow
 import topicflow.cli as cli_module
-import topicflow.ingest as ingest_module
 from topicflow.cli import _SETTINGS, PipelineConfig, _build_parser, _resolve_config, main
 from topicflow.errors import MalformedLine
 from topicflow.util import iter_lines
@@ -317,6 +317,33 @@ def test_grid_beyond_the_year_codes_exits_one_before_out_is_created(tmp_path, ca
     assert not out.exists()
 
 
+_BAD_CUTS = {
+    "quantile-above-one": (["--quantile", "1.5"], "quantile must be in (0, 1), got 1.5"),
+    "quantile-nan": (["--quantile", "nan"], "quantile must be in (0, 1), got nan"),
+    "negative-cut": (["--max-papers-per-year", "-1"], "max_papers_per_year must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_CUTS)
+@pytest.mark.parametrize("command", _STAGES)
+def test_bad_cut_exits_one_before_out_is_created(tmp_path, capsys, command, bad):
+    setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
+    out = tmp_path / "out"
+    flags, message = _BAD_CUTS[bad]
+    assert main([command, *base_args(tmp_path, out), *_STAGES[command], *flags]) == 1
+    assert f"topicflow: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_canvas_size_exits_one_before_viz_creates_out(tmp_path, capsys):
+    setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])  # and no flow file to draw
+    out = tmp_path / "out"
+    argv = ["viz", *base_args(tmp_path, out), "--canvas-size", "0", "--pair", "1910", "1915"]
+    assert main(argv) == 1
+    assert "canvas size must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_off_grid_viz_pair_exits_one_before_out_is_created(tmp_path, capsys):
     setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
     out = tmp_path / "out"
@@ -348,7 +375,7 @@ def test_quantile_on_empty_records_exits_two(tmp_path, capsys):
 def test_internal_error_exits_three(tmp_path, monkeypatch):
     setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
     monkeypatch.setattr(
-        "topicflow.cli._ingest_stream",
+        "topicflow.cli.ingest_records",
         lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
     )
     assert main(["ingest", *base_args(tmp_path, tmp_path / "out")]) == 3
@@ -436,15 +463,24 @@ def test_report_reads_each_flow_file_once(tmp_path, monkeypatch):
 def test_report_reads_no_profile_list_or_file(tmp_path, monkeypatch):
     setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
 
+    walks = []
+    original = cli_module.ingest_records
+
+    def recorded(*args, **kwargs):
+        walk, stats = original(*args, **kwargs)
+        walks.append(walk)
+        return walk, stats
+
     def refuse(*args, **kwargs):
         raise AssertionError("report must stream the dedupe walk")
 
-    monkeypatch.setattr(ingest_module, "ingest_records", refuse)
+    monkeypatch.setattr(cli_module, "ingest_records", recorded)
     monkeypatch.setattr(cli_module, "load_profiles", refuse)
-    assert not hasattr(cli_module, "ingest_records")
     args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1919"]
     assert main(["report", *args]) == 0
     assert (tmp_path / "out" / "report.json").is_file()
+    (walk,) = walks  # one generator, read to its end, never a list
+    assert inspect.isgenerator(walk) and next(walk, None) is None
 
 
 def test_viz_config_file_and_min_weight_flag(tmp_path):

@@ -8,11 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicflow import (
-    ActivityProfile,
-    ClassificationTable,
+from topicflow.classification import ClassificationTable
+from topicflow.flows import (
     FlowNetwork,
-    SnapshotGrid,
     build_flow_networks,
     count_transitions,
     dominant_topics,
@@ -22,6 +20,7 @@ from topicflow import (
 )
 from topicflow.cli import main
 from topicflow.errors import EmptySet, InvariantViolation, MalformedLine, UsageError
+from topicflow.ingest import ActivityProfile, SnapshotGrid
 
 
 def profile(author, snapshot, counts):
@@ -357,7 +356,7 @@ def test_unknown_appearing_weight_is_rejected_even_without_transitions():
                             appearing_weight="bogus")
     with pytest.raises(UsageError, match="appearing_weight must be 'unit' or 'uniform'"):
         flow_networks_from_profiles([profile("x", 1910, {"A": 1})], SnapshotGrid(1910, 1919, 5),
-                                    appearing_weight="bogus")
+                                    table=_TABLE, appearing_weight="bogus")
 
 
 _TOPICS = [f"T{i}" for i in range(6)]
@@ -462,7 +461,8 @@ def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification,
         ds("y", 1915, {"D"}),
     ]
     profiles = _profiles_with_sets(sets)
-    exact = flow_networks_from_profiles(profiles, GRID2, appearing_weight="uniform")
+    # Topic-level flows map no topic to its area, so any table serves.
+    exact = flow_networks_from_profiles(profiles, GRID2, table=_TABLE, appearing_weight="uniform")
     built = build_flow_networks(sets, GRID2, appearing_weight="uniform")
     assert exact[0].weights == built[0].weights
     assert exact[0].weights[("A", "D")] == Fraction(2, 3)

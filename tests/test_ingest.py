@@ -11,26 +11,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicflow import (
-    ActivityProfile,
-    IngestStats,
-    SnapshotGrid,
-    SyntheticSpec,
-    compute_yearly_paper_quantile,
-    generate_corpus,
-    ingest_records,
-    load_classification,
-    multidisciplinarity,
-)
-from topicflow.classification import ClassificationTable
+from topicflow.classification import ClassificationTable, load_classification
 import topicflow.cli as cli_module
 from topicflow.cli import PipelineConfig, _load_networks, load_profiles, main, write_profiles
 from topicflow.errors import EmptySet, InvalidSpec, MalformedLine, MalformedRecord, PipelineError
 from topicflow.flows import FLOW_HEADER, flow_file_name, flow_networks_from_profiles
 import topicflow.ingest as ingest_module
-from topicflow.ingest import iter_records
+from topicflow.ingest import (
+    ActivityProfile,
+    IngestStats,
+    SnapshotGrid,
+    compute_yearly_paper_quantile,
+    ingest_records,
+    iter_records,
+)
+from topicflow.metrics import multidisciplinarity
+from topicflow.synth import SyntheticSpec, generate_corpus
 from topicflow.util import BLOCK_ROWS
-from conftest import write_lines
+from conftest import ingested, write_lines
 
 
 TABLE = {"J1": ["T1", "T2"], "J2": ["T2"], "J3": ["T3"], "J10": ["T1"]}
@@ -74,7 +72,7 @@ def test_grid_validation():
 
 def test_multiplex_replication(table, make_records, grid_1910_2014):
     records = make_records([("X", "p1", "J1", 2003)])
-    profiles, stats = ingest_records(records, table, grid_1910_2014)
+    profiles, stats = ingested(records, table, grid_1910_2014)
     assert len(profiles) == 1
     profile = profiles[0]
     assert profile.snapshot == 2000
@@ -87,29 +85,29 @@ def test_author_over_threshold_excluded_everywhere(table, make_records, grid_191
     rows = [("X", f"p{i}", "J2", 2001) for i in range(18)]
     rows.append(("X", "q1", "J2", 1950))  # different snapshot, still excluded
     rows.append(("Y", "r1", "J2", 2001))
-    profiles, stats = ingest_records(records_file=make_records(rows), table=table,
-                                     grid=grid_1910_2014, max_papers_per_year=17)
+    profiles, stats = ingested(records_file=make_records(rows), table=table,
+                               grid=grid_1910_2014, max_papers_per_year=17)
     assert {p.author_id for p in profiles} == {"Y"}
     assert stats.authors_excluded == 1
 
 
 def test_threshold_17_exactly_is_kept(table, make_records, grid_1910_2014):
     rows = [("X", f"p{i}", "J2", 2001) for i in range(17)]
-    profiles, stats = ingest_records(make_records(rows), table, grid_1910_2014, 17)
+    profiles, stats = ingested(make_records(rows), table, grid_1910_2014, 17)
     assert {p.author_id for p in profiles} == {"X"}
     assert stats.authors_excluded == 0
 
 
 def test_threshold_zero_disables_cut(table, make_records, grid_1910_2014):
     rows = [("X", f"p{i}", "J2", 2001) for i in range(30)]
-    profiles, stats = ingest_records(make_records(rows), table, grid_1910_2014, 0)
+    profiles, stats = ingested(make_records(rows), table, grid_1910_2014, 0)
     assert {p.author_id for p in profiles} == {"X"}
     assert stats.authors_excluded == 0
 
 
 def test_duplicate_author_paper_counts_once(table, make_records, grid_1910_2014):
     records = make_records([("X", "p1", "J2", 2001), ("X", "p1", "J2", 2001)])
-    profiles, stats = ingest_records(records, table, grid_1910_2014)
+    profiles, stats = ingested(records, table, grid_1910_2014)
     assert profiles[0].topic_counts == {"T2": 1}
     assert stats.records_kept == 1
     assert stats.records_read == 2
@@ -123,7 +121,7 @@ def test_unclassified_and_out_of_range_drops_counted(table, make_records, grid_1
             ("X", "p3", "J2", 1890),
         ]
     )
-    profiles, stats = ingest_records(records, table, grid_1910_2014)
+    profiles, stats = ingested(records, table, grid_1910_2014)
     assert stats.records_read == 3
     assert stats.dropped_unclassified == 1
     assert stats.dropped_year == 1
@@ -156,8 +154,8 @@ def test_ndjson_records_equivalent(table, tmp_path, make_records, grid_1910_2014
         ],
     )
     assert list(iter_records(ndjson)) != []
-    got_tsv, _ = ingest_records(tsv, table, grid_1910_2014)
-    got_json, _ = ingest_records(ndjson, table, grid_1910_2014)
+    got_tsv, _ = ingested(tsv, table, grid_1910_2014)
+    got_json, _ = ingested(ndjson, table, grid_1910_2014)
     assert got_tsv == got_json
 
 
@@ -259,9 +257,9 @@ def test_year_spellings_give_the_same_profiles(table, make_records, grid_1910_20
         [(a, p, j, "01912" if i % 2 else y) for i, (a, p, j, y) in enumerate(rows)],
         name="mixed.tsv",
     )
-    expected = ingest_records(plain, table, grid_1910_2014)
+    expected = ingested(plain, table, grid_1910_2014)
     assert len(expected[0]) == 2
-    assert ingest_records(mixed, table, grid_1910_2014) == expected
+    assert ingested(mixed, table, grid_1910_2014) == expected
 
 
 def test_ids_checked_once_per_distinct_text(table, make_records, grid_1910_2014, monkeypatch):
@@ -275,7 +273,7 @@ def test_ids_checked_once_per_distinct_text(table, make_records, grid_1910_2014,
         return real(text)
 
     monkeypatch.setattr(ingest_module, "is_token", counting)
-    _, stats = ingest_records(records, table, grid_1910_2014)
+    _, stats = ingested(records, table, grid_1910_2014)
     distinct = {a for a, _, _, _ in rows} | {j for _, _, j, _ in rows}
     assert stats.records_read == len(rows)
     # Each distinct author or journal id once; paper ids are checked inline, per record.
@@ -302,8 +300,8 @@ def test_order_independence(table, make_records, grid_1910_2014, seed):
     rows = _random_rows(rng, 60)
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    a, _ = ingest_records(make_records(rows, "a.tsv"), table, grid_1910_2014)
-    b, _ = ingest_records(make_records(shuffled, "b.tsv"), table, grid_1910_2014)
+    a, _ = ingested(make_records(rows, "a.tsv"), table, grid_1910_2014)
+    b, _ = ingested(make_records(shuffled, "b.tsv"), table, grid_1910_2014)
     assert a == b
 
 
@@ -314,7 +312,7 @@ def test_topic_count_conservation_against_recount(table, make_records, grid_1910
     rng = random.Random(seed)
     rows = _random_rows(rng, 80)
     records = make_records(rows)
-    profiles, stats = ingest_records(records, table, grid_1910_2014)
+    profiles, stats = ingested(records, table, grid_1910_2014)
 
     best: dict[tuple[str, str], tuple[int, str]] = {}
     for author, paper, journal, year in rows:
@@ -362,9 +360,9 @@ def test_cut_scope_all_counts_unclassified(table, make_records, grid_1910_2014):
     rows = [("X", f"p{i}", "mystery", 2001) for i in range(18)]
     rows.append(("X", "q0", "J2", 2001))
     records = make_records(rows)
-    kept, _ = ingest_records(records, table, grid_1910_2014, 17, cut_scope="classified")
+    kept, _ = ingested(records, table, grid_1910_2014, 17, cut_scope="classified")
     assert {p.author_id for p in kept} == {"X"}
-    excluded, stats = ingest_records(records, table, grid_1910_2014, 17, cut_scope="all")
+    excluded, stats = ingested(records, table, grid_1910_2014, 17, cut_scope="all")
     assert excluded == []
     assert stats.authors_excluded == 1
 
@@ -383,7 +381,7 @@ def test_quantile_over_all_records_tallies_each_author_once(
         ingest_module, "_year_counts", lambda lines, kept: tallied.append(sorted(lines))
         or original(lines, kept)
     )
-    profiles, stats = ingest_records(
+    profiles, stats = ingested(
         make_records(rows), table, grid_1910_2014, cut_scope="all", quantile=0.5
     )
     assert stats.max_papers_per_year == 1
@@ -475,7 +473,7 @@ def test_single_pass_matches_two_pass_reference(
     table, make_records, grid_1910_2014, seed, cut_scope, threshold, quantile
 ):
     rows = _rows_with_repeats(random.Random(seed), 80)
-    got = ingest_records(
+    got = ingested(
         make_records(rows), table, grid_1910_2014, threshold,
         cut_scope=cut_scope, quantile=quantile,
     )
@@ -523,7 +521,7 @@ def test_ingest_matches_reference_on_any_grid(tmp_path_factory, grid_rows, cut_s
     ])
     want = _reference_ingest(rows, grid, threshold, cut_scope, quantile)
     for records in (tsv, ndjson):
-        got = ingest_records(
+        got = ingested(
             records, table, grid, threshold, cut_scope=cut_scope, quantile=quantile
         )
         assert got == want
@@ -562,8 +560,8 @@ def test_entry_lines_match_reference(table, make_records, grid_1910_2014, case, 
                                      threshold, quantile):
     rows = _LINE_CASES[case]
     for order in (rows, rows[::-1]):
-        got = ingest_records(make_records(order), table, grid_1910_2014, threshold,
-                             cut_scope=cut_scope, quantile=quantile)
+        got = ingested(make_records(order), table, grid_1910_2014, threshold,
+                       cut_scope=cut_scope, quantile=quantile)
         assert got == _reference_ingest(order, grid_1910_2014, threshold, cut_scope, quantile)
 
 
@@ -577,8 +575,8 @@ def test_wide_grid_and_off_grid_years_match_reference(table, make_records, thres
     rng = random.Random(5)
     rows = [(f"a{rng.randrange(3)}", f"p{rng.randrange(12)}", rng.choice(["J1", "J2", "J10",
              "unknown"]), rng.choice(years)) for _ in range(120)]
-    got = ingest_records(make_records(rows), table, grid, threshold, cut_scope="all",
-                         quantile=quantile)
+    got = ingested(make_records(rows), table, grid, threshold, cut_scope="all",
+                   quantile=quantile)
     assert got == _reference_ingest(rows, grid, threshold, "all", quantile)
     assert quantile or threshold or {1825, 1950} <= {p.snapshot for p in got[0]}
 
@@ -614,7 +612,7 @@ def test_more_distinct_years_than_codes_exit_two_naming_the_line(
     rows = [("a", "p", "J1", year) for year in (1912, 1800, 1801, 1800, 1911, 3000)]
     records = make_records(rows)
     grid = SnapshotGrid(1910, 1919, 5)
-    profiles, _ = ingest_records(records, table, grid, cut_scope="all", max_papers_per_year=0)
+    profiles, _ = ingested(records, table, grid, cut_scope="all", max_papers_per_year=0)
     assert len(profiles) == 1  # off-grid years take no code unless counted
     with pytest.raises(PipelineError, match=re.escape(f"{records}:6: more than 12 distinct years")):
         ingest_records(records, table, grid, cut_scope="all")
@@ -631,7 +629,7 @@ def test_more_distinct_years_than_codes_exit_two_naming_the_line(
 )
 def test_stats_reconcile(table, make_records, grid_1910_2014, cut_scope, quantile):
     rows = _rows_with_repeats(random.Random(7), 120)
-    _, stats = ingest_records(
+    _, stats = ingested(
         make_records(rows), table, grid_1910_2014, 2, cut_scope=cut_scope, quantile=quantile
     )
     assert stats.excluded_by_cut > 0 and stats.duplicates_collapsed > 0
@@ -645,9 +643,9 @@ def test_stats_reconcile(table, make_records, grid_1910_2014, cut_scope, quantil
 def test_cut_counts_paper_in_each_year_profile_once(table, make_records, grid_1910_2014):
     # p1 appears in 2001 and 2002; 2002 also holds q1, so 2002 has two papers.
     rows = [("X", "p1", "J2", 2001), ("X", "p1", "J1", 2002), ("X", "q1", "J2", 2002)]
-    profiles, stats = ingest_records(make_records(rows), table, grid_1910_2014, 1)
+    profiles, stats = ingested(make_records(rows), table, grid_1910_2014, 1)
     assert profiles == [] and stats.authors_excluded == 1 and stats.excluded_by_cut == 3
-    profiles, stats = ingest_records(make_records(rows), table, grid_1910_2014, 2)
+    profiles, stats = ingested(make_records(rows), table, grid_1910_2014, 2)
     assert [p.topic_counts for p in profiles] == [{"T2": 2}]
     assert stats.records_kept == 2 and stats.duplicates_collapsed == 1
 
@@ -668,7 +666,7 @@ def test_ingest_peak_traced_bytes_per_record(tmp_path):
     table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)
     tracemalloc.start()
     try:
-        _, stats = ingest_records(corpus.records_path, table, corpus.grid)
+        _, stats = ingested(corpus.records_path, table, corpus.grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -688,9 +686,9 @@ def _traced_peak(fn) -> int:
 def test_ingest_streams_profiles_to_disk(tmp_path):
     # Seed 8 at 2,000 authors: 22,749 records, 4,457 profiles in 13,311
     # rows. Peak traced bytes per record read, measured under pytest: 131
-    # for `main(["ingest", ...])` when it wrote ingest_records' whole list
+    # for `main(["ingest", ...])` when it wrote the whole profile list
     # as one joined text, 113 with the walk streamed to disk in blocks. That
-    # peak is the read's grouping, which ingest_records shares (110, see
+    # peak is the read's grouping, which a listed walk shares (110, see
     # above; 60 for both with a byte buffer per author), so the two paths
     # differ past the read: there, keeping the list takes 45 per record and
     # the streamed write 23, about one block.
@@ -709,9 +707,7 @@ def test_ingest_streams_profiles_to_disk(tmp_path):
     assert records == corpus.n_records
 
     def walk():  # read and cut untraced: only what the walk adds is traced
-        profiles, _ = ingest_module._ingest_stream(
-            corpus.records_path, table, corpus.grid, 17, "classified", None
-        )
+        profiles, _ = ingest_records(corpus.records_path, table, corpus.grid)
         return profiles
 
     kept, streamed = walk(), walk()
@@ -732,7 +728,7 @@ def test_writing_profiles_holds_one_block(tmp_path):
     spec = SyntheticSpec(n_authors=2000, n_topics=40, n_areas=8, n_snapshots=4, seed=8)
     corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), tmp_path / "corpus")
     table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)
-    profiles, _ = ingest_records(corpus.records_path, table, corpus.grid)
+    profiles, _ = ingested(corpus.records_path, table, corpus.grid)
     many = profiles * 4
     once = _traced_peak(lambda: write_profiles(profiles, tmp_path / "once.tsv"))
     four_times = _traced_peak(lambda: write_profiles(many, tmp_path / "four.tsv"))
@@ -744,7 +740,7 @@ def test_writing_profiles_holds_one_block(tmp_path):
 def test_written_profiles_load_back_equal(table, make_records, grid_1910_2014, tmp_path):
     rows = [("X", "p1", "J1", 2003), ("Y", "p2", "J1", 1950), ("Z", "p3", "J2", 1950),
             ("Z", "p4", "J3", 1950), ("W", "p5", "J2", 1950)]
-    profiles, _ = ingest_records(make_records(rows), table, grid_1910_2014)
+    profiles, _ = ingested(make_records(rows), table, grid_1910_2014)
     path = tmp_path / "profiles.tsv"
     write_profiles(profiles, path)
     loaded = list(load_profiles(path, table, grid_1910_2014))
@@ -851,7 +847,7 @@ def test_load_profiles_retained_traced_bytes_per_row(tmp_path):
     spec = SyntheticSpec(n_authors=2000, n_topics=40, n_areas=8, n_snapshots=4, seed=8)
     corpus = generate_corpus(spec, SnapshotGrid(1910, 2014, 5), tmp_path)
     table = load_classification(corpus.journal_topics_path, corpus.topic_areas_path)
-    profiles, _ = ingest_records(corpus.records_path, table, corpus.grid)
+    profiles, _ = ingested(corpus.records_path, table, corpus.grid)
     path = tmp_path / "profiles.tsv"
     write_profiles(profiles, path)
     rows = sum(len(p.topic_counts) for p in profiles)

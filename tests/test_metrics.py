@@ -6,15 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicflow import (
-    ActivityProfile,
-    ClassificationTable,
-    FlowNetwork,
+from topicflow.classification import ClassificationTable
+from topicflow.flows import FlowNetwork
+from topicflow.ingest import ActivityProfile, SnapshotGrid
+from topicflow.metrics import (
     MigrationIndices,
-    SnapshotGrid,
     ZeroBaselinePolicy,
     attractiveness_table,
-    ingest_records,
     median_sink_source,
     migration_index_series,
     migration_indices,
@@ -22,6 +20,7 @@ from topicflow import (
     multidisciplinarity,
 )
 from topicflow.errors import EmptySeries, UsageError
+from conftest import ingested
 
 
 def topic_net(to_snapshot, weights, width=5):
@@ -445,7 +444,7 @@ def test_topic_in_two_journals_counts_its_area_once(make_table, make_records):
         {"J1": ["t1", "t2"], "J2": ["t2", "t3"]}, {"t1": "a1", "t2": "a2", "t3": "a3"}
     )
     records = make_records([("x", "p1", "J1", 1911), ("x", "p2", "J2", 1912)])
-    profiles, _ = ingest_records(records, table, SnapshotGrid(1910, 2014, 5))
+    profiles, _ = ingested(records, table, SnapshotGrid(1910, 2014, 5))
     assert [p.topic_counts for p in profiles] == [{"t1": 1, "t2": 2, "t3": 1}]
     assert multidisciplinarity(profiles, table)[0].histogram == {3: 1}
 

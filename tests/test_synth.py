@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from topicflow import SnapshotGrid, SyntheticSpec, generate_corpus, load_flow_network
 from topicflow.errors import InvalidSpec
+from topicflow.flows import load_flow_network
+from topicflow.ingest import SnapshotGrid
+from topicflow.synth import SyntheticSpec, generate_corpus
 
 GRID = SnapshotGrid(1910, 2014, 5)
 

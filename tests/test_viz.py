@@ -11,14 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicflow import (
-    FlowNetwork,
-    VizConfig,
-    layout,
-    render_svg,
-    write_flow_network,
-)
 from topicflow.bundleviz import (
+    VizConfig,
     _cross_element,
     _cross_head,
     _cross_tail,
@@ -26,13 +20,16 @@ from topicflow.bundleviz import (
     _polar,
     _symmetrized_area_graph,
     arc_midpoint,
+    layout,
     load_viz_config,
     mix_colors,
     parse_hex,
+    render_svg,
 )
 from topicflow.classification import ClassificationTable
 from topicflow.cli import main
 from topicflow.errors import MalformedLine, UnknownTopic, UsageError
+from topicflow.flows import FlowNetwork, write_flow_network
 from conftest import write_lines
 
 
@@ -736,6 +733,8 @@ def test_viz_config_validation():
         VizConfig(sector_inner=0.9)
     with pytest.raises(UsageError):
         VizConfig(sector_order="random")
+    with pytest.raises(UsageError, match="node_radius_min must not exceed node_radius_max"):
+        VizConfig(node_radius_min=9.0, node_radius_max=2.0)  # else every node gets r=2
 
 
 def test_load_viz_config(tmp_path):
