@@ -12,12 +12,12 @@ produces the visual bundling.
 Per-edge work is kept small. ``layout`` computes the node, r_zero and
 area gather points once. The B-spline to Bezier conversion is the
 knot-insertion schedule of the one polygon length drawn, seven points,
-written out as straight-line lerps: ``render_svg`` runs the 1 lerp over
-a source node's points and the 6 over a target node's once per node,
-with the path text they fix, and each edge runs the other 11 and builds
-its ``<path>`` with one format. The sector order's modularity merge
-compares exact integer-scaled gains and keeps community sums as they
-merge.
+written out as straight-line lerps, the nine at alpha 0 as copies:
+``render_svg`` runs the 1 lerp over a source node's points and the 1
+over a target node's once per node, with the path text they fix, and
+each edge runs the other 7 and builds its ``<path>`` with one format.
+The sector order's modularity merge compares exact integer-scaled gains
+and keeps community sums as they merge.
 """
 from __future__ import annotations
 
@@ -407,10 +407,12 @@ def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizL
 # spline into the Bezier path M p0 C p1 p7 p10 C p11 p13 p16 C p17 p19 p22
 # C p23 p24 p6. The insertion's 18 lerps are written out below as
 # ``p + (q - p) * alpha`` with its operands and alphas, p7-p24 numbered in
-# insertion order; the lerps at alpha 0.0 stay, as they are not no-ops on
-# -0.0, inf or nan. One lerp reads only the source node's points and six
-# only the target's, so those, and the path text they fix, are computed
-# once per node; each edge computes the other eleven.
+# insertion order. The nine at alpha 0 are copies, exact for every point
+# drawn: ``VizConfig._check`` keeps each within ±3.4e38, so no difference
+# overflows, and each is a center of at least 0.5 plus an offset, never
+# -0.0. One lerp reads only the source node's points and one only the
+# target's, so those, and the path text they fix, are computed once per
+# node; each edge computes the other seven.
 
 
 def _cross_head(p0: Point, p1: Point, p2: Point) -> tuple:
@@ -423,16 +425,11 @@ def _cross_head(p0: Point, p1: Point, p2: Point) -> tuple:
 
 def _cross_tail(p4: Point, p5: Point, p6: Point) -> tuple:
     """A target node's part of its cross edges: the path text from p23,
-    then the points the edge's lerps read (p4, p15, p18, p20)."""
+    then the points the edge's lerps read (p4 = p15 = p18, p20)."""
     (x4, y4), (x5, y5), (x6, y6) = p4, p5, p6
-    x15, y15 = x4 + (x5 - x4) * 0.0, y4 + (y5 - y4) * 0.0
-    x18, y18 = x15 + (x5 - x15) * 0.0, y15 + (y5 - y15) * 0.0
-    x20, y20 = x18 + (x5 - x18) * 0.5, y18 + (y5 - y18) * 0.5
-    x21, y21 = x5 + (x6 - x5) * 0.0, y5 + (y6 - y5) * 0.0
-    x23, y23 = x20 + (x21 - x20) * 0.0, y20 + (y21 - y20) * 0.0
-    x24, y24 = x21 + (x6 - x21) * 0.0, y21 + (y6 - y21) * 0.0
-    text = " C %.3f %.3f %.3f %.3f %.3f %.3f" % (x23, y23, x24, y24, x6, y6)
-    return text, x4, y4, x15, y15, x18, y18, x20, y20
+    x20, y20 = x4 + (x5 - x4) * 0.5, y4 + (y5 - y4) * 0.5
+    text = " C %.3f %.3f %.3f %.3f %.3f %.3f" % (x20, y20, x5, y5, x6, y6)  # p23, p24 = p5
+    return text, x4, y4, x20, y20
 
 
 _CROSS_ELEMENT = (
@@ -443,23 +440,19 @@ _CROSS_ELEMENT = (
 
 
 def _cross_element(head: tuple, tail: tuple, x3, y3, color: str, width, alpha) -> str:
-    """One cross edge's ``<path>``: the eleven lerps that read its point 3."""
+    """One cross edge's ``<path>``: the seven lerps that read its point 3."""
     head_text, x2, y2, x7, y7 = head
-    tail_text, x4, y4, x15, y15, x18, y18, x20, y20 = tail
-    x8, y8 = x2 + (x3 - x2) * (1 / 3), y2 + (y3 - y2) * (1 / 3)
-    x9, y9 = x3 + (x4 - x3) * 0.0, y3 + (y4 - y3) * 0.0
+    tail_text, x4, y4, x20, y20 = tail
+    x8, y8 = x2 + (x3 - x2) * (1 / 3), y2 + (y3 - y2) * (1 / 3)  # p8 = p11
     x10, y10 = x7 + (x8 - x7) * 0.5, y7 + (y8 - y7) * 0.5
-    x11, y11 = x8 + (x9 - x8) * 0.0, y8 + (y9 - y8) * 0.0
-    x12, y12 = x9 + (x4 - x9) * 0.0, y9 + (y4 - y9) * 0.0
-    x13, y13 = x11 + (x12 - x11) * 0.5, y11 + (y12 - y11) * 0.5
-    x14, y14 = x12 + (x4 - x12) * (1 / 3), y12 + (y4 - y12) * (1 / 3)
+    x13, y13 = x8 + (x3 - x8) * 0.5, y8 + (y3 - y8) * 0.5  # p9 = p12 = p3
+    x14, y14 = x3 + (x4 - x3) * (1 / 3), y3 + (y4 - y3) * (1 / 3)  # p14 = p17
     x16, y16 = x13 + (x14 - x13) * 0.5, y13 + (y14 - y13) * 0.5
-    x17, y17 = x14 + (x15 - x14) * 0.0, y14 + (y15 - y14) * 0.0
-    x19, y19 = x17 + (x18 - x17) * 0.5, y17 + (y18 - y17) * 0.5
+    x19, y19 = x14 + (x4 - x14) * 0.5, y14 + (y4 - y14) * 0.5
     x22, y22 = x19 + (x20 - x19) * 0.5, y19 + (y20 - y19) * 0.5
     return _CROSS_ELEMENT % (
-        color, width, alpha, head_text, x10, y10, x11, y11, x13, y13, x16, y16,
-        x17, y17, x19, y19, x22, y22, tail_text,
+        color, width, alpha, head_text, x10, y10, x8, y8, x13, y13, x16, y16,
+        x14, y14, x19, y19, x22, y22, tail_text,
     )
 
 

@@ -193,12 +193,6 @@ def _load_table(cfg: PipelineConfig) -> ClassificationTable:
     return load_classification(jt, ta)
 
 
-def _out_dir(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # -- profile serialization --
 
 
@@ -291,11 +285,12 @@ def _start_ingest(
     not started, with the stats it completes. Bad input raises here."""
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
-    out = _out_dir(cfg)
     profiles, stats = ingest_records(
         records, table, cfg.grid(), cfg.max_papers_per_year,
         cut_scope=cfg.cut_scope, quantile=cfg.quantile,
     )
+    out = Path(cfg.out_dir)  # created only once the records are read
+    out.mkdir(parents=True, exist_ok=True)
     if cfg.quantile is not None:
         print(f"quantile {cfg.quantile} -> max papers per year {stats.max_papers_per_year}")
     return table, out, profiles, stats
@@ -340,7 +335,7 @@ def _write_networks(out: Path, nets: list[FlowNetwork]) -> list[Path]:
 def cmd_flows(cfg: PipelineConfig) -> list[Path]:
     """Write every requested flow network, counted from ``profiles.tsv`` as it streams."""
     table = _load_table(cfg)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     nodes = dominant_sets_of(cfg.level, table, cfg.area_mode)
     profiles = _read_profiles(cfg, out, table)
     # Not flow_networks_from_profiles: perfbench's tracer takes the len() of its argument.
@@ -433,7 +428,7 @@ def _write_metrics(
 
 def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
     table = _load_table(cfg)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     # Only the histogram is kept: profiles stream into it one at a time,
     # before the networks load (a lower peak RSS).
     distributions = multidisciplinarity(_read_profiles(cfg, out, table), table)
@@ -465,7 +460,7 @@ def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
         raise UsageError(f"--pair {earlier} {later} is not a consecutive pair of the grid")
     viz = _viz_config(cfg)  # a bad rendering setting fails before any write
     table = _load_table(cfg)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     net = _load_network(out, LEVELS[cfg.level][0], earlier, later)
     return _draw(out, net, table, viz)
 
@@ -494,7 +489,6 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     once: each profile it yields goes to ``profiles.tsv``, to the flow
     fold and to the area tally, and none is kept."""
     viz = _viz_config(cfg)  # a bad rendering setting fails before any write
-    _out_dir(cfg)  # report creates --out before it checks the inputs
     table, out, profiles, stats = _start_ingest(cfg)
     fold = FlowFold(cfg.grid(), cfg.level, cfg.appearing_weight)
     nodes = dominant_sets_of(cfg.level, table, cfg.area_mode)

@@ -55,7 +55,3 @@ class InvalidSpec(UsageError):
 
 class EmptySet(UsageError):
     """Transition counting requires non-empty topic sets on both sides."""
-
-
-class EmptySeries(UsageError):
-    """Median indices need at least one snapshot with defined values."""

@@ -90,19 +90,9 @@ class IngestStats(Record):
         "authors_excluded", "excluded_by_cut", "duplicates_collapsed", "max_papers_per_year",
     )
 
-    def __init__(
-        self, records_read: int = 0, records_kept: int = 0, dropped_unclassified: int = 0,
-        dropped_year: int = 0, authors_excluded: int = 0, excluded_by_cut: int = 0,
-        duplicates_collapsed: int = 0, max_papers_per_year: int = 0,
-    ):
-        self.records_read = records_read
-        self.records_kept = records_kept
-        self.dropped_unclassified = dropped_unclassified
-        self.dropped_year = dropped_year
-        self.authors_excluded = authors_excluded
-        self.excluded_by_cut = excluded_by_cut
-        self.duplicates_collapsed = duplicates_collapsed
-        self.max_papers_per_year = max_papers_per_year
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__[:-1]}

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple
 
 from .classification import AreaId, ClassificationTable, TopicId
-from .errors import EmptySeries, PipelineError, UsageError
+from .errors import PipelineError, UsageError
 from .flows import FlowNetwork
 from .ingest import ActivityProfile
 from .util import Checked, quantile_cutoff
@@ -187,18 +187,14 @@ def most_attractive_topics(
 
 def migration_indices(
     net: FlowNetwork,
-    areas: Iterable[AreaId] | None = None,
+    areas: Iterable[AreaId],
 ) -> dict[AreaId, MigrationIndices]:
-    """Immigration, emigration, sink and source indices for every area.
-
-    The universe defaults to the areas present in the network; passing
-    the classification table's areas gives explicit zeros for silent ones.
+    """Immigration, emigration, sink and source indices for every area of
+    the network and of ``areas``, the table's (explicit zeros when silent).
     """
     if net.level != "area":
         raise UsageError(f"migration indices need an area-level network, got {net.level!r}")
-    universe = set(net.nodes())
-    if areas is not None:
-        universe |= set(areas)
+    universe = net.nodes() | set(areas)
     # [intra, incoming-cross, outgoing-cross] volume per area, in one pass over the edges.
     flows = {area: [0, 0, 0] for area in sorted(universe)}
     for (source, target), weight in net.weights.items():
@@ -221,13 +217,12 @@ def migration_indices(
 
 def migration_index_series(
     nets: Iterable[FlowNetwork],
-    areas: Iterable[AreaId] | None = None,
+    areas: Collection[AreaId],
 ) -> list[SnapshotIndices]:
     """Indices per arrival snapshot, ordered by snapshot."""
-    area_list = list(areas) if areas is not None else None
     series = []
     for net in sorted(nets, key=lambda n: n.to_snapshot):
-        indices = migration_indices(net, area_list)
+        indices = migration_indices(net, areas)
         cross = sum(
             w for (s, t), w in net.weights.items() if s != t
         )
@@ -246,12 +241,9 @@ def median_sink_source(
     the median of an even count is the mean of the middle two.
     """
     import statistics
-    entries = list(series)
-    if not entries:
-        raise EmptySeries("no snapshots supplied")
-    defined = [e for e in entries if e.cross_total > 0]
+    defined = [e for e in series if e.cross_total > 0]
     if not defined:
-        raise EmptySeries("no snapshot has positive cross-area flow")
+        raise UsageError("no snapshot has positive cross-area flow")
     areas: set[str] = set()
     for entry in defined:
         areas |= set(entry.indices)

@@ -127,7 +127,7 @@ def test_criterion_2_oracle_equivalence(tmp_path):
                     got = table_deltas[(cur.to_snapshot, topic)][0]
                     assert got == pytest.approx(want, abs=1e-12)
             for net in nets["area"]:
-                got = migration_indices(net)
+                got = migration_indices(net, table.areas())
                 for area in sorted(net.nodes()):
                     iota, epsilon, rho, sigma = indices_literal(net, area)
                     assert got[area].iota == pytest.approx(iota, abs=1e-12)
@@ -149,7 +149,7 @@ def test_criterion_3_normalization_invariants():
                     if rng.random() < 0.4:
                         weights[(s, t)] = rng.randint(1, 100)
             net = FlowNetwork("area", 1910, 1915, weights)
-            indices = migration_indices(net)
+            indices = migration_indices(net, ())
             cross = sum(w for (s, t), w in weights.items() if s != t)
             if cross > 0:
                 assert abs(sum(v.rho for v in indices.values()) - 1.0) <= 1e-9
@@ -163,7 +163,7 @@ def test_criterion_3_normalization_invariants():
             scaled = FlowNetwork(
                 "area", 1910, 1915, {k: w * scale for k, w in weights.items()}
             )
-            assert migration_indices(scaled) == indices  # exact
+            assert migration_indices(scaled, ()) == indices  # exact
 
 
 # 4 ----------------------------------------------------------------------

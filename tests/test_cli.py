@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import inspect
 import json
 import os
@@ -895,7 +896,40 @@ def test_records_not_utf8_exits_two_naming_the_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"topicflow: error: {records}:3: not UTF-8 text: invalid start byte\n"
     )
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "report"])
+@pytest.mark.parametrize("case", ["missing", "three-field line"])
+def test_unreadable_records_exit_two_and_create_no_out(tmp_path, capsys, command, case):
+    # ingest and report create --out only once the records have been read.
+    setup_inputs(tmp_path, [])
+    records = tmp_path / "records.tsv"
+    if case == "missing":
+        records.unlink()
+        message = f"--records not found: {records}"
+    else:
+        write_lines(records, ["x\tp0\tJ1\t1912", "x\tp1\tJ1"])
+        message = f"{records}:2: expected 4 tab-separated fields, got 3"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *base_args(tmp_path, out)]) == 2
+    assert capsys.readouterr().err == f"topicflow: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("flows", "profiles not found"), ("metrics", "profiles not found"),
+    ("viz", "network file not found"),
+])
+def test_stage_on_an_absent_out_exits_two_and_creates_nothing(tmp_path, capsys, command, missing):
+    # These stages read their inputs from --out, so they never create it.
+    setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *base_args(tmp_path, out), *_STAGES[command]]) == 2
+    assert f"topicflow: error: {missing}: {out}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tsv_input_not_utf8_exits_two_naming_the_line(tmp_path, capsys):
@@ -1098,3 +1132,16 @@ def test_cli_import_loads_no_pool_or_network_modules():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_run_demo_script_reports_the_diagrams_it_draws(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src first on the path
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
+    spec = importlib.util.spec_from_file_location("run_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.run(["--out", str(tmp_path), "--authors", "40", "--snapshots", "3"]) == 0
+    pipeline = tmp_path / "pipeline"
+    report = json.loads((pipeline / "report.json").read_text(encoding="utf-8"))
+    svgs = sorted(p.name for p in pipeline.glob("*.svg"))
+    assert len(svgs) == 2 and report["viz_files"] == svgs  # one per pair of 3 snapshots

@@ -435,9 +435,10 @@ def _reference_ingest(rows, grid, threshold, cut_scope, quantile):
             per_year.setdefault((author, year), set()).add(paper)
     excluded = {a for (a, _), papers in per_year.items() if threshold and len(papers) > threshold}
 
-    stats = IngestStats(
-        records_read=len(rows), authors_excluded=len(excluded), max_papers_per_year=threshold
-    )
+    stats = IngestStats()
+    stats.records_read = len(rows)
+    stats.authors_excluded = len(excluded)
+    stats.max_papers_per_year = threshold
     best: dict[tuple[str, str], tuple[int, str]] = {}
     for author, paper, journal, year in rows:
         if not grid.start_year <= year <= grid.end_year:

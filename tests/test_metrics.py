@@ -19,7 +19,7 @@ from topicflow.metrics import (
     most_attractive_topics,
     multidisciplinarity,
 )
-from topicflow.errors import EmptySeries, UsageError
+from topicflow.errors import UsageError
 from conftest import ingested
 
 
@@ -247,19 +247,19 @@ def test_attractiveness_table_matches_literal_oracle(policy, seed):
 
 def test_immigration_by_hand():
     net = area_net(1915, {("a", "a"): 8, ("b", "a"): 2})
-    got = migration_indices(net)["a"]
+    got = migration_indices(net, ())["a"]
     assert got.iota == pytest.approx(0.2, abs=1e-15)
 
 
 def test_no_emigration_means_zero_epsilon_sigma():
     net = area_net(1915, {("a", "a"): 8, ("b", "a"): 2})
-    got = migration_indices(net)["a"]
+    got = migration_indices(net, ())["a"]
     assert got.epsilon == 0.0 and got.sigma == 0.0
 
 
 def test_sink_shares_sum_to_one():
     net = area_net(1915, {("x", "a"): 3, ("x", "b"): 1, ("a", "a"): 9})
-    got = migration_indices(net)
+    got = migration_indices(net, ())
     assert got["a"].rho == 0.75
     assert got["b"].rho == 0.25
     assert sum(v.rho for v in got.values()) == pytest.approx(1.0, abs=1e-9)
@@ -285,7 +285,7 @@ def test_indices_match_literal_oracle_and_scale_exactly(seed):
             if rng.random() < 0.5:
                 weights[(s, t)] = rng.randint(1, 50)
     net = area_net(1915, weights)
-    got = migration_indices(net)
+    got = migration_indices(net, ())
     for area in net.nodes():
         iota, epsilon, rho, sigma = indices_literal(net, area)
         assert got[area].iota == pytest.approx(iota, abs=1e-12)
@@ -296,17 +296,17 @@ def test_indices_match_literal_oracle_and_scale_exactly(seed):
             assert 0.0 <= value <= 1.0
     scale = rng.randint(2, 97)
     scaled = area_net(1915, {k: w * scale for k, w in weights.items()})
-    assert migration_indices(scaled) == got  # exact, not approximate
+    assert migration_indices(scaled, ()) == got  # exact, not approximate
 
 
 def test_migration_indices_need_area_level():
     with pytest.raises(UsageError):
-        migration_indices(topic_net(1915, {("a", "b"): 1}))
+        migration_indices(topic_net(1915, {("a", "b"): 1}), ())
 
 
 def test_migration_indices_by_hand():
     # a keeps 8, takes 2 from b and sends 1 to c: 3 cross in all.
-    got = migration_indices(area_net(1915, {("a", "a"): 8, ("b", "a"): 2, ("a", "c"): 1}))
+    got = migration_indices(area_net(1915, {("a", "a"): 8, ("b", "a"): 2, ("a", "c"): 1}), ())
     assert got == {
         "a": (0.2, 1 / 9, 2 / 3, 1 / 3),
         "b": (0.0, 1.0, 0.0, 2 / 3),
@@ -370,7 +370,7 @@ def test_median_sink_source_by_hand():
         area_net(1920, {("b", "a"): 3, ("a", "b"): 7}),
         area_net(1925, {("b", "a"): 2, ("a", "b"): 8}),
     ]
-    series = migration_index_series(nets)
+    series = migration_index_series(nets, ())
     medians = median_sink_source(series)
     # rho_a over time: 0.1, 0.3, 0.2 -> median 0.2
     assert medians["a"][0] == pytest.approx(0.2, abs=1e-12)
@@ -381,13 +381,13 @@ def test_median_even_count_uses_midpoint():
         area_net(1915, {("b", "a"): 1, ("a", "b"): 9}),
         area_net(1920, {("b", "a"): 3, ("a", "b"): 7}),
     ]
-    medians = median_sink_source(migration_index_series(nets))
+    medians = median_sink_source(migration_index_series(nets, ()))
     assert medians["a"][0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_median_constant_series():
     nets = [area_net(y, {("b", "a"): 2, ("a", "b"): 3}) for y in (1915, 1920, 1925)]
-    medians = median_sink_source(migration_index_series(nets))
+    medians = median_sink_source(migration_index_series(nets, ()))
     assert medians["a"][0] == pytest.approx(0.4, abs=1e-12)
 
 
@@ -396,15 +396,15 @@ def test_median_skips_undefined_snapshots():
         area_net(1915, {("a", "a"): 5}),  # no cross flow: undefined
         area_net(1920, {("b", "a"): 1, ("a", "b"): 1}),
     ]
-    medians = median_sink_source(migration_index_series(nets))
+    medians = median_sink_source(migration_index_series(nets, ()))
     assert medians["a"] == (0.5, 0.5)
 
 
 def test_median_empty_series_errors():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(UsageError):
         median_sink_source([])
-    only_intra = migration_index_series([area_net(1915, {("a", "a"): 2})])
-    with pytest.raises(EmptySeries):
+    only_intra = migration_index_series([area_net(1915, {("a", "a"): 2})], ())
+    with pytest.raises(UsageError):
         median_sink_source(only_intra)
 
 
