@@ -2,7 +2,8 @@
 
 Areas become colored sectors on a circle; nodes (topics, or areas at the
 coarse level) sit just inside their sector, ordered by the logarithm of
-their strength. Same-area transitions are drawn as U-shaped curves in
+their strength. An edgeless network has no node and one equal sector per
+area of the table. Same-area transitions are drawn as U-shaped curves in
 the band between nodes and sectors. Cross-area transitions are cubic
 B-splines through seven control points: the two endpoints plus five
 points on concentric guide circles that gather outgoing flow near the
@@ -147,7 +148,8 @@ def load_viz_config(path) -> VizConfig:
         elif _is_hex_color(value):
             palette[key] = value
         else:
-            raise MalformedLine(f"{path}:{lineno}: unknown setting {key!r}")
+            reason = f"unknown setting {key!r}, and {value!r} is not a #RRGGBB color"
+            raise MalformedLine(f"{path}:{lineno}: {reason}")
     updates["palette"] = tuple(sorted(palette.items()))
     return cfg._replace(**updates)
 
@@ -238,17 +240,14 @@ def _greedy_modularity_order(areas, sym, area_strength) -> list[str]:
     keep the resulting order reproducible across runs and hash seeds.
     """
     # between[a][b]: weight joining communities a and b; degree[a]: a's
-    # degree sum. Both are kept up to date as communities merge.
+    # degree sum, first its strength, as ``sym`` counts a self-loop twice.
+    # Both are kept up to date as communities merge.
     between: dict[str, dict[str, int | Fraction]] = {a: {} for a in areas}
-    degree = {a: 0 for a in areas}
     for (a, b), w in sym.items():
-        if a == b:
-            degree[a] += 2 * w
-        else:
+        if a != b:
             between[a][b] = between[a].get(b, 0) + w
             between[b][a] = between[b].get(a, 0) + w
-            degree[a] += w
-            degree[b] += w
+    degree = dict(area_strength)
     two_m = sum(degree.values())
 
     communities = {a: frozenset([a]) for a in areas}
@@ -284,13 +283,6 @@ def _greedy_modularity_order(areas, sym, area_strength) -> list[str]:
     return ordered
 
 
-def _sector_colors(order: list[str], overrides: dict[str, str]) -> dict[str, str]:
-    colors = {}
-    for i, area in enumerate(order):
-        colors[area] = overrides.get(area, DEFAULT_PALETTE[i % len(DEFAULT_PALETTE)])
-    return colors
-
-
 def _sectors(cfg: VizConfig, sizes: dict[AreaId, int]) -> Iterator[tuple[AreaId, float, float]]:
     """(area, start angle, span) per area of ``sizes``, in its order: a gap
     follows each sector, and the rest of the circle is shared by size."""
@@ -308,10 +300,8 @@ def _sectors(cfg: VizConfig, sizes: dict[AreaId, int]) -> Iterator[tuple[AreaId,
 def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizLayout:
     """Deterministic circular layout: sector order by the configured
     heuristic, node angles inside their sector, radii clamped to the
-    configured band."""
-    if not net.weights:
-        raise UsageError("layout needs a network with at least one edge")
-
+    configured band. An edgeless network has no node and one equal sector
+    per area of the table, in the table's order under every heuristic."""
     # Exact strengths (int sums, rationals once a weight is not an int):
     # node order must not depend on float summation order, which varies
     # with the hash seed.
@@ -330,7 +320,7 @@ def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizL
                 raise UnknownTopic(f"topic {node!r} not in the topic->area table")
             node_area[node] = table.topic_area[node]
 
-    by_area: dict[str, list[str]] = {}
+    by_area: dict[str, list[str]] = {} if net.weights else {a: [] for a in table.areas()}
     for node, area in node_area.items():
         by_area.setdefault(area, []).append(node)
     area_strength = {
@@ -349,7 +339,7 @@ def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizL
     circle_radius = cfg.canvas_size * cfg.radius_frac
     node_angle: dict[str, float] = {}
     sector_arc: dict[str, tuple[float, float]] = {}
-    for area, theta, span in _sectors(cfg, {area: len(by_area[area]) for area in order}):
+    for area, theta, span in _sectors(cfg, {area: len(by_area[area]) or 1 for area in order}):
         nodes = sorted(by_area[area], key=lambda n: (-strength[n], n))
         sector_arc[area] = (theta, theta + span)
         for i, node in enumerate(nodes):
@@ -365,6 +355,7 @@ def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizL
     }
 
     offset = math.radians(cfg.out_offset_deg)
+    palette = dict(cfg.palette)
     barycenter = {area: (a0 + a1) / 2.0 for area, (a0, a1) in sector_arc.items()}
     return VizLayout(
         cfg=cfg,
@@ -374,7 +365,10 @@ def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizL
         node_radius=node_radius,
         node_area=node_area,
         sector_arc=sector_arc,
-        sector_color=_sector_colors(order, dict(cfg.palette)),
+        sector_color={
+            area: palette.get(area, DEFAULT_PALETTE[i % len(DEFAULT_PALETTE)])
+            for i, area in enumerate(order)
+        },
         node_point={
             n: _polar(center, a, cfg.r_node * circle_radius) for n, a in node_angle.items()
         },
@@ -481,18 +475,14 @@ def _annulus_path(center: Point, r_in: float, r_out: float, a0: float, a1: float
     )
 
 
-def _sector_elements(
-    cfg: VizConfig, arcs: dict[AreaId, tuple[float, float]], colors: dict[AreaId, str]
-) -> list[str]:
-    """One annulus path per area of ``arcs``, in its order, on the circle ``layout`` uses."""
-    center = (cfg.canvas_size / 2.0, cfg.canvas_size / 2.0)
-    circle_radius = cfg.canvas_size * cfg.radius_frac
-    r_in = cfg.sector_inner * circle_radius
-    r_out = cfg.sector_outer * circle_radius
+def _sector_elements(lay: VizLayout) -> list[str]:
+    """One annulus path per sector of the layout, in sector order."""
+    r_in = lay.cfg.sector_inner * lay.circle_radius
+    r_out = lay.cfg.sector_outer * lay.circle_radius
     return [
-        f'<path class="sector" fill="{colors[area]}" '
-        f'd="{_annulus_path(center, r_in, r_out, a0, a1)}"/>'
-        for area, (a0, a1) in arcs.items()
+        f'<path class="sector" fill="{lay.sector_color[area]}" '
+        f'd="{_annulus_path(lay.center, r_in, r_out, a0, a1)}"/>'
+        for area, (a0, a1) in lay.sector_arc.items()
     ]
 
 
@@ -535,16 +525,10 @@ def render_svg(
     table: ClassificationTable,
     cfg: VizConfig = VizConfig(),
 ) -> str:
-    """Render the network as a standalone SVG document. Self-transitions
-    are never drawn; edges lighter than ``cfg.min_weight`` are omitted.
-    Element order: sectors, intra edges, cross edges, nodes, labels.
-    """
-    if not net.weights:  # only the table's sectors
-        areas = list(table.areas())
-        sizes = dict.fromkeys(areas, 1)  # equal sizes: every sector spans the same arc
-        arcs = {area: (theta, theta + span) for area, theta, span in _sectors(cfg, sizes)}
-        colors = _sector_colors(areas, dict(cfg.palette))
-        return _document(cfg, _sector_elements(cfg, arcs, colors))
+    """Render the network's ``layout`` as a standalone SVG document; an
+    edgeless network draws only its sectors. Self-transitions are never
+    drawn, edges lighter than ``cfg.min_weight`` are omitted. Element
+    order: sectors, intra edges, cross edges, nodes, labels."""
     lay = layout(net, table, cfg)
     cx, cy = lay.center
     # Each edge reads the settings, and what its two nodes fix, from locals.
@@ -609,5 +593,4 @@ def render_svg(
         if cfg.show_labels
         else []
     )
-    sectors = _sector_elements(cfg, lay.sector_arc, lay.sector_color)
-    return _document(cfg, [*sectors, *intra, *cross, *nodes, *labels])
+    return _document(cfg, [*_sector_elements(lay), *intra, *cross, *nodes, *labels])

@@ -395,13 +395,10 @@ def _write_metrics(
         ]
         tables.append(("indices_area.tsv", "#snapshot\tarea\tiota\tepsilon\trho\tsigma", rows))
 
-        median_rows = []
-        if any(entry.cross_total > 0 for entry in series):
-            medians = median_sink_source(series)
-            median_rows = [
-                f"{area}\t{fmt_float(rho)}\t{fmt_float(sigma)}"
-                for area, (rho, sigma) in sorted(medians.items())
-            ]
+        median_rows = [
+            f"{area}\t{fmt_float(rho)}\t{fmt_float(sigma)}"
+            for area, (rho, sigma) in sorted(median_sink_source(series).items())
+        ]
         tables.append(("medians_area.tsv", "#area\tmedian_rho\tmedian_sigma", median_rows))
 
     hist_rows = [

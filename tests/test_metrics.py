@@ -400,12 +400,10 @@ def test_median_skips_undefined_snapshots():
     assert medians["a"] == (0.5, 0.5)
 
 
-def test_median_empty_series_errors():
-    with pytest.raises(UsageError):
-        median_sink_source([])
+def test_median_without_cross_flow_is_empty():
+    assert median_sink_source([]) == {}
     only_intra = migration_index_series([area_net(1915, {("a", "a"): 2})], ())
-    with pytest.raises(UsageError):
-        median_sink_source(only_intra)
+    assert median_sink_source(only_intra) == {}
 
 
 # -- multidisciplinarity --

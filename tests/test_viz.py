@@ -425,9 +425,14 @@ def test_modularity_order_breaks_exact_ties_like_the_reference():
     assert got == ["a0", "a1", "a2", "a3"]
 
 
-def test_layout_empty_network_raises(three_area_table):
-    with pytest.raises(UsageError, match="layout needs a network with at least one edge"):
-        layout(FlowNetwork("topic", 1910, 1915, {}), three_area_table, VizConfig())
+def test_layout_of_an_edgeless_network_is_the_table_sectors(three_area_table):
+    net = FlowNetwork("topic", 1910, 1915, {})
+    for order in ("modularity", "strength", "alphabetical"):
+        lay = layout(net, three_area_table, VizConfig(sector_order=order))
+        assert tuple(lay.sector_arc) == three_area_table.areas(), order
+        spans = [a1 - a0 for a0, a1 in lay.sector_arc.values()]
+        assert spans == pytest.approx([spans[0]] * len(spans)), order
+        assert lay.node_angle == {}, order
 
 
 def test_layout_unknown_topic(make_table):
@@ -760,9 +765,13 @@ def test_load_viz_config(tmp_path):
 
 
 def test_load_viz_config_rejects_unknown_key(tmp_path):
-    path = write_lines(tmp_path / "viz.cfg", ["mystery=1"])
-    with pytest.raises(MalformedLine):
-        load_viz_config(path)
+    # A key that is no setting reads as a palette override, so the message names both.
+    for line in ["mystery=1", "a00=#12345", "a00=red"]:
+        key, value = line.split("=")
+        path = write_lines(tmp_path / "viz.cfg", [line])
+        want = f"viz.cfg:1: unknown setting '{key}', and '{value}' is not a #RRGGBB color"
+        with pytest.raises(MalformedLine, match=want):
+            load_viz_config(path)
 
 
 def test_palette_override_used_in_render(three_area_table, three_area_net, tmp_path):
