@@ -345,17 +345,18 @@ def cmd_flows(cfg: PipelineConfig) -> list[Path]:
     ))
 
 
-def _load_network(out: Path, level: str, earlier: int, later: int) -> FlowNetwork:
+def _load_network(out: Path, table, level: str, earlier: int, later: int) -> FlowNetwork:
     path = out / flow_file_name(level, earlier, later)
     if not path.is_file():
         raise MissingInput(f"network file not found: {path} (run flows first)")
-    return load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later)
+    return load_flow_network(path, table=table, level=level, from_snapshot=earlier,
+                             to_snapshot=later)
 
 
-def _load_networks(cfg: PipelineConfig, out: Path) -> dict[str, list[FlowNetwork]]:
+def _load_networks(cfg: PipelineConfig, out: Path, table) -> dict[str, list[FlowNetwork]]:
     """Every network on the grid of each requested level, by level."""
     pairs = cfg.grid().label_pairs()
-    return {level: [_load_network(out, level, *pair) for pair in pairs]
+    return {level: [_load_network(out, table, level, *pair) for pair in pairs]
             for level in LEVELS[cfg.level]}
 
 
@@ -429,7 +430,7 @@ def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
     # Only the histogram is kept: profiles stream into it one at a time,
     # before the networks load (a lower peak RSS).
     distributions = multidisciplinarity(_read_profiles(cfg, out, table), table)
-    return _write_metrics(cfg, out, table, distributions, _load_networks(cfg, out))
+    return _write_metrics(cfg, out, table, distributions, _load_networks(cfg, out, table))
 
 
 def _viz_config(cfg: PipelineConfig) -> VizConfig:
@@ -458,7 +459,7 @@ def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
     viz = _viz_config(cfg)  # a bad rendering setting fails before any write
     table = _load_table(cfg)
     out = Path(cfg.out_dir)
-    net = _load_network(out, LEVELS[cfg.level][0], earlier, later)
+    net = _load_network(out, table, LEVELS[cfg.level][0], earlier, later)
     return _draw(out, net, table, viz)
 
 
@@ -501,7 +502,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     flow_paths = _write_networks(out, fold.networks())
     # Metrics and viz read the flow files, each once, so their weights are
     # the written ones, as in the standalone stages.
-    nets = _load_networks(cfg, out)
+    nets = _load_networks(cfg, out, table)
     metric_paths = _write_metrics(cfg, out, table, tally.distributions(), nets)
     svg_paths = [_draw(out, net, table, viz) for net in nets[LEVELS[cfg.level][0]]]
     summary = {

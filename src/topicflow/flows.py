@@ -255,13 +255,15 @@ def write_flow_network(net: FlowNetwork, path) -> None:
 def load_flow_network(
     path,
     *,
+    table: ClassificationTable,
     level: str,
     from_snapshot: int,
     to_snapshot: int,
 ) -> FlowNetwork:
     """Read a serialized network of the pair ``from_snapshot``, ``to_snapshot``,
     which every row must carry. Label texts are checked when they change
-    from row to row, and each distinct node or weight text once per file."""
+    from row to row, and each distinct weight text, or node of ``table``, once."""
+    known = table.topic_area if level == "topic" else set(table.areas())
     weights: dict[tuple[str, str], int | float] = {}
     from_text = to_text = None
     nodes: dict[str, str] = {}  # checked text -> the one copy every edge holds
@@ -276,10 +278,11 @@ def load_flow_network(
             if (row_from, row_to) != (from_snapshot, to_snapshot):
                 raise MalformedLine(f"{path}:{lineno}: inconsistent snapshot labels")
         source, target, text = fields[2], fields[3], fields[4]
-        if source not in nodes:
-            nodes[source] = check_token(source, path, lineno, "source")
-        if target not in nodes:
-            nodes[target] = check_token(target, path, lineno, "target")
+        if source not in nodes or target not in nodes:
+            for node, what in ((source, "source"), (target, "target")):
+                if check_token(node, path, lineno, what) not in known:
+                    raise UnknownTopic(f"{path}:{lineno}: unknown {level} {node!r}")
+                nodes.setdefault(node, node)
         weight = values.get(text)
         if weight is None:
             try:

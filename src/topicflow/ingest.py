@@ -1,27 +1,27 @@
 """Streaming ingestion of publication records into per-snapshot activity profiles.
 
 Records are ``author<TAB>paper<TAB>journal<TAB>year`` lines (or
-newline-delimited JSON objects with the same four fields, auto-detected
-and read by one reused decoder). Ingestion reads the file once, checking
-each distinct author id, journal id and year text only where it first
-appears (a repeat is one lookup in a per-read memo), and appends each
-record to its author's byte buffer as one line: a one-character calendar
-year code, the paper, a tab and a one-character journal code. The
-disambiguation cut and the ``--quantile`` threshold are counted from those
-lines; the authors under the cut are then deduplicated to one (year,
-journal) per paper, in their sorted lines' order, and their topic
+newline-delimited JSON objects with the same four fields, auto-detected).
+Ingestion reads the file once, in blocks of lines. A TSV block that C code
+finds valid is split once into columns; any other is checked line by line.
+Each record is appended to its author's byte buffer as one line: a
+one-character calendar year code, the paper, a tab and a one-character
+journal code. The disambiguation cut and the ``--quantile`` threshold are
+counted from those lines; the authors under the cut are then deduplicated to
+one (year, journal) per paper, in their sorted lines' order, and their topic
 activity accumulated per (author, snapshot). That dedupe walk is a
-generator: it yields each author's profiles and drops the author's
-buffer, so a caller that takes the profiles as they come, as ``ingest``
-and ``report`` do, never holds the profile list.
+generator: it yields each author's profiles and drops the author's buffer,
+so a caller that takes the profiles as they come, as ``ingest`` and
+``report`` do, never holds the profile list.
 """
 from __future__ import annotations
 
+from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple
 
 from .classification import ClassificationTable, TopicId
 from .errors import InvalidSpec, MalformedRecord, PipelineError
-from .util import Checked, Record, is_token, iter_lines, quantile_cutoff
+from .util import TOKEN_ROWS, Checked, Record, is_token, iter_blocks, iter_lines, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
@@ -110,66 +110,85 @@ def _parse_year(value, path, lineno) -> int:
 def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     """Yield (lineno, author, paper, journal, year) from a records file.
 
-    Lines come from ``util.iter_lines``, which skips comments (``#``) and
-    blank lines. The format is sniffed from the first line it yields: ``{``
-    means newline-delimited JSON, anything else is four-column TSV. One reused
-    ``JSONDecoder`` reads JSON lines; ``json.loads`` judges any it does not
-    take whole, such as one with spaces around the object. Each distinct
-    author or journal id and TSV year text is checked once per read: ``ids``
-    maps an id that passed to the copy every later record shares, and
-    ``years`` a year text to its int. Paper ids are checked on every record.
-    A JSON escape can spell a lone surrogate, which no UTF-8 file holds and
-    no output can encode, so a JSON id holding one is refused.
+    Blocks come from ``util.iter_blocks``. The format is sniffed from the first
+    line that is neither blank nor a ``#`` comment: ``{`` means
+    newline-delimited JSON, anything else is four-column TSV. A later TSV block
+    that is UTF-8, matches ``util.TOKEN_ROWS`` and has year texts ``int`` takes
+    is split once into columns; ``checked`` reads any other line by line,
+    raising at its first bad line. One reused ``JSONDecoder`` reads JSON lines;
+    ``json.loads`` judges any it does not take whole, such as one with spaces
+    around the object. Each distinct author or journal id and year text is
+    checked once per read: ``ids`` maps an id that passed to the copy every
+    later record shares, and ``years`` a year text to its int. Paper ids are
+    checked on every record. A JSON escape can spell a lone surrogate, which no
+    UTF-8 file holds and no output can encode, so a JSON id holding one is
+    refused.
     """
-    json_mode = None
+    json_mode = decode = loads = None
     ids: dict[str, str] = {}
     years: dict[str, int] = {}
-    for lineno, line in iter_lines(path):
-        if json_mode is None:
-            json_mode = line.lstrip()[:1] == "{"
+
+    def checked(done: int, block: bytes) -> Iterator[tuple[int, str, str, str, int]]:
+        nonlocal json_mode, decode, loads
+        for lineno, line in iter_lines(path, [(done, block)]):
+            if json_mode is None:
+                json_mode = line.lstrip()[:1] == "{"
+                if json_mode:
+                    import json
+                    decode, loads = json.JSONDecoder().raw_decode, json.loads
             if json_mode:
-                import json
-                decode = json.JSONDecoder().raw_decode
-        if json_mode:
-            try:
-                obj, end = decode(line)
-            except ValueError:
-                end = None
-            try:
-                if end != len(line):
-                    obj = json.loads(line)
-            except ValueError as exc:  # also an integer too long to convert
-                raise MalformedRecord(
-                    f"{path}:{lineno}: invalid JSON record: {exc}"
-                ) from None
-            if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
-                raise MalformedRecord(
-                    f"{path}:{lineno}: record object must have exactly the fields "
-                    f"{', '.join(RECORD_FIELDS)}"
-                )
-            author, paper, journal = obj["author_id"], obj["paper_id"], obj["journal_id"]
-            year = _parse_year(obj["year"], path, lineno)
-            # Only text enters the memo: a JSON list is unhashable.
-            if not type(author) is type(paper) is type(journal) is str:
+                try:
+                    obj, end = decode(line)
+                except ValueError:
+                    end = None
+                try:
+                    if end != len(line):
+                        obj = loads(line)
+                except ValueError as exc:  # also an integer too long to convert
+                    raise MalformedRecord(
+                        f"{path}:{lineno}: invalid JSON record: {exc}"
+                    ) from None
+                if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
+                    raise MalformedRecord(
+                        f"{path}:{lineno}: record object must have exactly the fields "
+                        f"{', '.join(RECORD_FIELDS)}"
+                    )
+                author, paper, journal = obj["author_id"], obj["paper_id"], obj["journal_id"]
+                year = _parse_year(obj["year"], path, lineno)
+                # Only text enters the memo: a JSON list is unhashable.
+                if not type(author) is type(paper) is type(journal) is str:
+                    raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
+                if not paper.isascii() and _has_surrogate(paper):
+                    raise MalformedRecord(f"{path}:{lineno}: {_SURROGATE_IDS}")
+            else:
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    raise MalformedRecord(
+                        f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+                    )
+                author, paper, journal, text = fields
+                year = years.get(text)
+                if year is None:
+                    year = years[text] = _parse_year(text, path, lineno)
+            # A memo hit is the id's text, which is never empty, so never false.
+            author = ids.get(author) or _new_id(ids, author, path, lineno)
+            journal = ids.get(journal) or _new_id(ids, journal, path, lineno)
+            if paper.split() != [paper]:  # is_token, inline: this runs once per record
                 raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
-            if not paper.isascii() and _has_surrogate(paper):
-                raise MalformedRecord(f"{path}:{lineno}: {_SURROGATE_IDS}")
-        else:
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedRecord(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                )
-            author, paper, journal, text = fields
-            year = years.get(text)
-            if year is None:
-                year = years[text] = _parse_year(text, path, lineno)
-        # A memo hit is the id's text, which is never empty, so never false.
-        author = ids.get(author) or _new_id(ids, author, path, lineno)
-        journal = ids.get(journal) or _new_id(ids, journal, path, lineno)
-        if paper.split() != [paper]:  # is_token, inline: this runs once per record
-            raise MalformedRecord(f"{path}:{lineno}: {_BAD_IDS}")
-        yield lineno, author, paper, journal, year
+            yield lineno, author, paper, journal, year
+
+    def runs() -> Iterator[Iterable[tuple[int, str, str, str, int]]]:  # one for each block
+        for done, block in iter_blocks(path):
+            try:
+                text = block.decode() if json_mode is False else ""
+                fields = text.split() if TOKEN_ROWS.fullmatch(text) else ()  # only \t, \n split
+                years.update((y, int(y)) for y in set(fields[3::4]).difference(years))
+            except ValueError:  # not UTF-8, or a year text int() refuses
+                fields = ()
+            yield zip(count(done + 1), fields[0::4], fields[1::4], fields[2::4],
+                      map(years.__getitem__, fields[3::4])) if fields else checked(done, block)
+
+    return chain.from_iterable(runs())
 
 
 def _new_id(ids: dict[str, str], text: str, path, lineno: int) -> str:
@@ -222,12 +241,12 @@ def _group_papers(
     first seen. ``journals`` maps each journal id of the table to its code,
     and codes rise with the journal id.
 
-    A record whose year is in ``codes`` and whose journal is in
-    ``journals`` is kept and enters with its journal code. Other records
-    are counted as dropped in ``stats`` and, when ``track_dropped``, still
-    enter, with no journal code, so that the groups also hold the papers
-    of the dropped records. Repeats are not collapsed here: every record
-    that enters is one entry.
+    A record whose year is in ``codes`` and whose journal is in ``journals`` is
+    kept and enters with its journal code. Other records are counted as dropped
+    in ``stats`` and, when ``track_dropped``, still enter, with no journal code,
+    so that the groups also hold the papers of the dropped records. Repeats are
+    not collapsed here: every record that enters is one entry. Records come from
+    ``iter_records``, which reads a valid TSV block whole, by zipping its columns.
     """
     groups: dict[str, bytearray] = {}
     off_grid: dict[int, str] = {}

@@ -7,43 +7,64 @@ from __future__ import annotations
 import gc
 import math
 import os
+import re
 from contextlib import contextmanager, suppress
 from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import MalformedLine
 
+BLOCK_BYTES = 1 << 14  # read at a time by ``iter_blocks``
+# Lines of four tab-separated tokens, none opening with "#": \S must keep to is_token's rule.
+TOKEN_ROWS = re.compile(r"(?:[^\s#]\S*\t\S+\t\S+\t\S+\n)*")
 
-def iter_lines(path) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, line) for every line that is neither blank nor a ``#``
-    comment, without its line end: ``\\n``, ``\\r\\n`` or ``\\r``.
 
-    Text that is not UTF-8 raises ``MalformedLine`` at the line of its first
-    bad byte, once every earlier line has been yielded: the text layer
-    decodes ahead, so on that error the lines past the last one it yielded
-    are read again as bytes, split as it splits them, and decoded one by one.
-    """
-    lineno = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if line and line[0] != "#":
-                    yield lineno, line
-        return
-    except UnicodeDecodeError:
-        done = lineno
+def is_token(text: str) -> bool:
+    """True when ``text`` is non-empty and holds no whitespace."""
+    return text.split() == [text]
+
+
+def iter_blocks(path) -> Iterator[tuple[int, bytes]]:
+    """Yield (done, block): ``path`` read ``BLOCK_BYTES`` at a time (more for a
+    longer line), cut after the last line end, with ``\\r\\n`` and ``\\r`` made
+    ``\\n`` and the last line ended; ``done`` counts the lines before it."""
+    done, rest = 0, b""
     with open(path, "rb") as fh:
-        # A chunk ends at b"\n", and may hold lines ended by a lone b"\r".
-        raws = (raw for chunk in fh for raw in chunk.splitlines())
-        for lineno, raw in enumerate(islice(raws, done, None), start=done + 1):
-            try:
-                line = raw.decode()
-            except UnicodeDecodeError as exc:
-                raise MalformedLine(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+        while True:
+            data = fh.read(max(BLOCK_BYTES, len(rest)))
+            buf = rest + data
+            # Cut after the last line end; a last b"\r" may open a b"\r\n".
+            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, -1)) + 1 if data else len(buf)
+            block, rest = buf[:cut], buf[cut:]
+            if b"\r" in block:  # a test first: replace() scans slowly for b"\r\n"
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if block:
+                yield done, block if block[-1] == 10 else block + b"\n"  # the last line, unended
+                done += block.count(b"\n")
+            if not data:
+                return
+
+
+def iter_lines(path, blocks=None) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line) for each line of ``iter_blocks(path)``, or of ``blocks``
+    of it, that is neither blank nor a ``#`` comment. Text that is not UTF-8
+    raises ``MalformedLine`` at its first bad line, after every earlier line."""
+    for done, block in iter_blocks(path) if blocks is None else blocks:
+        try:
+            lines = block.decode().split("\n")
+        except UnicodeDecodeError:  # decoded line by line, to name the first bad one
+            lines = _decoded(path, block.split(b"\n"), done)
+        for lineno, line in enumerate(lines, start=done + 1):
             if line and line[0] != "#":
                 yield lineno, line
-    raise MalformedLine(f"{path}: not UTF-8 text")
+
+
+def _decoded(path, raws: list[bytes], done: int) -> Iterator[str]:
+    for lineno, raw in enumerate(raws, start=done + 1):
+        try:
+            yield raw.decode()
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
 
 
 def iter_tsv(path, columns: int) -> Iterator[tuple[int, list[str]]]:
@@ -64,11 +85,6 @@ def iter_key_values(path) -> Iterator[tuple[int, str, str]]:
             raise MalformedLine(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         yield lineno, key.strip(), value.strip()
-
-
-def is_token(text: str) -> bool:
-    """True when ``text`` is non-empty and holds no whitespace."""
-    return text.split() == [text]
 
 
 def check_token(token: str, path, lineno: int, what: str) -> str:

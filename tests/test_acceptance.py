@@ -111,6 +111,7 @@ def test_criterion_2_oracle_equivalence(tmp_path):
                 for net in built:
                     answer = load_flow_network(
                         corpus.answer_paths[(level, net.from_snapshot, net.to_snapshot)],
+                        table=table,
                         level=level,
                         from_snapshot=net.from_snapshot,
                         to_snapshot=net.to_snapshot,

@@ -18,8 +18,11 @@ from topicflow.flows import (
     load_flow_network,
     write_flow_network,
 )
+import topicflow.cli as cli_module
 from topicflow.cli import main
-from topicflow.errors import EmptySet, InvariantViolation, MalformedLine, UsageError
+from topicflow.errors import (
+    EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError,
+)
 from topicflow.ingest import ActivityProfile, SnapshotGrid
 
 
@@ -127,6 +130,7 @@ def test_relabeling_equivariance(source, target, perm):
 
 GRID2 = SnapshotGrid(1910, 1919, 5)  # labels 1910, 1915
 PAIR_1910 = {"from_snapshot": 1910, "to_snapshot": 1915}  # GRID2's one pair, as loaded
+_LETTERS = ClassificationTable({"J": tuple("ABCDE")}, dict.fromkeys("ABCDE", "X"))  # flow nodes
 
 
 def test_self_persistence_single_author():
@@ -447,9 +451,8 @@ def test_threads_setting_does_not_change_result(tmp_path, make_classification, m
     assert trees[1] == trees[3]
     for net in build_flow_networks(sorted(sets), grid):
         path = tmp_path / "run_t3" / f"flows_topic_{net.from_snapshot}_{net.to_snapshot}.tsv"
-        loaded = load_flow_network(
-            path, level="topic", from_snapshot=net.from_snapshot, to_snapshot=net.to_snapshot
-        )
+        loaded = load_flow_network(path, table=_LETTERS, level="topic",
+                                   from_snapshot=net.from_snapshot, to_snapshot=net.to_snapshot)
         assert loaded.weights == net.weights
 
 
@@ -473,7 +476,8 @@ def test_uniform_weights_are_exact_across_threads(tmp_path, make_classification,
     )
     assert trees[1] == trees[2]
     loaded = load_flow_network(
-        tmp_path / "run_t2" / "flows_topic_1910_1915.tsv", level="topic", **PAIR_1910
+        tmp_path / "run_t2" / "flows_topic_1910_1915.tsv", table=_LETTERS, level="topic",
+        **PAIR_1910,
     )
     assert loaded.weights == {edge: float(w) for edge, w in exact[0].weights.items()}
 
@@ -496,7 +500,7 @@ def test_flow_roundtrip_and_sorted_rows(tmp_path):
         "1910\t1915\tA\tB\t1",
         "1910\t1915\tB\tA\t2",
     ]
-    again = load_flow_network(path, level="topic", **PAIR_1910)
+    again = load_flow_network(path, table=_LETTERS, level="topic", **PAIR_1910)
     assert again.weights == net.weights
     assert (again.from_snapshot, again.to_snapshot) == (1910, 1915)
 
@@ -506,7 +510,7 @@ def test_empty_network_header_only(tmp_path):
     path = tmp_path / "net.tsv"
     write_flow_network(net, path)
     assert path.read_text().splitlines() == ["#from_snapshot\tto_snapshot\tsource\ttarget\tweight"]
-    again = load_flow_network(path, level="topic", **PAIR_1910)
+    again = load_flow_network(path, table=_LETTERS, level="topic", **PAIR_1910)
     assert again.weights == {}
 
 
@@ -514,7 +518,7 @@ def test_load_rejects_inconsistent_labels(tmp_path):
     path = tmp_path / "net.tsv"
     path.write_text("1910\t1915\tA\tB\t1\n1915\t1920\tB\tC\t1\n")
     with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: inconsistent snapshot labels")):
-        load_flow_network(path, level="topic", **PAIR_1910)
+        load_flow_network(path, table=_LETTERS, level="topic", **PAIR_1910)
 
 
 def test_load_label_spellings_give_the_same_network(tmp_path):
@@ -525,9 +529,51 @@ def test_load_label_spellings_give_the_same_network(tmp_path):
         f"{'01910' if i % 2 else '1910'}\t{'1915' if i % 3 else '01915'}\t{s}\t{t}\t{w}\n"
         for i, (s, t, w) in enumerate(rows)
     ))
-    expected = load_flow_network(plain, level="topic", **PAIR_1910)
+    expected = load_flow_network(plain, table=_LETTERS, level="topic", **PAIR_1910)
     assert len(expected.weights) == 4
-    assert load_flow_network(mixed, level="topic", **PAIR_1910) == expected
+    assert load_flow_network(mixed, table=_LETTERS, level="topic", **PAIR_1910) == expected
+
+
+@pytest.mark.parametrize("level,row,message", [
+    ("topic", "1910\t1915\tA\tZ\t1", "unknown topic 'Z'"),
+    ("topic", "1910\t1915\tX\tA\t1", "unknown topic 'X'"),  # an area is no topic
+    ("area", "1910\t1915\tX\tA\t1", "unknown area 'A'"),
+    ("topic", "1910\t1915\tA\tZ\u00a0\t1", "target must be a non-empty token"),
+])
+def test_load_refuses_nodes_not_in_the_table(tmp_path, level, row, message):
+    path = tmp_path / "net.tsv"
+    first = "X" if level == "area" else "A"
+    path.write_text(f"1910\t1915\t{first}\t{first}\t2\n{row}\n")
+    with pytest.raises((UnknownTopic, MalformedLine), match=re.escape(f"{path}:2: {message}")):
+        load_flow_network(path, table=_LETTERS, level=level, **PAIR_1910)
+
+
+@pytest.mark.parametrize("command", ["metrics", "viz", "report"])
+def test_flow_file_nodes_outside_the_table_exit_two(tmp_path, capsys, monkeypatch, command):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--authors", "25", "--topics", "6",
+                 "--areas", "3", "--snapshots", "3", "--end-year", "1924"]) == 0
+    args = ["--records", str(corpus / "records.tsv"), "--end-year", "1924", "--out", str(out),
+            "--journal-topics", str(corpus / "journal_topics.tsv"),
+            "--topic-areas", str(corpus / "topic_areas.tsv")]
+    path = out / "flows_topic_1910_1915.tsv"
+
+    def stranger():  # t000 becomes t999 on the file's first row, its line 2
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\tt000\t", "\tt999\t", 1), encoding="utf-8")
+
+    if command == "report":  # report reads back the flow files it writes
+        write = cli_module.write_flow_network
+        monkeypatch.setattr(cli_module, "write_flow_network", lambda net, p: (
+            write(net, p), p == path and stranger()))
+    else:
+        assert main(["report", *args]) == 0
+        stranger()
+    capsys.readouterr()
+    pair = ["--pair", "1910", "1915"] if command == "viz" else []
+    assert main([command, *args, *pair]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]  # report also prints its ingest stats
+    assert err == f"topicflow: error: {path}:2: unknown topic 't999'"
 
 
 @pytest.mark.parametrize("last,message", [
@@ -540,4 +586,4 @@ def test_load_checks_a_new_text_after_remembered_ones(tmp_path, last, message):
     path = tmp_path / "net.tsv"
     path.write_text(f"1910\t1915\tA\tA\t2\n1910\t1915\tA\tB\t2\n{last}\n")
     with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: {message}")):
-        load_flow_network(path, level="topic", **PAIR_1910)
+        load_flow_network(path, table=_LETTERS, level="topic", **PAIR_1910)

@@ -6,7 +6,9 @@ a token inserted, the line cut short, or the line written twice) and runs
 the command that reads that input through ``cli.main``, in process. Whatever
 the line holds, the run exits 0, 1 or 2, never 3; a failing run prints one
 ``topicflow: error:`` line; and a run that succeeds writes no ``inf`` or
-``nan`` where its outputs hold numbers.
+``nan`` where its outputs hold numbers. A mutated records TSV is also read
+a few bytes at a time, which must give the same exit, error line and
+output tree as the default block size.
 """
 from __future__ import annotations
 
@@ -18,11 +20,13 @@ import shutil
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from topicflow import util
 from topicflow.cli import main
 
 from conftest import write_lines
@@ -176,3 +180,28 @@ def test_one_mutated_line_never_exits_three(base, target, data):
             assert err.startswith("topicflow: error: ") and err.count("\n") == 1, err
         else:
             _check_outputs(out, name)
+
+
+@settings(
+    max_examples=60, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_records_read_the_same_a_few_bytes_at_a_time(base, data):
+    lines = (base / "corpus" / "records.tsv").read_text(encoding="utf-8").split("\n")[:-1]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at : at + 1] = _mutate(lines[at], data)
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        corpus = scratch / "corpus"
+        shutil.copytree(base / "corpus", corpus)
+        write_lines(corpus / "records.tsv", lines)
+        runs = []
+        for size in (util.BLOCK_BYTES, 7):
+            out = scratch / f"out{size}"
+            with mock.patch.object(util, "BLOCK_BYTES", size):
+                code, err = _run(["report", *_inputs(corpus, "records.tsv"), "--out", str(out),
+                                  "--config", str(corpus / "run.cfg")])
+            tree = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if code == 0 else {}
+            runs.append((code, err, tree))
+        assert runs[0] == runs[1]

@@ -27,6 +27,7 @@ from topicflow.ingest import (
 )
 from topicflow.metrics import multidisciplinarity
 from topicflow.synth import SyntheticSpec, generate_corpus
+import topicflow.util as util_module
 from topicflow.util import BLOCK_ROWS
 from conftest import ingested, write_lines
 
@@ -273,11 +274,169 @@ def test_ids_checked_once_per_distinct_text(table, make_records, grid_1910_2014,
         return real(text)
 
     monkeypatch.setattr(ingest_module, "is_token", counting)
-    _, stats = ingested(records, table, grid_1910_2014)
+    assert len(list(iter_records(records))) == len(rows)
     distinct = {a for a, _, _, _ in rows} | {j for _, _, j, _ in rows}
-    assert stats.records_read == len(rows)
     # Each distinct author or journal id once; paper ids are checked inline, per record.
     assert sorted(checked) == sorted(distinct)
+    # Past the first block, which names the format, a block that passes the
+    # whole-block check skips the line path: only the first block's ids reach is_token.
+    checked.clear()
+    monkeypatch.setattr(util_module, "BLOCK_BYTES", 64)
+    first = next(util_module.iter_blocks(records))[1].decode().splitlines()
+    _, stats = ingested(records, table, grid_1910_2014)
+    assert stats.records_read == len(rows)
+    assert sorted(checked) == sorted({f for line in first for f in line.split("\t")[::2]})
+
+
+# -- the block read of TSV records --
+
+_LINE_PATH = re.compile("(?!)")  # a check no block passes: every block takes the line path
+# Every character str.split() splits on besides the tab and the newline.
+_WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\t\n"]
+
+
+def _read_both_ways(monkeypatch, path, table, grid, sizes=(3, 7, 40), **kwargs):
+    """Ingest ``path`` with the default block size, with each of ``sizes``,
+    and on the line path alone; assert that all give the same groups,
+    stats and profiles, or the same error, and return that."""
+    group_papers = ingest_module._group_papers
+    outcomes = []
+    for size, check in [(util_module.BLOCK_BYTES, ingest_module.TOKEN_ROWS),
+                        *((n, ingest_module.TOKEN_ROWS) for n in sizes),
+                        (util_module.BLOCK_BYTES, _LINE_PATH)]:
+        groups = []
+
+        def grouped(*args):  # a copy of the groups, which the walk empties
+            result = group_papers(*args)
+            groups.append({author: bytes(entries) for author, entries in result.items()})
+            return result
+
+        monkeypatch.setattr(util_module, "BLOCK_BYTES", size)
+        monkeypatch.setattr(ingest_module, "TOKEN_ROWS", check)
+        monkeypatch.setattr(ingest_module, "_group_papers", grouped)
+        try:
+            profiles, stats = ingested(path, table, grid, **kwargs)
+            outcomes.append((groups, profiles, stats))
+        except PipelineError as exc:
+            outcomes.append((type(exc), str(exc)))
+        monkeypatch.undo()
+    assert all(outcome == outcomes[0] for outcome in outcomes), path
+    return outcomes[0]
+
+
+def _write_bytes(tmp_path, lines, end=b"\n", name="records.tsv"):
+    path = tmp_path / name
+    path.write_bytes(end.join(line.encode() if isinstance(line, str) else line
+                              for line in lines) + end)
+    return path
+
+
+_ROWS = [f"a{i % 5}\tp{i}\tJ{1 + i % 3}\t{1910 + i * 7 % 110}" for i in range(40)]
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_ends_read_the_same_at_every_block_size(table, tmp_path, monkeypatch,
+                                                       grid_1910_2014, end):
+    expected = _read_both_ways(monkeypatch, _write_bytes(tmp_path, _ROWS, name="lf.tsv"),
+                               table, grid_1910_2014)
+    assert expected[2].records_read == 40
+    # Sizes 1 to 9 cut the file between a b"\r" and its b"\n" many times over.
+    got = _read_both_ways(monkeypatch, _write_bytes(tmp_path, _ROWS, end), table,
+                          grid_1910_2014, sizes=range(1, 10))
+    assert got[1:] == expected[1:]
+    path = _write_bytes(tmp_path, [*_ROWS, "", "a\tq\tJ1"], end, name="bad.tsv")
+    error = _read_both_ways(monkeypatch, path, table, grid_1910_2014, sizes=range(1, 10))
+    assert error[1] == f"{path}:42: expected 4 tab-separated fields, got 3"
+
+
+def test_comment_and_blank_lines_at_block_edges(table, tmp_path, monkeypatch, grid_1910_2014):
+    lines = ["# head", ""]
+    for i, row in enumerate(_ROWS):
+        # The second comment has four fields, a valid year among them.
+        lines += [row, *(["", "#a\tq\tJ1\t1912", "#"] if i % 3 else [])]
+    got = _read_both_ways(monkeypatch, _write_bytes(tmp_path, lines), table, grid_1910_2014,
+                          sizes=range(1, 30, 4))
+    assert got[2].records_read == 40
+
+
+def test_token_rows_keeps_to_is_token():
+    """The whole-block check takes an id with any character ``is_token`` takes,
+    and no other: the block path and the line path accept the same ids."""
+    chars = map(chr, range(0x110000))
+    good = [c for c in chars if util_module.is_token(c)]
+    assert len(good) == 0x110000 - 29  # _WHITESPACE, the tab and the newline
+    rows = "".join(f"a{c}\tp{c}\tj{c}\t1912\n" for c in good)
+    assert util_module.TOKEN_ROWS.fullmatch(rows)
+    for c in {*_WHITESPACE, "\t", "\n"}:
+        assert not util_module.TOKEN_ROWS.fullmatch(f"a{c}b\tp\tj\t1912\n"), hex(ord(c))
+
+
+def test_ndjson_reads_the_same_at_every_block_size(table, tmp_path, monkeypatch,
+                                                    grid_1910_2014):
+    lines = [json.dumps({**_GOOD_RECORD, "paper_id": f"p{i}"}) for i in range(20)]
+    lines[7] = f" {lines[7]}"  # json.loads judges this line, past the first block
+    path = write_lines(tmp_path / "r.ndjson", lines)
+    assert _read_both_ways(monkeypatch, path, table, grid_1910_2014)[2].records_read == 20
+    # The format is the file's: valid TSV lines past the first block are bad JSON.
+    path = write_lines(tmp_path / "mixed.ndjson", [*lines, *_ROWS])
+    kind, message = _read_both_ways(monkeypatch, path, table, grid_1910_2014)
+    assert message.startswith(f"{path}:21: invalid JSON record: ")
+
+
+@pytest.mark.parametrize("char", _WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_whitespace_in_an_id_exits_two_naming_its_line(tmp_path, monkeypatch, grid_1910_2014,
+                                                       table, capsys, char):
+    assert len(_WHITESPACE) == 27
+    lines = [*_ROWS[:30], f"a{char}b\tq\tJ1\t1912", *_ROWS[30:]]
+    path = _write_bytes(tmp_path, lines)
+    kind, message = _read_both_ways(monkeypatch, path, table, grid_1910_2014)
+    if char != "\r":  # a line end: that line has one field, the next three
+        assert message == f"{path}:31: {ingest_module._BAD_IDS}"
+    monkeypatch.setattr(util_module, "BLOCK_BYTES", 5)
+    args = ["--records", str(path), "--out", str(tmp_path / "out"),  # the table's files
+            "--journal-topics", str(tmp_path / "journal_topics.tsv"),
+            "--topic-areas", str(tmp_path / "topic_areas.tsv")]
+    capsys.readouterr()
+    assert main(["ingest", *args]) == 2
+    assert capsys.readouterr().err == f"topicflow: error: {message}\n"
+
+
+@pytest.mark.parametrize("year", [" 1915", "+1915", "1_915", "01915", "\uff11\uff19\uff11\uff15",
+                                  "1915\u00a0"])
+def test_year_spellings_match_the_plain_year_at_every_block_size(
+    table, tmp_path, monkeypatch, grid_1910_2014, year
+):
+    plain = _write_bytes(tmp_path, [*_ROWS, "a1\tq\tJ1\t1915"], name="plain.tsv")
+    spelled = _write_bytes(tmp_path, [*_ROWS, f"a1\tq\tJ1\t{year}"])
+    expected = _read_both_ways(monkeypatch, plain, table, grid_1910_2014)
+    assert _read_both_ways(monkeypatch, spelled, table, grid_1910_2014)[1:] == expected[1:]
+
+
+@pytest.mark.parametrize("bad,message", [
+    (b"a\tq\xff\tJ1\t1915", "not UTF-8 text: invalid start byte"),
+    (b"a\tq\tJ1\xe2\x80", "not UTF-8 text: unexpected end of data"),
+    (b"a\tq\tJ1", "expected 4 tab-separated fields, got 3"),
+    (b"a\tq\tJ1\t1915\tx", "expected 4 tab-separated fields, got 5"),
+    (b"a\tq\tJ1\t19x5", "year must be an integer, got '19x5'"),
+], ids=["utf8", "utf8-end", "3-fields", "5-fields", "year"])
+def test_a_bad_line_in_a_later_block_is_named(table, tmp_path, monkeypatch, grid_1910_2014,
+                                              bad, message):
+    lines = ["# records", *_ROWS[:35], bad, *_ROWS[35:], b"a\tq\tJ1"]
+    path = _write_bytes(tmp_path, lines)
+    kind, got = _read_both_ways(monkeypatch, path, table, grid_1910_2014, sizes=(5, 64, 700))
+    assert issubclass(kind, PipelineError) and got == f"{path}:37: {message}"
+
+
+@pytest.mark.parametrize("cut_scope,quantile", [("all", None), ("classified", 0.5), ("all", 0.8)])
+def test_quantile_and_cut_scope_all_at_every_block_size(
+    table, tmp_path, monkeypatch, grid_1910_2014, cut_scope, quantile
+):
+    rows = [f"{a}\t{p}\t{j}\t{y}" for a, p, j, y in _rows_with_repeats(random.Random(3), 200)]
+    _, profiles, stats = _read_both_ways(monkeypatch, _write_bytes(tmp_path, rows), table,
+                                         grid_1910_2014, max_papers_per_year=2,
+                                         cut_scope=cut_scope, quantile=quantile)
+    assert stats.dropped_year and stats.dropped_unclassified and stats.authors_excluded
+    assert profiles
 
 
 def _random_rows(rng, n):
@@ -802,7 +961,7 @@ def test_flow_networks_from_profiles_restores_gc_state(table, grid_1910_2014, en
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_load_networks_restores_gc_state(tmp_path, enabled):
+def test_load_networks_restores_gc_state(table, tmp_path, enabled):
     cfg = PipelineConfig(start_year=1910, end_year=1919, width=5, level="topic")
     good, bad = tmp_path / "good", tmp_path / "bad"
     for out, row in ((good, "1910\t1915\tT1\tT2\t1"), (bad, "1910\t1915\tT1\tT2")):
@@ -811,10 +970,10 @@ def test_load_networks_restores_gc_state(tmp_path, enabled):
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        assert _load_networks(cfg, good)["topic"][0].weights == {("T1", "T2"): 1}
+        assert _load_networks(cfg, good, table)["topic"][0].weights == {("T1", "T2"): 1}
         assert gc.isenabled() is enabled
         with pytest.raises(MalformedLine):
-            _load_networks(cfg, bad)
+            _load_networks(cfg, bad, table)
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from topicflow.classification import load_classification
 from topicflow.errors import InvalidSpec
 from topicflow.flows import load_flow_network
 from topicflow.ingest import SnapshotGrid
@@ -37,8 +38,10 @@ def test_different_seed_differs(tmp_path):
 
 def test_zero_mobility_only_self_transitions(tmp_path):
     result = generate_corpus(spec(mobility=0.0), GRID, tmp_path)
+    table = load_classification(result.journal_topics_path, result.topic_areas_path)
     for (level, earlier, later), path in result.answer_paths.items():
-        net = load_flow_network(path, level=level, from_snapshot=earlier, to_snapshot=later)
+        net = load_flow_network(path, table=table, level=level, from_snapshot=earlier,
+                                to_snapshot=later)
         assert all(source == target for source, target in net.weights)
 
 
