@@ -3,7 +3,8 @@
 Records are ``author<TAB>paper<TAB>journal<TAB>year`` lines (or
 newline-delimited JSON objects with the same four fields, auto-detected).
 Ingestion reads the file once, in blocks of lines. A TSV block that C code
-finds valid is split once into columns; any other is checked line by line.
+finds valid is split once into columns, and so is an NDJSON block whose every
+line is a record as ``json.dumps`` writes it; any other is checked line by line.
 Each record is appended to its author's byte buffer as one line: a
 one-character calendar year code, the paper, a tab and a one-character
 journal code. The disambiguation cut and the ``--quantile`` threshold are
@@ -21,7 +22,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .classification import ClassificationTable, TopicId
 from .errors import InvalidSpec, MalformedRecord, PipelineError
-from .util import TOKEN_ROWS, Checked, Record, is_token, iter_blocks, iter_lines, quantile_cutoff
+from .util import (JSON_ROW, TOKEN_ROWS, Checked, Record, is_token, iter_blocks, iter_lines,
+                   quantile_cutoff)
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
@@ -114,15 +116,18 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     line that is neither blank nor a ``#`` comment: ``{`` means
     newline-delimited JSON, anything else is four-column TSV. A later TSV block
     that is UTF-8, matches ``util.TOKEN_ROWS`` and has year texts ``int`` takes
-    is split once into columns; ``checked`` reads any other line by line,
-    raising at its first bad line. One reused ``JSONDecoder`` reads JSON lines;
+    is split once into columns. So is a later JSON block whose every line
+    ``util.JSON_ROW`` matches, as ``json.dumps`` writes a record with ids
+    holding no escape, and whose year texts ``int`` takes: one ``findall``
+    cuts it. ``checked`` reads any other block line by line, raising at its
+    first bad line. One reused ``JSONDecoder`` reads JSON lines;
     ``json.loads`` judges any it does not take whole, such as one with spaces
-    around the object. Each distinct author or journal id and year text is
-    checked once per read: ``ids`` maps an id that passed to the copy every
-    later record shares, and ``years`` a year text to its int. Paper ids are
-    checked on every record. A JSON escape can spell a lone surrogate, which no
-    UTF-8 file holds and no output can encode, so a JSON id holding one is
-    refused.
+    around the object. Each distinct year text is parsed once per read, into
+    ``years``; on the line path, each distinct author or journal id is checked
+    once, and ``ids`` maps an id that passed to the copy every later record
+    shares. Paper ids are checked on every record. A JSON escape can spell a
+    lone surrogate, which no UTF-8 file holds and no output can encode, so a
+    JSON id holding one is refused.
     """
     json_mode = decode = loads = None
     ids: dict[str, str] = {}
@@ -180,13 +185,19 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     def runs() -> Iterator[Iterable[tuple[int, str, str, str, int]]]:  # one for each block
         for done, block in iter_blocks(path):
             try:
-                text = block.decode() if json_mode is False else ""
-                fields = text.split() if TOKEN_ROWS.fullmatch(text) else ()  # only \t, \n split
-                years.update((y, int(y)) for y in set(fields[3::4]).difference(years))
+                text = block.decode() if json_mode is not None else ""
+                if json_mode:  # one match per line, each from its start to its end
+                    rows = JSON_ROW.findall(text)
+                    columns = [*zip(*rows)] if len(rows) == text.count("\n") else ()
+                else:
+                    fields = text.split() if TOKEN_ROWS.fullmatch(text) else ()  # only \t, \n split
+                    columns = [fields[i::4] for i in range(4)] if fields else ()
+                if columns:
+                    years.update((y, int(y)) for y in set(columns[3]).difference(years))
             except ValueError:  # not UTF-8, or a year text int() refuses
-                fields = ()
-            yield zip(count(done + 1), fields[0::4], fields[1::4], fields[2::4],
-                      map(years.__getitem__, fields[3::4])) if fields else checked(done, block)
+                columns = ()
+            yield (zip(count(done + 1), *columns[:3], map(years.__getitem__, columns[3]))
+                   if columns else checked(done, block))
 
     return chain.from_iterable(runs())
 

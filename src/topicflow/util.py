@@ -15,8 +15,13 @@ from typing import Iterable, Iterator
 from .errors import MalformedLine
 
 BLOCK_BYTES = 1 << 14  # read at a time by ``iter_blocks``
+LINE_BYTES = 1 << 20  # the longest line ``iter_blocks`` reads
 # Lines of four tab-separated tokens, none opening with "#": \S must keep to is_token's rule.
 TOKEN_ROWS = re.compile(r"(?:[^\s#]\S*\t\S+\t\S+\t\S+\n)*")
+# One record line as json.dumps writes it: ids with no escape, quote, whitespace by
+# is_token's rule or JSON control character, and a year of plain digits.
+JSON_ROW = re.compile(r'^\{"author_id": "(%s)", "paper_id": "(%s)", "journal_id": "(%s)", '
+                      r'"year": ([1-9][0-9]*)\}\n' % ((r'[^"\\\s\x00-\x1f]+',) * 3), re.M)
 
 
 def is_token(text: str) -> bool:
@@ -27,12 +32,18 @@ def is_token(text: str) -> bool:
 def iter_blocks(path) -> Iterator[tuple[int, bytes]]:
     """Yield (done, block): ``path`` read ``BLOCK_BYTES`` at a time (more for a
     longer line), cut after the last line end, with ``\\r\\n`` and ``\\r`` made
-    ``\\n`` and the last line ended; ``done`` counts the lines before it."""
+    ``\\n`` and the last line ended; ``done`` counts the lines before it. A line
+    of more than ``LINE_BYTES`` bytes raises ``MalformedLine`` after every
+    earlier block."""
     done, rest = 0, b""
     with open(path, "rb") as fh:
         while True:
             data = fh.read(max(BLOCK_BYTES, len(rest)))
             buf = rest + data
+            # Reads are shorter than the bound: only the line begun in ``rest`` can pass it.
+            if len(buf) > LINE_BYTES and buf.find(b"\n", 0, LINE_BYTES + 1) == -1 == buf.find(
+                    b"\r", 0, LINE_BYTES + 1):
+                raise MalformedLine(f"{path}:{done + 1}: line longer than {LINE_BYTES} bytes")
             # Cut after the last line end; a last b"\r" may open a b"\r\n".
             cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, -1)) + 1 if data else len(buf)
             block, rest = buf[:cut], buf[cut:]

@@ -6,9 +6,10 @@ a token inserted, the line cut short, or the line written twice) and runs
 the command that reads that input through ``cli.main``, in process. Whatever
 the line holds, the run exits 0, 1 or 2, never 3; a failing run prints one
 ``topicflow: error:`` line; and a run that succeeds writes no ``inf`` or
-``nan`` where its outputs hold numbers. A mutated records TSV is also read
-a few bytes at a time, which must give the same exit, error line and
-output tree as the default block size.
+``nan`` where its outputs hold numbers. A mutated records TSV or NDJSON
+file is also read a few bytes at a time, which must give the same exit,
+error line and output tree as the default block size. A line longer than
+``util.LINE_BYTES`` in any input exits 2 and names its line.
 """
 from __future__ import annotations
 
@@ -205,3 +206,49 @@ def test_mutated_records_read_the_same_a_few_bytes_at_a_time(base, data):
             tree = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if code == 0 else {}
             runs.append((code, err, tree))
         assert runs[0] == runs[1]
+
+
+@settings(
+    max_examples=60, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_ndjson_records_read_the_same_a_few_bytes_at_a_time(base, data):
+    lines = (base / "corpus" / "records.ndjson").read_text(encoding="utf-8").split("\n")[:-1]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at : at + 1] = _mutate(lines[at], data)
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        corpus = scratch / "corpus"
+        shutil.copytree(base / "corpus", corpus)
+        write_lines(corpus / "records.ndjson", lines)
+        runs = []
+        for size in (util.BLOCK_BYTES, 7):
+            out = scratch / f"out{size}"
+            with mock.patch.object(util, "BLOCK_BYTES", size):
+                code, err = _run(["report", *_inputs(corpus, "records.ndjson"), "--out", str(out),
+                                  "--config", str(corpus / "run.cfg")])
+            tree = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if code == 0 else {}
+            runs.append((code, err, tree))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_a_line_over_the_bound_exits_two_naming_it(base, tmp_path, target):
+    name, home, command = TARGETS[target]
+    lines = (base / home / name).read_text(encoding="utf-8").split("\n")[:-1]
+    lines.insert(2, "x" * (util.LINE_BYTES + 1))
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    kind, *level_pair = command.split()
+    shutil.copytree(base / "corpus", corpus)
+    if kind != "report":
+        shutil.copytree(base / "tree", out)
+    path = write_lines((corpus if home == "corpus" else out) / name, lines)
+    argv = [kind, *_inputs(corpus, name if name.startswith("records") else "records.tsv"),
+            "--out", str(out), "--config", str(corpus / "run.cfg")]
+    if kind == "viz":
+        argv += ["--level", level_pair[0], "--pair", *level_pair[1:],
+                 "--viz-config", str(corpus / "viz.cfg")]
+    assert _run(argv) == (
+        2, f"topicflow: error: {path}:3: line longer than {util.LINE_BYTES} bytes\n"
+    )

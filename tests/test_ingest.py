@@ -297,13 +297,13 @@ _WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\
 
 def _read_both_ways(monkeypatch, path, table, grid, sizes=(3, 7, 40), **kwargs):
     """Ingest ``path`` with the default block size, with each of ``sizes``,
-    and on the line path alone; assert that all give the same groups,
-    stats and profiles, or the same error, and return that."""
+    and on the line path alone (neither the TSV nor the NDJSON block check
+    takes a block); assert that all give the same groups, stats and
+    profiles, or the same error, and return that."""
     group_papers = ingest_module._group_papers
     outcomes = []
-    for size, check in [(util_module.BLOCK_BYTES, ingest_module.TOKEN_ROWS),
-                        *((n, ingest_module.TOKEN_ROWS) for n in sizes),
-                        (util_module.BLOCK_BYTES, _LINE_PATH)]:
+    for size, line_path in [(util_module.BLOCK_BYTES, False), *((n, False) for n in sizes),
+                            (util_module.BLOCK_BYTES, True)]:
         groups = []
 
         def grouped(*args):  # a copy of the groups, which the walk empties
@@ -312,7 +312,9 @@ def _read_both_ways(monkeypatch, path, table, grid, sizes=(3, 7, 40), **kwargs):
             return result
 
         monkeypatch.setattr(util_module, "BLOCK_BYTES", size)
-        monkeypatch.setattr(ingest_module, "TOKEN_ROWS", check)
+        if line_path:
+            monkeypatch.setattr(ingest_module, "TOKEN_ROWS", _LINE_PATH)
+            monkeypatch.setattr(ingest_module, "JSON_ROW", _LINE_PATH)
         monkeypatch.setattr(ingest_module, "_group_papers", grouped)
         try:
             profiles, stats = ingested(path, table, grid, **kwargs)
@@ -369,6 +371,28 @@ def test_token_rows_keeps_to_is_token():
     assert util_module.TOKEN_ROWS.fullmatch(rows)
     for c in {*_WHITESPACE, "\t", "\n"}:
         assert not util_module.TOKEN_ROWS.fullmatch(f"a{c}b\tp\tj\t1912\n"), hex(ord(c))
+
+
+@pytest.mark.parametrize("size", [7, util_module.BLOCK_BYTES])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("before", [0, 3, 5000])
+def test_a_line_over_line_bytes_raises_naming_it(tmp_path, monkeypatch, size, end, before):
+    """A line of ``LINE_BYTES`` bytes is read; one of a byte more, ended or
+    not, raises after every earlier line."""
+    n = util_module.LINE_BYTES
+    monkeypatch.setattr(util_module, "BLOCK_BYTES", size)
+    path, head = tmp_path / "long.txt", b"ab" + end
+    for last in (end, b""):
+        path.write_bytes(head * before + b"x" * n + end + b"y" * (n + 1) + last)
+        blocks = []
+        with pytest.raises(MalformedLine) as exc:
+            blocks.extend(block for _, block in util_module.iter_blocks(path))
+        assert str(exc.value) == f"{path}:{before + 2}: line longer than {n} bytes"
+        assert b"".join(blocks) == b"ab\n" * before + b"x" * n + b"\n"
+        path.write_bytes(head * before + b"x" * n + last)
+        assert b"".join(block for _, block in util_module.iter_blocks(path)) == (
+            b"ab\n" * before + b"x" * n + b"\n"
+        )
 
 
 def test_ndjson_reads_the_same_at_every_block_size(table, tmp_path, monkeypatch,
@@ -437,6 +461,139 @@ def test_quantile_and_cut_scope_all_at_every_block_size(
                                          cut_scope=cut_scope, quantile=quantile)
     assert stats.dropped_year and stats.dropped_unclassified and stats.authors_excluded
     assert profiles
+
+
+# -- the block read of NDJSON records --
+
+def _json_line(author="a1", paper="q", journal="J1", year=1915, **dumps):
+    return json.dumps({"author_id": author, "paper_id": paper, "journal_id": journal,
+                       "year": year}, **dumps)
+
+
+# About 22 KB: past the first 16 KiB block, the default block size takes the block path too.
+_JSON_LINES = [_json_line(f"a{i % 5}", f"p{i}", f"J{1 + i % 3}", 1910 + i * 7 % 110)
+               for i in range(300)]
+_JSON_SIZES = (3, 7, 40, 200, 700)
+
+
+def test_canonical_ndjson_blocks_skip_the_line_path(table, tmp_path, monkeypatch,
+                                                     grid_1910_2014):
+    path = write_lines(tmp_path / "r.ndjson", _JSON_LINES)
+    checked = []
+    real = ingest_module.is_token
+    monkeypatch.setattr(ingest_module, "is_token", lambda text: checked.append(text) or real(text))
+    monkeypatch.setattr(util_module, "BLOCK_BYTES", 256)
+    first = next(util_module.iter_blocks(path))[1].decode().splitlines()
+    assert 1 < len(first) < 10
+    _, stats = ingested(path, table, grid_1910_2014)
+    assert stats.records_read == 300
+    # Only the first block, which names the format, reaches the id checks.
+    assert sorted(checked) == sorted({v for line in first for k, v in json.loads(line).items()
+                                      if k in ("author_id", "journal_id")})
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_ndjson_line_ends_read_the_same_at_every_block_size(table, tmp_path, monkeypatch,
+                                                             grid_1910_2014, end):
+    expected = _read_both_ways(monkeypatch, _write_bytes(tmp_path, _JSON_LINES, name="lf.ndjson"),
+                               table, grid_1910_2014, sizes=_JSON_SIZES)
+    assert expected[2].records_read == 300
+    got = _read_both_ways(monkeypatch, _write_bytes(tmp_path, _JSON_LINES, end, name="r.ndjson"),
+                          table, grid_1910_2014, sizes=(*range(1, 10), 200, 700))
+    assert got[1:] == expected[1:]
+    path = _write_bytes(tmp_path, [*_JSON_LINES, "", '{"author_id": "a"}'], end, name="bad.ndjson")
+    error = _read_both_ways(monkeypatch, path, table, grid_1910_2014, sizes=_JSON_SIZES)
+    assert error[1] == f"{path}:302: {_FIELDS_MESSAGE}"
+
+
+def test_ndjson_comment_and_blank_lines_at_block_edges(table, tmp_path, monkeypatch,
+                                                       grid_1910_2014):
+    lines = ["# head", ""]
+    for i, line in enumerate(_JSON_LINES):
+        lines += [line, *(["", f"#{line}", "#"] if i % 3 else [])]
+    got = _read_both_ways(monkeypatch, _write_bytes(tmp_path, lines, name="r.ndjson"), table,
+                          grid_1910_2014, sizes=(*range(1, 30, 4), 200, 700))
+    assert got[2].records_read == 300
+
+
+_BASE = _json_line()
+_BAD_IDS, _SURROGATE_IDS = ingest_module._BAD_IDS, ingest_module._SURROGATE_IDS
+_NDJSON_CASES = {  # a line past the first block: None when it is a record, else its error
+    "escape-e-acute": (_BASE.replace('"a1"', '"a\\u00e9"'), None),
+    "escape-quote": (_BASE.replace('"a1"', '"a\\""'), None),
+    "escape-backslash": (_BASE.replace('"q"', '"q\\\\"'), None),
+    "escape-slash": (_BASE.replace('"J1"', '"J\\/1"'), None),
+    "raw-non-ascii": (_json_line("a\u00e9", "q\u4e00", ensure_ascii=False), None),
+    "raw-u0085": (_json_line("a\x85b", ensure_ascii=False), _BAD_IDS),
+    "raw-u00a0": (_json_line(paper="q\xa0", ensure_ascii=False), _BAD_IDS),
+    "raw-u2028": (_json_line(journal="J\u20281", ensure_ascii=False), _BAD_IDS),
+    "raw-x01": (_BASE.replace('"q"', '"q\x01"'), "invalid JSON record: Invalid control character"),
+    "swapped-keys": (json.dumps({"paper_id": "q", "author_id": "a1", "journal_id": "J1",
+                                 "year": 1915}), None),
+    "compact": (_json_line(separators=(",", ":")), None),
+    "year-string": (_json_line(year="1912"), None),
+    "year-leading-zero": (_BASE.replace("1915", "01915"), "invalid JSON record: "),
+    "year-float": (_json_line(year=1912.0), "year must be an integer, got 1912.0"),
+    "year-negative": (_json_line(year=-5), None),
+    "year-true": (_json_line(year=True), "year must be an integer, got True"),
+    "year-4300-digits": (_json_line(year=int("1" * 4300)), None),
+    "year-5000-digits": (_BASE.replace("1915", "1" * 5000), "invalid JSON record: "),
+    "extra-key": (_BASE.replace("}", ', "x": 1}'), _FIELDS_MESSAGE),
+    "missing-key": (_BASE.replace(', "year": 1915', ""), _FIELDS_MESSAGE),
+    "duplicated-key": (_BASE.replace('"a1", ', '"a2", "author_id": "a1", '), None),
+    "two-objects": (f"{_BASE} {_BASE}", "invalid JSON record: Extra data"),
+    "lone-surrogate": (_BASE.replace('"a1"', '"a\\ud800"'), _SURROGATE_IDS),
+    "spaces-around": (f"  {_BASE}\t ", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NDJSON_CASES))
+def test_ndjson_lines_read_the_same_at_every_block_size(table, tmp_path, monkeypatch,
+                                                        grid_1910_2014, case):
+    line, error = _NDJSON_CASES[case]
+    lines = [*_JSON_LINES[:260], line, *_JSON_LINES[260:]]
+    path = _write_bytes(tmp_path, lines, name="r.ndjson")
+    got = _read_both_ways(monkeypatch, path, table, grid_1910_2014, sizes=_JSON_SIZES)
+    if error is None:
+        assert got[2].records_read == 301
+    else:
+        assert got[0] is MalformedRecord and got[1].startswith(f"{path}:261: {error}")
+
+
+def test_json_row_keeps_to_the_line_path():
+    """The NDJSON block check takes a code point in an id exactly when the
+    line path takes that line: its bytes are UTF-8, a strict JSON decode
+    takes it and ``is_token`` passes each id."""
+    decode = json.JSONDecoder().decode  # strict: a raw control character ends no string
+
+    def line(c):
+        return f'{{"author_id": "a{c}", "paper_id": "p{c}", "journal_id": "j{c}", "year": 1912}}\n'
+
+    def line_path_takes(c):
+        if "\ud800" <= c <= "\udfff":  # a lone surrogate, which no UTF-8 text holds
+            return False
+        try:
+            obj = decode(line(c))
+        except ValueError:
+            return False
+        return all(map(util_module.is_token, list(obj.values())[:3]))
+
+    def block_takes(text):
+        try:
+            text = text.encode("utf-8", "surrogatepass").decode()  # as a file's bytes read
+        except UnicodeDecodeError:
+            return False
+        return len(util_module.JSON_ROW.findall(text)) == text.count("\n")
+
+    chars = [chr(i) for i in range(0x110000)]
+    taken = [c for c in chars if line_path_takes(c)]
+    # Not taken: 29 whitespace characters, 23 other controls below U+0020, the quote,
+    # the backslash and the 2,048 surrogates.
+    assert len(taken) == len(chars) - 29 - 23 - 2 - 0x800
+    for start in range(0, len(taken), 4096):
+        assert block_takes("".join(map(line, taken[start:start + 4096])))
+    for c in set(chars).difference(taken):
+        assert not block_takes(line(c)), hex(ord(c))
 
 
 def _random_rows(rng, n):
