@@ -185,9 +185,12 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     def runs() -> Iterator[Iterable[tuple[int, str, str, str, int]]]:  # one for each block
         for done, block in iter_blocks(path):
             try:
-                text = block.decode() if json_mode is not None else ""
-                if json_mode:  # one match per line, each from its start to its end
-                    rows = JSON_ROW.findall(text)
+                text = block.decode() if json_mode is False else ""
+                # JSON_ROW holds no backslash. A JSON block with one, or whose first line fails,
+                # keeps text "" and goes to checked undecoded; any other gets one match per line.
+                if json_mode and b"\\" not in block and JSON_ROW.match(
+                        block[:block.find(b"\n") + 1].decode()):
+                    rows = JSON_ROW.findall(text := block.decode())
                     columns = [*zip(*rows)] if len(rows) == text.count("\n") else ()
                 else:
                     fields = text.split() if TOKEN_ROWS.fullmatch(text) else ()  # only \t, \n split

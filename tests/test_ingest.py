@@ -492,6 +492,36 @@ def test_canonical_ndjson_blocks_skip_the_line_path(table, tmp_path, monkeypatch
                                       if k in ("author_id", "journal_id")})
 
 
+def _escape_every_tenth(obj):  # p1, p11, p21, ...: one line in each 1,024-byte block or more
+    return json.dumps(dict(obj, author_id=obj["author_id"] + "é"[:obj["paper_id"][-1] == "1"]))
+
+
+@pytest.mark.parametrize("dump", [
+    lambda obj: json.dumps(obj, separators=(",", ":")),
+    lambda obj: json.dumps(obj, sort_keys=True),
+    _escape_every_tenth,
+], ids=["compact", "sorted-keys", "escaped"])
+def test_other_ndjson_forms_are_not_scanned_whole(table, tmp_path, monkeypatch, grid_1910_2014,
+                                                 dump):
+    """A block whose first line is not in ``json.dumps``' default form, or that
+    holds a backslash, goes to the line path without a ``findall`` over it."""
+    path = write_lines(tmp_path / "r.ndjson", [dump(json.loads(line)) for line in _JSON_LINES])
+    scanned = []
+
+    class Row:  # JSON_ROW, counting the whole-block scans
+        match = util_module.JSON_ROW.match
+
+        def findall(self, text):
+            scanned.append(text)
+            return util_module.JSON_ROW.findall(text)
+
+    monkeypatch.setattr(ingest_module, "JSON_ROW", Row())
+    monkeypatch.setattr(util_module, "BLOCK_BYTES", 1024)
+    _, stats = ingested(path, table, grid_1910_2014)
+    assert stats.records_read == 300
+    assert scanned == []
+
+
 @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
 def test_ndjson_line_ends_read_the_same_at_every_block_size(table, tmp_path, monkeypatch,
                                                              grid_1910_2014, end):
@@ -540,6 +570,8 @@ _NDJSON_CASES = {  # a line past the first block: None when it is a record, else
     "year-5000-digits": (_BASE.replace("1915", "1" * 5000), "invalid JSON record: "),
     "extra-key": (_BASE.replace("}", ', "x": 1}'), _FIELDS_MESSAGE),
     "missing-key": (_BASE.replace(', "year": 1915', ""), _FIELDS_MESSAGE),
+    # Accepted on every path, the last value winning: the FOUND on duplicated keys in
+    # CHANGES.md. A mend that refuses the line gives this case its error in place of None.
     "duplicated-key": (_BASE.replace('"a1", ', '"a2", "author_id": "a1", '), None),
     "two-objects": (f"{_BASE} {_BASE}", "invalid JSON record: Extra data"),
     "lone-surrogate": (_BASE.replace('"a1"', '"a\\ud800"'), _SURROGATE_IDS),
