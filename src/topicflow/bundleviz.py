@@ -28,11 +28,12 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .classification import AreaId, ClassificationTable
 from .errors import MalformedLine, UnknownTopic, UsageError
-from .flows import FlowNetwork
 from .util import Checked, Record, iter_key_values
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .flows import FlowNetwork
 
 Point = tuple[float, float]
 

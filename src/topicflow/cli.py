@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import collections
+import importlib.util
 import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Iterable, Iterator
 
-from .bundleviz import VizConfig, load_viz_config, render_svg
-from .classification import ClassificationTable, load_classification
+from .classification import (ActivityProfile, ClassificationTable, SnapshotGrid,
+                             ZeroBaselinePolicy, check_cut, load_classification)
 from .errors import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -31,31 +33,27 @@ from .errors import (
     PipelineError,
     UsageError,
 )
-from .flows import (
-    LEVELS,
-    FlowFold,
-    FlowNetwork,
-    build_flow_networks,
-    dominant_sets_of,
-    flow_file_name,
-    load_flow_network,
-    write_flow_network,
-)
-from .ingest import ActivityProfile, IngestStats, SnapshotGrid, check_cut, ingest_records
-from .metrics import (
-    AreaTally,
-    MultidisciplinarityDistribution,
-    ZeroBaselinePolicy,
-    attractiveness_table,
-    migration_index_series,
-    median_sink_source,
-    most_attractive_topics,
-    multidisciplinarity,
-)
 from .util import (
     Checked, fmt_float, gc_paused, iter_key_values, iter_tsv, write_json, write_text_atomic,
     write_tsv,
 )
+
+
+def _stage(name: str) -> ModuleType:
+    """The module ``topicflow.<name>``, executed at its first attribute access,
+    so a subcommand executes (and, with no bytecode cached, compiles) only the
+    stages it calls. A module imported already is returned as it is."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)  # bound as an import binds it
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+bundleviz, flows, ingest, metrics = map(_stage, ("bundleviz", "flows", "ingest", "metrics"))
 
 PROFILE_HEADER = "#author\tsnapshot\ttopic\tcount"
 # Every pipeline setting, in flag order: (name, flag, type, default, choices, help).
@@ -280,12 +278,12 @@ def load_profiles(
 
 def _start_ingest(
     cfg: PipelineConfig,
-) -> tuple[ClassificationTable, Path, Iterator[ActivityProfile], IngestStats]:
+) -> tuple[ClassificationTable, Path, Iterator[ActivityProfile], ingest.IngestStats]:
     """Ingest up to its first write: the table, ``--out``, and the dedupe walk,
     not started, with the stats it completes. Bad input raises here."""
     records = _require_file(cfg.records, "--records")
     table = _load_table(cfg)
-    profiles, stats = ingest_records(
+    profiles, stats = ingest.ingest_records(
         records, table, cfg.grid(), cfg.max_papers_per_year,
         cut_scope=cfg.cut_scope, quantile=cfg.quantile,
     )
@@ -296,7 +294,9 @@ def _start_ingest(
     return table, out, profiles, stats
 
 
-def _write_ingest(out: Path, profiles: Iterable[ActivityProfile], stats: IngestStats) -> None:
+def _write_ingest(
+    out: Path, profiles: Iterable[ActivityProfile], stats: ingest.IngestStats
+) -> None:
     """Write ``profiles.tsv`` as the walk yields it, then ``ingest_stats.json``."""
     import json
     profiles_path = out / "profiles.tsv"
@@ -322,11 +322,11 @@ def _read_profiles(
     return load_profiles(profiles_path, table, cfg.grid())
 
 
-def _write_networks(out: Path, nets: list[FlowNetwork]) -> list[Path]:
+def _write_networks(out: Path, nets: list[flows.FlowNetwork]) -> list[Path]:
     written: list[Path] = []
     for net in nets:
-        path = out / flow_file_name(net.level, net.from_snapshot, net.to_snapshot)
-        write_flow_network(net, path)
+        path = out / flows.flow_file_name(net.level, net.from_snapshot, net.to_snapshot)
+        flows.write_flow_network(net, path)
         written.append(path)
     print(f"wrote {len(written)} network files to {out}")
     return written
@@ -336,33 +336,34 @@ def cmd_flows(cfg: PipelineConfig) -> list[Path]:
     """Write every requested flow network, counted from ``profiles.tsv`` as it streams."""
     table = _load_table(cfg)
     out = Path(cfg.out_dir)
-    nodes = dominant_sets_of(cfg.level, table, cfg.area_mode)
+    nodes = flows.dominant_sets_of(cfg.level, table, cfg.area_mode)
     profiles = _read_profiles(cfg, out, table)
     # Not flow_networks_from_profiles: perfbench's tracer takes the len() of its argument.
-    return _write_networks(out, build_flow_networks(
+    return _write_networks(out, flows.build_flow_networks(
         ((p.author_id, p.snapshot, nodes(p)) for p in profiles),
         cfg.grid(), level=cfg.level, appearing_weight=cfg.appearing_weight,
     ))
 
 
-def _load_network(out: Path, table, level: str, earlier: int, later: int) -> FlowNetwork:
-    path = out / flow_file_name(level, earlier, later)
+def _load_network(out: Path, table, level: str, earlier: int, later: int) -> flows.FlowNetwork:
+    path = out / flows.flow_file_name(level, earlier, later)
     if not path.is_file():
         raise MissingInput(f"network file not found: {path} (run flows first)")
-    return load_flow_network(path, table=table, level=level, from_snapshot=earlier,
-                             to_snapshot=later)
+    return flows.load_flow_network(path, table=table, level=level, from_snapshot=earlier,
+                                   to_snapshot=later)
 
 
-def _load_networks(cfg: PipelineConfig, out: Path, table) -> dict[str, list[FlowNetwork]]:
+def _load_networks(cfg: PipelineConfig, out: Path, table) -> dict[str, list[flows.FlowNetwork]]:
     """Every network on the grid of each requested level, by level."""
     pairs = cfg.grid().label_pairs()
     return {level: [_load_network(out, table, level, *pair) for pair in pairs]
-            for level in LEVELS[cfg.level]}
+            for level in flows.LEVELS[cfg.level]}
 
 
 def _write_metrics(
     cfg: PipelineConfig, out: Path, table: ClassificationTable,
-    distributions: list[MultidisciplinarityDistribution], nets: dict[str, list[FlowNetwork]],
+    distributions: list[metrics.MultidisciplinarityDistribution],
+    nets: dict[str, list[flows.FlowNetwork]],
 ) -> list[Path]:
     """Write every metric table, from the ``distributions`` and the networks
     ``_load_networks`` gives. All inputs are checked before the first write,
@@ -370,7 +371,7 @@ def _write_metrics(
     policy = ZeroBaselinePolicy.parse(cfg.baseline_policy)
     tables: list[tuple[str, str, list[str]]] = []  # (file name, header, rows)
     if "topic" in nets:
-        deltas = attractiveness_table(nets["topic"], policy, n_topics=table.topic_count)
+        deltas = metrics.attractiveness_table(nets["topic"], policy, n_topics=table.topic_count)
         rows = [
             f"{snapshot}\t{topic}\t{fmt_float(delta)}\t{pairs_used}"
             for (snapshot, topic), (delta, pairs_used) in sorted(deltas.items())
@@ -378,14 +379,14 @@ def _write_metrics(
         tables.append(("delta_topic.tsv", "#snapshot\ttopic\tdelta\tpairs_used", rows))
 
         winner_rows = []
-        for snapshot, entry in sorted(most_attractive_topics(deltas).items()):
+        for snapshot, entry in sorted(metrics.most_attractive_topics(deltas).items()):
             for topic in entry.ties:
                 flag = "winner" if topic == entry.topic else "tie"
                 winner_rows.append(f"{snapshot}\t{topic}\t{fmt_float(entry.delta)}\t{flag}")
         tables.append(("most_attractive_topic.tsv", "#snapshot\ttopic\tdelta\trank", winner_rows))
 
     if "area" in nets:
-        series = migration_index_series(
+        series = metrics.migration_index_series(
             [n for n in nets["area"] if n.weights], areas=table.areas()
         )
         rows = [
@@ -398,7 +399,7 @@ def _write_metrics(
 
         median_rows = [
             f"{area}\t{fmt_float(rho)}\t{fmt_float(sigma)}"
-            for area, (rho, sigma) in sorted(median_sink_source(series).items())
+            for area, (rho, sigma) in sorted(metrics.median_sink_source(series).items())
         ]
         tables.append(("medians_area.tsv", "#area\tmedian_rho\tmedian_sigma", median_rows))
 
@@ -429,14 +430,14 @@ def cmd_metrics(cfg: PipelineConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     # Only the histogram is kept: profiles stream into it one at a time,
     # before the networks load (a lower peak RSS).
-    distributions = multidisciplinarity(_read_profiles(cfg, out, table), table)
+    distributions = metrics.multidisciplinarity(_read_profiles(cfg, out, table), table)
     return _write_metrics(cfg, out, table, distributions, _load_networks(cfg, out, table))
 
 
-def _viz_config(cfg: PipelineConfig) -> VizConfig:
-    viz = VizConfig()
+def _viz_config(cfg: PipelineConfig) -> bundleviz.VizConfig:
+    viz = bundleviz.VizConfig()
     if cfg.viz_config is not None:
-        viz = load_viz_config(_require_file(cfg.viz_config, "--viz-config"))
+        viz = bundleviz.load_viz_config(_require_file(cfg.viz_config, "--viz-config"))
     overrides = {
         name: getattr(cfg, name)
         for name in ("min_weight", "sector_order", "canvas_size")
@@ -445,9 +446,11 @@ def _viz_config(cfg: PipelineConfig) -> VizConfig:
     return viz._replace(**overrides)  # checked like a new config
 
 
-def _draw(out: Path, net: FlowNetwork, table: ClassificationTable, viz: VizConfig) -> Path:
+def _draw(
+    out: Path, net: flows.FlowNetwork, table: ClassificationTable, viz: bundleviz.VizConfig
+) -> Path:
     svg_path = out / f"viz_{net.level}_{net.from_snapshot}_{net.to_snapshot}.svg"
-    write_text_atomic(svg_path, render_svg(net, table, viz))
+    write_text_atomic(svg_path, bundleviz.render_svg(net, table, viz))
     print(f"wrote {svg_path}")
     return svg_path
 
@@ -459,7 +462,7 @@ def cmd_viz(cfg: PipelineConfig, pair: tuple[int, int]) -> Path:
     viz = _viz_config(cfg)  # a bad rendering setting fails before any write
     table = _load_table(cfg)
     out = Path(cfg.out_dir)
-    net = _load_network(out, table, LEVELS[cfg.level][0], earlier, later)
+    net = _load_network(out, table, flows.LEVELS[cfg.level][0], earlier, later)
     return _draw(out, net, table, viz)
 
 
@@ -488,9 +491,9 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     fold and to the area tally, and none is kept."""
     viz = _viz_config(cfg)  # a bad rendering setting fails before any write
     table, out, profiles, stats = _start_ingest(cfg)
-    fold = FlowFold(cfg.grid(), cfg.level, cfg.appearing_weight)
-    nodes = dominant_sets_of(cfg.level, table, cfg.area_mode)
-    tally = AreaTally(table)
+    fold = flows.FlowFold(cfg.grid(), cfg.level, cfg.appearing_weight)
+    nodes = flows.dominant_sets_of(cfg.level, table, cfg.area_mode)
+    tally = metrics.AreaTally(table)
 
     def counted() -> Iterator[ActivityProfile]:
         for profile in profiles:
@@ -504,7 +507,7 @@ def cmd_report(cfg: PipelineConfig) -> Path:
     # the written ones, as in the standalone stages.
     nets = _load_networks(cfg, out, table)
     metric_paths = _write_metrics(cfg, out, table, tally.distributions(), nets)
-    svg_paths = [_draw(out, net, table, viz) for net in nets[LEVELS[cfg.level][0]]]
+    svg_paths = [_draw(out, net, table, viz) for net in nets[flows.LEVELS[cfg.level][0]]]
     summary = {
         "ingest_stats": stats.as_dict(),
         "snapshot_labels": cfg.grid().labels(),

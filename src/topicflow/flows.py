@@ -19,9 +19,8 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Iterable
 
-from .classification import ClassificationTable
+from .classification import ActivityProfile, ClassificationTable, SnapshotGrid
 from .errors import EmptySet, InvariantViolation, MalformedLine, UnknownTopic, UsageError
-from .ingest import ActivityProfile, SnapshotGrid
 from .util import Record, check_token, fmt_weight, iter_tsv, parse_weight, write_tsv
 
 if TYPE_CHECKING:

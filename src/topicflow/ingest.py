@@ -17,70 +17,20 @@ so a caller that takes the profiles as they come, as ``ingest`` and
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, count
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .classification import ClassificationTable, TopicId
-from .errors import InvalidSpec, MalformedRecord, PipelineError
-from .util import (JSON_ROW, TOKEN_ROWS, Checked, Record, is_token, iter_blocks, iter_lines,
+from .classification import (_CODES, ActivityProfile, ClassificationTable, SnapshotGrid,
+                             TopicId, check_cut)
+from .errors import MalformedRecord, PipelineError
+from .util import (JSON_ROW, TOKEN_ROWS, Record, is_token, iter_blocks, iter_lines,
                    quantile_cutoff)
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
 _BAD_IDS = "author/paper/journal ids must be non-empty tokens without whitespace"
 _SURROGATE_IDS = "author/paper/journal ids must not hold lone surrogates"
-
-
-class _GridFields(NamedTuple):
-    start_year: int
-    end_year: int
-    width_years: int = 5
-
-
-class SnapshotGrid(Checked, _GridFields):
-    """Non-overlapping windows of ``width_years``, labeled by start year.
-
-    Label 2000 with width 5 covers 2000-2004; the grid 1910-2014 has 21
-    labels 1910, 1915, ..., 2010.
-    """
-
-    __slots__ = ()
-
-    def _check(self):
-        if self.width_years < 1:
-            raise InvalidSpec(f"snapshot width must be >= 1, got {self.width_years}")
-        if self.start_year >= self.end_year:
-            raise InvalidSpec(
-                f"start year {self.start_year} must precede end year {self.end_year}"
-            )
-        span = self.end_year - self.start_year + 1  # each year takes one of ingest's codes
-        if span > _CODES:
-            raise InvalidSpec(f"grids span at most {_CODES} years, got {span}")
-
-    def snapshot_of(self, year: int) -> int:
-        return self.start_year + self.width_years * (
-            (year - self.start_year) // self.width_years
-        )
-
-    def labels(self) -> list[int]:
-        return list(range(self.start_year, self.end_year + 1, self.width_years))
-
-    def label_pairs(self) -> list[tuple[int, int]]:
-        labels = self.labels()
-        return list(zip(labels, labels[1:]))
-
-
-class ActivityProfile(NamedTuple):
-    """One author's activity within one snapshot.
-
-    ``topic_counts`` counts paper classifications (a paper in a journal
-    with three topics counts once per topic). The areas an author touched
-    are not stored: they are the table's areas of these topics.
-    """
-
-    author_id: str
-    snapshot: int
-    topic_counts: dict[TopicId, int]
 
 
 class IngestStats(Record):
@@ -122,7 +72,8 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     cuts it. ``checked`` reads any other block line by line, raising at its
     first bad line. One reused ``JSONDecoder`` reads JSON lines;
     ``json.loads`` judges any it does not take whole, such as one with spaces
-    around the object. Each distinct year text is parsed once per read, into
+    around the object. Both refuse an object that repeats a key, which
+    ``JSON_ROW`` allows no line. Each distinct year text is parsed once per read, into
     ``years``; on the line path, each distinct author or journal id is checked
     once, and ``ids`` maps an id that passed to the copy every later record
     shares. Paper ids are checked on every record. A JSON escape can spell a
@@ -140,7 +91,11 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
                 json_mode = line.lstrip()[:1] == "{"
                 if json_mode:
                     import json
-                    decode, loads = json.JSONDecoder().raw_decode, json.loads
+                    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
+                    # The class json.loads decodes with by default, named: given a hook
+                    # alone, it would take whatever json.JSONDecoder is bound to.
+                    loads = partial(json.loads, cls=json.decoder.JSONDecoder,
+                                    object_pairs_hook=_unique_keys)
             if json_mode:
                 try:
                     obj, end = decode(line)
@@ -205,6 +160,15 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     return chain.from_iterable(runs())
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object of ``pairs``; a key that repeats raises ``ValueError`` naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _new_id(ids: dict[str, str], text: str, path, lineno: int) -> str:
     """Check an author or journal id not in ``ids`` yet, then enter it there."""
     if not is_token(text):
@@ -234,9 +198,6 @@ def _code(i: int) -> str:
         if i >= 0xD800:
             i += 0x800
     return chr(i)
-
-
-_CODES = 0x110000 - 2 - 0x800  # how many codes there are: the most years, or journals, coded
 
 
 def _group_papers(
@@ -340,16 +301,6 @@ def _yearly_quantile(
     if not histogram:
         raise PipelineError(f"{records_file}: no records")
     return quantile_cutoff(histogram, q), maxima
-
-
-def check_cut(max_papers_per_year: int, cut_scope: str, quantile: float | None) -> None:
-    """Raise ``InvalidSpec`` on a bad cut, scope or quantile (NaN included)."""
-    if quantile is not None and not 0 < quantile < 1:
-        raise InvalidSpec(f"quantile must be in (0, 1), got {quantile}")
-    if quantile is None and max_papers_per_year < 0:
-        raise InvalidSpec(f"max_papers_per_year must be >= 0, got {max_papers_per_year}")
-    if cut_scope not in ("classified", "all"):
-        raise InvalidSpec(f"cut_scope must be 'classified' or 'all', got {cut_scope!r}")
 
 
 def ingest_records(

@@ -13,46 +13,15 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple
 
-from .classification import AreaId, ClassificationTable, TopicId
+from .classification import (ActivityProfile, AreaId, ClassificationTable, TopicId,
+                             ZeroBaselinePolicy)
 from .errors import PipelineError, UsageError
-from .flows import FlowNetwork
-from .ingest import ActivityProfile
-from .util import Checked, quantile_cutoff
+from .util import quantile_cutoff
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-
-class _PolicyFields(NamedTuple):
-    kind: str = "strict"
-    k: float = 0.0
-
-
-class ZeroBaselinePolicy(Checked, _PolicyFields):
-    """How to handle vanishing baseline flows in the relative-change sum.
-
-    ``strict``    sums only pairs with a nonzero baseline and divides by
-                  the full N-1 (the literal formula denominator);
-    ``active``    divides by the number of nonzero-baseline pairs instead;
-    ``smooth``    adds ``k`` to every baseline before dividing.
-    """
-
-    __slots__ = ()
-
-    def _check(self):
-        if self.kind not in ("strict", "active", "smooth"):
-            raise UsageError(f"unknown baseline policy {self.kind!r}")
-        if self.kind == "smooth" and not 0 < self.k < math.inf:  # nan fails too
-            raise UsageError(f"smooth policy needs a finite k > 0, got {self.k}")
-
-    @classmethod
-    def parse(cls, text: str) -> "ZeroBaselinePolicy":
-        if text.startswith("smooth:"):
-            try:
-                return cls("smooth", float(text.split(":", 1)[1]))
-            except ValueError:
-                raise UsageError(f"bad smoothing constant in {text!r}") from None
-        return cls(text)
+    from .flows import FlowNetwork
 
 
 class MigrationIndices(NamedTuple):

@@ -14,9 +14,9 @@ import random
 from pathlib import Path
 from typing import NamedTuple
 
+from .classification import SnapshotGrid
 from .errors import InvalidSpec
 from .flows import FlowNetwork, flow_file_name, write_flow_network
-from .ingest import SnapshotGrid
 from .util import Checked, write_json, write_tsv
 
 # Fixed dominant-set pairs guaranteeing that a mobile corpus exercises

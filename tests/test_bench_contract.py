@@ -1,7 +1,8 @@
 """What the benchmark harness in ``perfbench/`` needs from the package.
 
 The tracer wraps functions it looks up by module and name, right after
-``import topicflow.cli`` (so ``cli`` must import every traced module);
+``import topicflow.cli`` (so every traced module must be in ``sys.modules``
+by then);
 the start-up probe imports ``load_classification`` from
 ``topicflow.cli``, and the runner passes ``--threads`` to every
 subcommand. These tests only read and run ``perfbench/``; a rename,

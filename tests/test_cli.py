@@ -376,7 +376,7 @@ def test_quantile_on_empty_records_exits_two(tmp_path, capsys):
 def test_internal_error_exits_three(tmp_path, monkeypatch):
     setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
     monkeypatch.setattr(
-        "topicflow.cli.ingest_records",
+        "topicflow.ingest.ingest_records",
         lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
     )
     assert main(["ingest", *base_args(tmp_path, tmp_path / "out")]) == 3
@@ -424,8 +424,8 @@ def test_report_loads_the_table_and_viz_config_once(tmp_path, monkeypatch):
                             ("y", "p3", "J2", 1921)])
     calls = []
 
-    def counted(name):
-        original = getattr(cli_module, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls.append(name)
@@ -433,8 +433,9 @@ def test_report_loads_the_table_and_viz_config_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("load_classification", "load_viz_config"):
-        monkeypatch.setattr(cli_module, name, counted(name))
+    for module, name in ((cli_module, "load_classification"),
+                         (cli_module.bundleviz, "load_viz_config")):
+        monkeypatch.setattr(module, name, counted(module, name))
     viz_cfg = write_lines(tmp_path / "viz.cfg", ["canvas_size=400"])
     args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1924"]
     assert main(["report", *args, "--viz-config", str(viz_cfg)]) == 0
@@ -446,13 +447,13 @@ def test_report_reads_each_flow_file_once(tmp_path, monkeypatch):
     setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916),
                             ("y", "p3", "J2", 1921)])
     loaded = []
-    original = cli_module.load_flow_network
+    original = cli_module.flows.load_flow_network
 
     def counted(path, **kwargs):
         loaded.append(Path(path).name)
         return original(path, **kwargs)
 
-    monkeypatch.setattr(cli_module, "load_flow_network", counted)
+    monkeypatch.setattr(cli_module.flows, "load_flow_network", counted)
     args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1924"]
     assert main(["report", *args]) == 0  # three snapshots, --level both
     assert sorted(loaded) == [
@@ -465,7 +466,7 @@ def test_report_reads_no_profile_list_or_file(tmp_path, monkeypatch):
     setup_inputs(tmp_path, [("x", "p1", "J1", 1911), ("x", "p2", "J3", 1916)])
 
     walks = []
-    original = cli_module.ingest_records
+    original = cli_module.ingest.ingest_records
 
     def recorded(*args, **kwargs):
         walk, stats = original(*args, **kwargs)
@@ -475,7 +476,7 @@ def test_report_reads_no_profile_list_or_file(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("report must stream the dedupe walk")
 
-    monkeypatch.setattr(cli_module, "ingest_records", recorded)
+    monkeypatch.setattr(cli_module.ingest, "ingest_records", recorded)
     monkeypatch.setattr(cli_module, "load_profiles", refuse)
     args = base_args(tmp_path, tmp_path / "out") + ["--end-year", "1919"]
     assert main(["report", *args]) == 0

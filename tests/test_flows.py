@@ -563,8 +563,8 @@ def test_flow_file_nodes_outside_the_table_exit_two(tmp_path, capsys, monkeypatc
         path.write_text(text.replace("\tt000\t", "\tt999\t", 1), encoding="utf-8")
 
     if command == "report":  # report reads back the flow files it writes
-        write = cli_module.write_flow_network
-        monkeypatch.setattr(cli_module, "write_flow_network", lambda net, p: (
+        write = cli_module.flows.write_flow_network
+        monkeypatch.setattr(cli_module.flows, "write_flow_network", lambda net, p: (
             write(net, p), p == path and stranger()))
     else:
         assert main(["report", *args]) == 0

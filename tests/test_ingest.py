@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topicflow.classification as classification_module
 from topicflow.classification import ClassificationTable, load_classification
 import topicflow.cli as cli_module
 from topicflow.cli import PipelineConfig, _load_networks, load_profiles, main, write_profiles
@@ -570,9 +571,8 @@ _NDJSON_CASES = {  # a line past the first block: None when it is a record, else
     "year-5000-digits": (_BASE.replace("1915", "1" * 5000), "invalid JSON record: "),
     "extra-key": (_BASE.replace("}", ', "x": 1}'), _FIELDS_MESSAGE),
     "missing-key": (_BASE.replace(', "year": 1915', ""), _FIELDS_MESSAGE),
-    # Accepted on every path, the last value winning: the FOUND on duplicated keys in
-    # CHANGES.md. A mend that refuses the line gives this case its error in place of None.
-    "duplicated-key": (_BASE.replace('"a1", ', '"a2", "author_id": "a1", '), None),
+    "duplicated-key": (_BASE.replace('"a1", ', '"a2", "author_id": "a1", '),
+                       "invalid JSON record: duplicate key 'author_id'"),
     "two-objects": (f"{_BASE} {_BASE}", "invalid JSON record: Extra data"),
     "lone-surrogate": (_BASE.replace('"a1"', '"a\\ud800"'), _SURROGATE_IDS),
     "spaces-around": (f"  {_BASE}\t ", None),
@@ -965,7 +965,7 @@ def test_more_distinct_years_than_codes_exit_two_naming_the_line(
     assert len(profiles) == 1  # off-grid years take no code unless counted
     with pytest.raises(PipelineError, match=re.escape(f"{records}:6: more than 12 distinct years")):
         ingest_records(records, table, grid, cut_scope="all")
-    monkeypatch.setattr(ingest_module, "_CODES", 10)
+    monkeypatch.setattr(classification_module, "_CODES", 10)  # the grid's own check
     with pytest.raises(InvalidSpec, match="at most 10 years, got 11"):
         ingest_records(records, table, SnapshotGrid(1910, 1920, 5))
     monkeypatch.setattr(ingest_module, "_CODES", 2)  # journals take codes too

@@ -19,17 +19,17 @@ SRC = str(Path(topicflow.__file__).resolve().parents[1])
 # The library's public names, by the module that defines them.
 _PUBLIC = {
     "bundleviz": ("VizConfig", "layout", "render_svg"),
-    "classification": ("ClassificationTable", "load_classification"),
+    "classification": (
+        "ActivityProfile", "ClassificationTable", "SnapshotGrid", "ZeroBaselinePolicy",
+        "load_classification",
+    ),
     "flows": (
         "FlowNetwork", "build_flow_networks", "count_transitions", "dominant_topics",
         "flow_networks_from_profiles", "load_flow_network", "write_flow_network",
     ),
-    "ingest": (
-        "ActivityProfile", "IngestStats", "SnapshotGrid", "compute_yearly_paper_quantile",
-        "ingest_records",
-    ),
+    "ingest": ("IngestStats", "compute_yearly_paper_quantile", "ingest_records"),
     "metrics": (
-        "MigrationIndices", "ZeroBaselinePolicy", "attractiveness_table",
+        "MigrationIndices", "attractiveness_table",
         "median_sink_source", "migration_index_series", "migration_indices",
         "most_attractive_topics", "multidisciplinarity",
     ),
@@ -92,6 +92,63 @@ def test_import_topicflow_loads_no_stage_module():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert result.stdout.strip() == "[] []"
+
+
+# Run as ``python -m topicflow.cli``, then print the stage modules that were executed:
+# one registered lazily and never used is still a ``LazyLoader`` module, not a ModuleType.
+_RUN_CLI = """
+import runpy, sys, types
+try:
+    runpy.run_module("topicflow.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    assert done.code == 0, done.code
+"""
+_EXECUTED = """
+print(sorted(name for name in ("bundleviz", "flows", "ingest", "metrics")
+             if type(sys.modules.get("topicflow." + name)) is types.ModuleType))
+"""
+
+
+def _fresh(code, *argv):
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("corpus")
+    assert main(["synth", "--out", str(corpus), "--authors", "30", "--topics", "8",
+                 "--areas", "3", "--snapshots", "3", "--seed", "5"]) == 0
+    return [f"--{name}={corpus / name.replace('-', '_')}.tsv"
+            for name in ("records", "journal-topics", "topic-areas")] + ["--end-year=1924"]
+
+
+def test_each_subcommand_executes_only_the_stages_it_runs(corpus, tmp_path):
+    probe = "import sys, types\nfrom topicflow.cli import load_classification\n"
+    assert _fresh(probe + _EXECUTED) == "[]"  # the benchmark's set-up probe
+    args = [*corpus, f"--out={tmp_path}"]
+    for argv, executed in [
+        (["ingest"], ["ingest"]),
+        (["flows"], ["flows"]),
+        (["metrics"], ["flows", "metrics"]),
+        (["viz", "--pair", "1910", "1915"], ["bundleviz", "flows"]),
+        (["report"], ["bundleviz", "flows", "ingest", "metrics"]),
+    ]:
+        assert _fresh(_RUN_CLI + _EXECUTED, *argv, *args) == repr(executed), argv
+
+
+def test_a_stage_imported_before_cli_is_the_one_cli_uses(corpus, tmp_path):
+    code = (
+        "import sys, topicflow.ingest as a, topicflow.cli as cli\n"
+        "assert sys.modules['topicflow.ingest'] is a and cli.ingest is a\n"
+        "cfg = cli._resolve_config(cli._build_parser().parse_args(['ingest', *sys.argv[1:]]))\n"
+        "print(type(cli._start_ingest(cfg)[3]) is a.IngestStats)"
+    )
+    assert _fresh(code, *corpus, f"--out={tmp_path}") == "True"
 
 
 _DYNAMIC = ("exec", "eval", "compile")
