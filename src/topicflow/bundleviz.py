@@ -17,8 +17,10 @@ written out as straight-line lerps, the nine at alpha 0 as copies:
 ``render_svg`` runs the 1 lerp over a source node's points and the 1
 over a target node's once per node, with the path text they fix, and
 each edge runs the other 7 and builds its ``<path>`` with one format.
-The sector order's modularity merge compares exact integer-scaled gains
-and keeps community sums as they merge.
+``layout`` walks the edges once, for the exact node strengths, each
+node's area and the cross-area links the sector order's modularity merge
+starts from; the merge compares exact integer-scaled gains and keeps
+community sums as they merge.
 """
 from __future__ import annotations
 
@@ -219,19 +221,10 @@ def _fraction(weight) -> Fraction:
     return Fraction(weight)
 
 
-def _symmetrized_area_graph(net: FlowNetwork, node_area: dict[str, str]):
-    # Exact accumulation (ints, or rationals once a weight is not an int):
-    # iteration order cannot perturb the modularity comparisons.
-    sym: dict[tuple[str, str], int | Fraction] = {}
-    for (source, target), weight in net.weights.items():
-        a, b = node_area[source], node_area[target]
-        key = (a, b) if a <= b else (b, a)
-        sym[key] = sym.get(key, 0) + (weight if type(weight) is int else _fraction(weight))
-    return sym
-
-
-def _greedy_modularity_order(areas, sym, area_strength) -> list[str]:
-    """Agglomerative modularity merge over the (tiny) area graph.
+def _greedy_modularity_order(areas, between, area_strength) -> list[str]:
+    """Agglomerative modularity merge over the (tiny) area graph, whose
+    links ``between[a][b]`` (the cross-area weight joining a and b, both
+    ways; a row for every area that has a node) it merges in place.
 
     Merging communities a and b gains ``2 * (between / two_m - ka * kb /
     two_m**2)`` modularity; ``between * two_m - ka * kb`` is that gain times
@@ -240,14 +233,7 @@ def _greedy_modularity_order(areas, sym, area_strength) -> list[str]:
     rationals once a weight is not an int) plus lexicographic tie-breaking
     keep the resulting order reproducible across runs and hash seeds.
     """
-    # between[a][b]: weight joining communities a and b; degree[a]: a's
-    # degree sum, first its strength, as ``sym`` counts a self-loop twice.
-    # Both are kept up to date as communities merge.
-    between: dict[str, dict[str, int | Fraction]] = {a: {} for a in areas}
-    for (a, b), w in sym.items():
-        if a != b:
-            between[a][b] = between[a].get(b, 0) + w
-            between[b][a] = between[b].get(a, 0) + w
+    # degree[a]: a's degree sum, first its strength; kept up to date as communities merge.
     degree = dict(area_strength)
     two_m = sum(degree.values())
 
@@ -303,27 +289,33 @@ def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizL
     heuristic, node angles inside their sector, radii clamped to the
     configured band. An edgeless network has no node and one equal sector
     per area of the table, in the table's order under every heuristic."""
-    # Exact strengths (int sums, rationals once a weight is not an int):
-    # node order must not depend on float summation order, which varies
-    # with the hash seed.
+    # One pass over the edges: exact strengths (int sums, rationals once a weight is
+    # not an int), as node order must not hang on float summation order; each node's
+    # area on first sight; each cross-area weight both ways into the merge's links.
     strength: dict[str, int | Fraction] = {}
+    node_area: dict[str, str] = {}
+    by_area: dict[str, list[str]] = {} if net.weights else {a: [] for a in table.areas()}
+    between: dict[str, dict[str, int | Fraction]] = {}
+
+    def first_sight(node: str) -> str:
+        area = node if net.level == "area" else table.topic_area.get(node)
+        if area is None:
+            raise UnknownTopic(f"topic {node!r} not in the topic->area table")
+        node_area[node] = area
+        by_area.setdefault(area, []).append(node)
+        between.setdefault(area, {})
+        return area
+
     for (source, target), weight in net.weights.items():
         w = weight if type(weight) is int else _fraction(weight)
         strength[source] = strength.get(source, 0) + w
         strength[target] = strength.get(target, 0) + w
+        a = node_area.get(source) or first_sight(source)
+        b = node_area.get(target) or first_sight(target)
+        if a != b:
+            between[a][b] = between[a].get(b, 0) + w
+            between[b][a] = between[b].get(a, 0) + w
 
-    node_area: dict[str, str] = {}
-    for node in strength:
-        if net.level == "area":
-            node_area[node] = node
-        else:
-            if node not in table.topic_area:
-                raise UnknownTopic(f"topic {node!r} not in the topic->area table")
-            node_area[node] = table.topic_area[node]
-
-    by_area: dict[str, list[str]] = {} if net.weights else {a: [] for a in table.areas()}
-    for node, area in node_area.items():
-        by_area.setdefault(area, []).append(node)
     area_strength = {
         area: sum(strength[n] for n in nodes) for area, nodes in by_area.items()
     }
@@ -333,8 +325,7 @@ def layout(net: FlowNetwork, table: ClassificationTable, cfg: VizConfig) -> VizL
     elif cfg.sector_order == "strength":
         order = sorted(by_area, key=lambda a: (-area_strength[a], a))
     else:
-        sym = _symmetrized_area_graph(net, node_area)
-        order = _greedy_modularity_order(sorted(by_area), sym, area_strength)
+        order = _greedy_modularity_order(sorted(by_area), between, area_strength)
 
     center = (cfg.canvas_size / 2.0, cfg.canvas_size / 2.0)
     circle_radius = cfg.canvas_size * cfg.radius_frac

@@ -546,6 +546,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"topicflow: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:  # well-formed input too large for this machine, not a fault
+        print(f"topicflow: error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - invariant violations exit 3
         print(f"topicflow: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

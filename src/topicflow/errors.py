@@ -2,7 +2,8 @@
 
 Each class carries the CLI exit code it maps to: 1 for usage problems,
 2 for anything wrong with an input file, 3 for internal invariant
-violations. Errors raised while parsing a file embed ``path:line`` in
+violations. Running out of memory exits 2 too, as input too large for
+the machine. Errors raised while parsing a file embed ``path:line`` in
 their message so the CLI can print a single-line diagnostic. A problem
 raised at a single site uses ``PipelineError`` or ``UsageError`` itself.
 """

@@ -17,6 +17,7 @@ so a caller that takes the profiles as they come, as ``ingest`` and
 """
 from __future__ import annotations
 
+import re
 from functools import partial
 from itertools import chain, count
 from typing import Iterable, Iterator
@@ -24,13 +25,18 @@ from typing import Iterable, Iterator
 from .classification import (_CODES, ActivityProfile, ClassificationTable, SnapshotGrid,
                              TopicId, check_cut)
 from .errors import MalformedRecord, PipelineError
-from .util import (JSON_ROW, TOKEN_ROWS, Record, is_token, iter_blocks, iter_lines,
-                   quantile_cutoff)
+from .util import Record, is_token, iter_blocks, iter_lines, quantile_cutoff
 
 RECORD_FIELDS = ("author_id", "paper_id", "journal_id", "year")
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
 _BAD_IDS = "author/paper/journal ids must be non-empty tokens without whitespace"
 _SURROGATE_IDS = "author/paper/journal ids must not hold lone surrogates"
+# Lines of four tab-separated tokens, none opening with "#": \S must keep to is_token's rule.
+TOKEN_ROWS = re.compile(r"(?:[^\s#]\S*\t\S+\t\S+\t\S+\n)*")
+# One record line as json.dumps writes it: ids with no escape, quote, whitespace by
+# is_token's rule or JSON control character, and a year of plain digits.
+JSON_ROW = re.compile(r'^\{"author_id": "(%s)", "paper_id": "(%s)", "journal_id": "(%s)", '
+                      r'"year": ([1-9][0-9]*)\}\n' % ((r'[^"\\\s\x00-\x1f]+',) * 3), re.M)
 
 
 class IngestStats(Record):
@@ -65,9 +71,9 @@ def iter_records(path) -> Iterator[tuple[int, str, str, str, int]]:
     Blocks come from ``util.iter_blocks``. The format is sniffed from the first
     line that is neither blank nor a ``#`` comment: ``{`` means
     newline-delimited JSON, anything else is four-column TSV. A later TSV block
-    that is UTF-8, matches ``util.TOKEN_ROWS`` and has year texts ``int`` takes
+    that is UTF-8, matches ``TOKEN_ROWS`` and has year texts ``int`` takes
     is split once into columns. So is a later JSON block whose every line
-    ``util.JSON_ROW`` matches, as ``json.dumps`` writes a record with ids
+    ``JSON_ROW`` matches, as ``json.dumps`` writes a record with ids
     holding no escape, and whose year texts ``int`` takes: one ``findall``
     cuts it. ``checked`` reads any other block line by line, raising at its
     first bad line. One reused ``JSONDecoder`` reads JSON lines;

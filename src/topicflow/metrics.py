@@ -36,7 +36,6 @@ class SnapshotIndices(NamedTuple):
 
     snapshot: int
     indices: dict[AreaId, MigrationIndices]
-    cross_total: int | float | Fraction
 
 
 class MostAttractive(NamedTuple):
@@ -65,15 +64,6 @@ def _incoming_index(net: FlowNetwork) -> dict[str, dict[str, int | float | Fract
     for (source, target), weight in net.weights.items():
         index.setdefault(target, {})[source] = weight
     return index
-
-
-def _consecutive_pairs(nets: Iterable[FlowNetwork]) -> list[tuple[FlowNetwork, FlowNetwork]]:
-    ordered = sorted(nets, key=lambda n: n.to_snapshot)
-    return [
-        (prev, cur)
-        for prev, cur in zip(ordered, ordered[1:])
-        if cur.from_snapshot == prev.to_snapshot
-    ]
 
 
 def _delta_for_topic(
@@ -113,23 +103,24 @@ def attractiveness_table(
 ) -> dict[tuple[int, TopicId], tuple[float, int]]:
     """(snapshot, topic) -> (delta, pairs_used) for every observed topic.
 
-    One shared incoming index per network pair, so sweeping all topics
-    stays linear in the number of edges. A delta beyond float range
-    raises ``PipelineError`` naming the snapshot and the topic.
+    Each network is indexed by incoming flow once, so sweeping all topics
+    stays linear in the number of edges. A pair whose labels are not
+    consecutive gives no row; a delta beyond float range raises
+    ``PipelineError`` naming the snapshot and the topic.
     """
-    pairs = _consecutive_pairs(nets)
     table: dict[tuple[int, str], tuple[float, int]] = {}
-    for prev, cur in pairs:
-        prev_idx = _incoming_index(prev)
-        cur_idx = _incoming_index(cur)
-        for topic in sorted(prev.nodes() | cur.nodes()):
-            entry = table[(cur.to_snapshot, topic)] = _delta_for_topic(
-                topic, prev_idx.get(topic, {}), cur_idx.get(topic, {}), policy, n_topics
-            )
-            if not math.isfinite(entry[0]):
-                raise PipelineError(
-                    f"attractiveness of topic {topic!r} at snapshot {cur.to_snapshot} is not"
-                    " finite: a baseline flow or the smoothing constant is too small")
+    prev = None
+    for cur in sorted(nets, key=lambda n: n.to_snapshot):
+        cur_idx, cur_nodes = _incoming_index(cur), cur.nodes()
+        if prev is not None and cur.from_snapshot == prev.to_snapshot:
+            for topic in sorted(prev_nodes | cur_nodes):
+                entry = table[(cur.to_snapshot, topic)] = _delta_for_topic(
+                    topic, prev_idx.get(topic, {}), cur_idx.get(topic, {}), policy, n_topics)
+                if not math.isfinite(entry[0]):
+                    raise PipelineError(
+                        f"attractiveness of topic {topic!r} at snapshot {cur.to_snapshot} is"
+                        " not finite: a baseline flow or the smoothing constant is too small")
+        prev, prev_idx, prev_nodes = cur, cur_idx, cur_nodes
     return table
 
 
@@ -189,16 +180,8 @@ def migration_index_series(
     areas: Collection[AreaId],
 ) -> list[SnapshotIndices]:
     """Indices per arrival snapshot, ordered by snapshot."""
-    series = []
-    for net in sorted(nets, key=lambda n: n.to_snapshot):
-        indices = migration_indices(net, areas)
-        cross = sum(
-            w for (s, t), w in net.weights.items() if s != t
-        )
-        series.append(
-            SnapshotIndices(snapshot=net.to_snapshot, indices=indices, cross_total=cross)
-        )
-    return series
+    ordered = sorted(nets, key=lambda n: n.to_snapshot)
+    return [SnapshotIndices(net.to_snapshot, migration_indices(net, areas)) for net in ordered]
 
 
 def median_sink_source(
@@ -211,7 +194,9 @@ def median_sink_source(
     count is the mean of the middle two.
     """
     import statistics
-    defined = [e for e in series if e.cross_total > 0]
+    # Each rho is incoming / total cross flow, exact, rounded once: 0 with no cross flow. With
+    # some, the exact rhos sum to 1, so the largest, >= 1/areas, cannot round to 0.0.
+    defined = [e for e in series if any(i.rho for i in e.indices.values())]
     areas: set[str] = set()
     for entry in defined:
         areas |= set(entry.indices)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import gc
 import math
 import os
-import re
 from contextlib import contextmanager, suppress
 from itertools import islice
 from typing import Iterable, Iterator
@@ -16,12 +15,6 @@ from .errors import MalformedLine
 
 BLOCK_BYTES = 1 << 14  # read at a time by ``iter_blocks``
 LINE_BYTES = 1 << 20  # the longest line ``iter_blocks`` reads
-# Lines of four tab-separated tokens, none opening with "#": \S must keep to is_token's rule.
-TOKEN_ROWS = re.compile(r"(?:[^\s#]\S*\t\S+\t\S+\t\S+\n)*")
-# One record line as json.dumps writes it: ids with no escape, quote, whitespace by
-# is_token's rule or JSON control character, and a year of plain digits.
-JSON_ROW = re.compile(r'^\{"author_id": "(%s)", "paper_id": "(%s)", "journal_id": "(%s)", '
-                      r'"year": ([1-9][0-9]*)\}\n' % ((r'[^"\\\s\x00-\x1f]+',) * 3), re.M)
 
 
 def is_token(text: str) -> bool:

@@ -382,6 +382,19 @@ def test_internal_error_exits_three(tmp_path, monkeypatch):
     assert main(["ingest", *base_args(tmp_path, tmp_path / "out")]) == 3
 
 
+def test_out_of_memory_exits_two_before_out_is_created(tmp_path, monkeypatch, capsys):
+    setup_inputs(tmp_path, [("x", "p1", "J2", 1911)])
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("topicflow.ingest.ingest_records", exhausted)
+    capsys.readouterr()
+    assert main(["ingest", *base_args(tmp_path, tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "topicflow: error: out of memory in ingest\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_quantile_flag_derives_threshold(tmp_path):
     rows = [(f"a{i}", "p", "J2", 1911) for i in range(9)]
     rows += [("big", f"p{i}", "J2", 1911) for i in range(100)]
@@ -1044,6 +1057,9 @@ def test_standalone_metrics_matches_report_multidisciplinarity(tmp_path):
     ["--level", "area"],
     ["--quantile", "0.9", "--cut-scope", "all"],
     ["--width", "10"],
+    ["--level", "area", "--sector-order", "strength"],
+    ["--sector-order", "alphabetical", "--min-weight", "2"],
+    ["--appearing-weight", "uniform", "--baseline-policy", "smooth:0.5"],
 ])
 def test_report_tree_equals_separate_stages(tmp_path, flags):
     corpus = tmp_path / "corpus"

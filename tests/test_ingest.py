@@ -369,9 +369,9 @@ def test_token_rows_keeps_to_is_token():
     good = [c for c in chars if util_module.is_token(c)]
     assert len(good) == 0x110000 - 29  # _WHITESPACE, the tab and the newline
     rows = "".join(f"a{c}\tp{c}\tj{c}\t1912\n" for c in good)
-    assert util_module.TOKEN_ROWS.fullmatch(rows)
+    assert ingest_module.TOKEN_ROWS.fullmatch(rows)
     for c in {*_WHITESPACE, "\t", "\n"}:
-        assert not util_module.TOKEN_ROWS.fullmatch(f"a{c}b\tp\tj\t1912\n"), hex(ord(c))
+        assert not ingest_module.TOKEN_ROWS.fullmatch(f"a{c}b\tp\tj\t1912\n"), hex(ord(c))
 
 
 @pytest.mark.parametrize("size", [7, util_module.BLOCK_BYTES])
@@ -509,12 +509,14 @@ def test_other_ndjson_forms_are_not_scanned_whole(table, tmp_path, monkeypatch, 
     path = write_lines(tmp_path / "r.ndjson", [dump(json.loads(line)) for line in _JSON_LINES])
     scanned = []
 
+    row = ingest_module.JSON_ROW  # the pattern itself: the patch below replaces the name
+
     class Row:  # JSON_ROW, counting the whole-block scans
-        match = util_module.JSON_ROW.match
+        match = row.match
 
         def findall(self, text):
             scanned.append(text)
-            return util_module.JSON_ROW.findall(text)
+            return row.findall(text)
 
     monkeypatch.setattr(ingest_module, "JSON_ROW", Row())
     monkeypatch.setattr(util_module, "BLOCK_BYTES", 1024)
@@ -615,7 +617,7 @@ def test_json_row_keeps_to_the_line_path():
             text = text.encode("utf-8", "surrogatepass").decode()  # as a file's bytes read
         except UnicodeDecodeError:
             return False
-        return len(util_module.JSON_ROW.findall(text)) == text.count("\n")
+        return len(ingest_module.JSON_ROW.findall(text)) == text.count("\n")
 
     chars = [chr(i) for i in range(0x110000)]
     taken = [c for c in chars if line_path_takes(c)]

@@ -136,6 +136,16 @@ def test_no_baseline_error():
     assert attractiveness_table(gap, n_topics=2) == {}
 
 
+def test_networks_out_of_order_with_a_gap_give_the_in_order_table():
+    n1915 = topic_net(1915, {("X", "T"): 2, ("Y", "T"): 1})
+    n1920 = topic_net(1920, {("X", "T"): 3, ("T", "Y"): 4})
+    n1930 = topic_net(1930, {("X", "T"): 9, ("Y", "X"): 5})  # 1925 is missing: no pair
+    got = attractiveness_table([n1930, n1920, n1915], n_topics=3)
+    assert got == attractiveness_table([n1915, n1920, n1930], n_topics=3)
+    assert got == attractiveness_table([n1915, n1920], n_topics=3)
+    assert {snapshot for snapshot, _ in got} == {1920}
+
+
 def test_unknown_topic_error():
     # a topic absent from every network gets no row
     nets = [topic_net(1915, {("X", "T"): 1}), topic_net(1920, {("X", "T"): 1})]
@@ -398,6 +408,13 @@ def test_median_skips_undefined_snapshots():
     ]
     medians = median_sink_source(migration_index_series(nets, ()))
     assert medians["a"] == (0.5, 0.5)
+
+
+def test_median_counts_the_smallest_cross_flow_as_defined():
+    # iota rounds to 0.0 beside the self flow; rho, a share of the cross flow, is 1.0.
+    series = migration_index_series([area_net(1915, {("a", "a"): 1e308, ("b", "a"): 5e-324})], ())
+    assert series[0].indices["a"].iota == 0.0
+    assert median_sink_source(series) == {"a": (1.0, 0.0), "b": (0.0, 1.0)}
 
 
 def test_median_without_cross_flow_is_empty():

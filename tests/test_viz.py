@@ -17,7 +17,6 @@ from topicflow.bundleviz import (
     _cross_tail,
     _greedy_modularity_order,
     _polar,
-    _symmetrized_area_graph,
     arc_midpoint,
     layout,
     load_viz_config,
@@ -389,6 +388,15 @@ def reference_modularity_order(areas, sym, area_strength):
     return ordered
 
 
+def links_of(areas, sym):
+    """The merge's ``between``: a row per area, each cross pair's weight both ways."""
+    between = {a: {} for a in areas}
+    for (a, b), w in sym.items():
+        if a != b:
+            between[a][b] = between[b][a] = w
+    return between
+
+
 # Few distinct weights and few areas: equal gains, and equal strengths, are common.
 area_weights = st.sampled_from([1, 2, 3]).flatmap(
     lambda k: st.sampled_from([k, float(k), Fraction(k), k / 2, Fraction(k, 3)])
@@ -404,15 +412,16 @@ area_weights = st.sampled_from([1, 2, 3]).flatmap(
 )))
 def test_modularity_order_matches_rational_gain_reference(graph):
     areas, edges = graph
-    weights = {(areas[i], areas[j]): w for (i, j), w in edges.items()}
-    net = FlowNetwork("area", 1910, 1915, weights)
-    sym = _symmetrized_area_graph(net, {a: a for a in areas})
+    sym = {}  # each unordered pair's exact total weight, a self-loop under (a, a)
+    for (i, j), w in edges.items():
+        key = (areas[min(i, j)], areas[max(i, j)])
+        sym[key] = sym.get(key, 0) + (w if type(w) is int else Fraction(w))
     strength = {a: 0 for a in areas}
     for (a, b), w in sym.items():
         strength[a] += w
         strength[b] += w
     want = reference_modularity_order(areas, sym, strength)
-    assert _greedy_modularity_order(areas, sym, strength) == want
+    assert _greedy_modularity_order(areas, links_of(areas, sym), strength) == want
 
 
 def test_modularity_order_breaks_exact_ties_like_the_reference():
@@ -420,7 +429,7 @@ def test_modularity_order_breaks_exact_ties_like_the_reference():
     areas = ["a0", "a1", "a2", "a3"]
     sym = {("a0", "a1"): 1, ("a1", "a2"): 1, ("a2", "a3"): 1, ("a0", "a3"): 1}
     strength = dict.fromkeys(areas, 2)
-    got = _greedy_modularity_order(areas, sym, strength)
+    got = _greedy_modularity_order(areas, links_of(areas, sym), strength)
     assert got == reference_modularity_order(areas, sym, strength)
     assert got == ["a0", "a1", "a2", "a3"]
 
